@@ -438,11 +438,13 @@ class MiyamotoMap:
     matrix: list[list]
 
     def apply_coords(self, coords: Sequence) -> list:
-        d = len(coords)
-        return [
-            sum((self.matrix[r][c] * coords[c] for c in range(d)), self.algebra.mode.zero())
-            for r in range(d)
-        ]
+        out = [self.algebra.mode.zero()] * len(coords)
+        for c, x in enumerate(coords):
+            if x:
+                for r, row in enumerate(self.matrix):
+                    if row[c]:
+                        out[r] = out[r] + row[c] * x
+        return out
 
     def apply_vec(self, vec: Vec) -> Vec:
         coords = self.algebra.coordinates(vec)

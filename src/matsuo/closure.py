@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count, islice
 from typing import Iterable, Optional, Sequence
 
 from .algebra import Vec, critical_values, vec_product
 from .fischer import FischerSpace
-from .scalars import EtaPoly, EtaScalar, PoleError
+from .scalars import EtaPoly, EtaScalar, PoleError, poly_lcm
 
 
 class UnsafeEtaError(ValueError):
@@ -357,7 +358,6 @@ def close(
     gens: Iterable[Vec],
     mode: ScalarMode,
     roles: Optional[Sequence[str]] = None,
-    max_rounds: Optional[int] = None,
 ) -> Subalgebra:
     """Smallest product-closed subspace containing the generators."""
     gen_list = [dict(g) for g in gens]
@@ -381,15 +381,9 @@ def close(
                 if prod:
                     basis.insert(prod)
             cursor += 1
-            if max_rounds is not None and cursor > max_rounds * len(sp.points):
-                raise RuntimeError("closure failed to terminate")
     except PoleError as exc:
         raise UnsafeEtaError(f"pole during evaluated-mode closure: {exc}") from exc
     return Subalgebra(sp, mode, list(zip(gen_list, roles)), basis, products)
-
-
-def dimension(subalgebra: Subalgebra) -> int:
-    return subalgebra.dimension
 
 
 def reclose(subalgebra: Subalgebra) -> Subalgebra:
@@ -449,11 +443,11 @@ def consistency_check(
 
 
 def evaluate_vec(vec: Vec, eta0) -> Vec:
-    """Evaluate a symbolic vector at eta = eta0."""
+    """Evaluate a symbolic or polynomial vector at eta = eta0."""
     eta0 = Fraction(eta0)
     out: Vec = {}
     for k, v in vec.items():
-        if isinstance(v, EtaScalar):
+        if isinstance(v, (EtaScalar, EtaPoly)):
             val = v.evaluate(eta0)
         else:
             val = Fraction(v)
@@ -468,8 +462,6 @@ def evaluate_vec(vec: Vec, eta0) -> Vec:
 
 def _poly_vec(vec: Vec) -> dict[int, EtaPoly]:
     """Clear a sparse vector to polynomial coefficients (row-wise lcm)."""
-    from .scalars import poly_lcm
-
     lcm = EtaPoly.one()
     for v in vec.values():
         if isinstance(v, EtaScalar):
@@ -483,59 +475,65 @@ def _poly_vec(vec: Vec) -> dict[int, EtaPoly]:
     return out
 
 
+# Candidates for the certifying point eta1: integers from _ETA1_START up,
+# skipping eta0.  Degenerate values are finitely many, so a correct symbolic
+# dimension is reached within a few; _ETA1_ATTEMPTS misses mean it is wrong.
+_ETA1_START = 3
+_ETA1_ATTEMPTS = 16
+
+
 def specialized_dimension(subalgebra: Subalgebra, eta0) -> int:
     """Specialize-last dimension of a symbolic closure at eta = eta0.
 
-    Walks the product tree over Q[eta] without ever dividing: the worklist
-    holds honest iterated products of the generators, and a vector joins it
-    when it grows either the symbolic echelon or the echelon of the
-    evaluations at eta0.  On termination the evaluated span contains the
-    evaluated generators and is product-closed, hence equals the evaluated
-    closure; its rank is the specialized dimension.  The symbolic echelon is
-    saturated at the same time, so this really is the symbolic closure
-    specialized after the fact.
+    Walks the division-free product tree of the generators (denominators
+    cleared row-wise), carrying each Q[eta] node only as its values at eta0
+    and at a second point eta1; evaluation is a ring homomorphism, so each
+    product is taken in evaluated mode at both points.  A node joins the
+    worklist when it grows either echelon.  On termination the eta0 span
+    contains the evaluated generators and is product-closed, hence is the
+    evaluated closure: its rank is the specialized dimension.
+
+    Values independent at eta1 are independent over Q(eta), so the eta1
+    rank is at most the Q(eta) rank of the nodes, which is at most the
+    symbolic dimension.  Equality certifies that the nodes span the symbolic
+    closure; a smaller rank marks eta1 degenerate, and the walk is repeated
+    at the next candidate.
     """
     if not subalgebra.mode.is_symbolic:
         raise ValueError("specialization needs a symbolic closure")
-    eta0 = Fraction(eta0)
-    sp = subalgebra.space
-    half_eta_poly = EtaPoly((0, Fraction(1, 2)))
-    sym_rank = EchelonBasis(ScalarMode.symbolic())
-    ev_basis = EchelonBasis(ScalarMode.evaluated(eta0))
-
-    def evaluate(row: dict[int, EtaPoly]) -> Vec:
-        out: Vec = {}
-        for k, p in row.items():
-            val = p.evaluate(eta0)
-            if val:
-                out[k] = val
-        return out
-
-    def as_scalars(row: dict[int, EtaPoly]) -> Vec:
-        return {k: EtaScalar(p) for k, p in row.items()}
-
-    worklist: list[dict[int, EtaPoly]] = []
-    for g in subalgebra.generators:
-        pv = _poly_vec(g[0])
-        grew_sym = sym_rank.insert(as_scalars(pv))
-        grew_ev = ev_basis.insert(evaluate(pv))
-        if grew_sym or grew_ev:
-            worklist.append(pv)
-    cursor = 0
-    while cursor < len(worklist):
-        left = worklist[cursor]
-        limit = len(worklist)
-        for j in range(limit):
-            prod = vec_product(sp, left, worklist[j], half_eta_poly)
-            if not prod:
-                continue
-            grew_sym = sym_rank.insert(as_scalars(prod))
-            grew_ev = ev_basis.insert(evaluate(prod))
-            if grew_sym or grew_ev:
-                worklist.append(prod)
-        cursor += 1
-    if sym_rank.dimension != subalgebra.dimension:
+    mode0 = ScalarMode.evaluated(eta0)
+    gens = [_poly_vec(vec) for vec, _ in subalgebra.generators]
+    candidates = (e for e in count(_ETA1_START) if e != mode0.eta0)
+    for eta1 in islice(candidates, _ETA1_ATTEMPTS):
+        modes = (mode0, ScalarMode.evaluated(eta1))
+        rank0, rank1 = _walk_at(subalgebra.space, gens, modes)
+        if rank1 >= subalgebra.dimension:
+            break
+    if rank1 != subalgebra.dimension:
         raise RuntimeError(
-            "division-free closure reached a different symbolic dimension"
+            f"division-free closure has rank {rank1} at eta1 = {eta1},"
+            f" not the symbolic dimension {subalgebra.dimension}"
         )
-    return ev_basis.dimension
+    return rank0
+
+
+def _walk_at(
+    sp: FischerSpace, gens: Sequence[dict[int, EtaPoly]], modes: Sequence[ScalarMode]
+) -> list[int]:
+    """Ranks at each evaluated mode of the product tree of the generators."""
+    bases = [EchelonBasis(m) for m in modes]
+    halves = [m.half_eta() for m in modes]
+    worklist: list[tuple[Vec, ...]] = []
+
+    def offer(node: tuple[Vec, ...]) -> None:
+        grew = [basis.insert(v) for basis, v in zip(bases, node)]
+        if any(grew):
+            worklist.append(node)
+
+    for g in gens:
+        offer(tuple(evaluate_vec(g, m.eta0) for m in modes))
+    for left in worklist:  # the worklist grows while it is walked
+        for right in list(worklist):
+            offer(tuple(vec_product(sp, a, b, h) for a, b, h in zip(left, right, halves)))
+    return [basis.dimension for basis in bases]
+

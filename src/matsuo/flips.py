@@ -339,10 +339,12 @@ def flip_report(
 ) -> dict:
     """Counts, fixed dimension, and flip dimensions per requested mode.
 
-    The symbolic flip dimension is always computed.  For each requested eta
-    the flip closure is recomputed in evaluated mode; at critical values the
-    symbolic closure is additionally specialized last and both routes must
-    agree (double-entry bookkeeping).
+    The symbolic flip dimension is always computed.  Each requested eta is
+    entered twice and both entries must agree: the flip closure recomputed
+    in evaluated mode, and the symbolic closure specialized last.  The
+    second walks the product tree of the generators at eta and at a second
+    point eta1, whose rank must reach the symbolic dimension; see
+    ``specialized_dimension``.
     """
     tau = standard_flip(family, k)
     sp = tau.space

@@ -15,6 +15,7 @@ from matsuo.classify import (
     naive_config_count,
     orthogonal_pairs,
 )
+from matsuo.cli import main as cli_main
 from matsuo.closure import ScalarMode
 from matsuo.fischer import build_named_space, canonical_diagram
 
@@ -164,3 +165,14 @@ class TestClassify:
         assert sum(b["examined"] for b in rep.buckets.values()) == 3
         for b in rep.buckets.values():
             assert all(b["certified"].values())
+
+
+def test_worker_count_does_not_change_the_report(capsys, monkeypatch):
+    # A:5 has 45 configurations in 6 buckets, so two workers share real work
+    reports = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("MATSUO_WORKERS", workers)
+        assert cli_main(["classify", "--ambient", "A:5"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert json.loads(reports[0])["buckets"]
+    assert reports[0] == reports[1]

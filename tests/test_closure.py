@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from matsuo import closure
+from matsuo.algebra import vec_product
 from matsuo.closure import (
     EchelonBasis,
     ScalarMode,
+    Subalgebra,
     UnsafeEtaError,
     close,
     consistency_check,
@@ -18,7 +21,8 @@ from matsuo.closure import (
     specialized_dimension,
 )
 from matsuo.fischer import build_named_space
-from matsuo.scalars import EtaScalar
+from matsuo.flips import flip_subalgebra, standard_flip
+from matsuo.scalars import EtaPoly, EtaScalar
 
 SYM = ScalarMode.symbolic()
 ONE = SYM.one()
@@ -242,3 +246,102 @@ class TestConsistency:
         gens = [{0: ONE}, {4: ONE}]
         alg = close(sp, gens, SYM)
         assert specialized_dimension(alg, 5) == alg.dimension
+
+
+def reference_specialized_dimension(subalgebra, eta0) -> int:
+    """Specialize-last over Q[eta]: the product tree kept as polynomial
+    vectors next to a second, symbolic echelon.  Slow, independent oracle."""
+    eta0 = Fraction(eta0)
+    half_eta_poly = EtaPoly((0, Fraction(1, 2)))
+    sym_rank = EchelonBasis(SYM)
+    ev_basis = EchelonBasis(ScalarMode.evaluated(eta0))
+    worklist = []
+
+    def offer(pv):
+        grew_sym = sym_rank.insert({k: EtaScalar(p) for k, p in pv.items()})
+        grew_ev = ev_basis.insert(evaluate_vec(pv, eta0))
+        if grew_sym or grew_ev:
+            worklist.append(pv)
+
+    for vec, _ in subalgebra.generators:
+        offer(closure._poly_vec(vec))
+    cursor = 0
+    while cursor < len(worklist):
+        left = worklist[cursor]
+        for right in list(worklist):
+            prod = vec_product(subalgebra.space, left, right, half_eta_poly)
+            if prod:
+                offer(prod)
+        cursor += 1
+    assert sym_rank.dimension == subalgebra.dimension
+    return ev_basis.dimension
+
+
+@pytest.fixture(scope="module")
+def wr3x3_flip():
+    tau = standard_flip("Wr3x3", 2)
+    return flip_subalgebra(tau.space, tau, SYM)
+
+
+class TestSpecializedDimension:
+    @pytest.mark.parametrize("eta0", [2, 5])
+    def test_matches_reference_on_w3a3(self, eta0):
+        sp = build_named_space("W3A", 3)
+        alg = close(sp, [{0: ONE}, {4: ONE}, {7: ONE}], SYM)
+        expected = reference_specialized_dimension(alg, eta0)
+        assert specialized_dimension(alg, eta0) == expected
+
+    @pytest.mark.parametrize("eta0,expected", [(2, 29), (7, 30)])
+    def test_matches_reference_on_wr3x3_flip(self, wr3x3_flip, eta0, expected):
+        assert wr3x3_flip.dimension == 30
+        assert reference_specialized_dimension(wr3x3_flip, eta0) == expected
+        assert specialized_dimension(wr3x3_flip, eta0) == expected
+
+    @pytest.fixture
+    def eta1_log(self, monkeypatch):
+        """Start eta1 at the degenerate value 2 and log (eta1, rank) per walk."""
+        seen = []
+        walk = closure._walk_at
+
+        def spy(sp, gens, modes):
+            ranks = walk(sp, gens, modes)
+            seen.append((modes[1].eta0, ranks[1]))
+            return ranks
+
+        monkeypatch.setattr(closure, "_ETA1_START", 2)
+        monkeypatch.setattr(closure, "_walk_at", spy)
+        return seen
+
+    def test_degenerate_eta1_moves_on(self, wr3x3_flip, eta1_log):
+        assert specialized_dimension(wr3x3_flip, 7) == 30
+        assert eta1_log == [(2, 29), (3, 30)]
+
+    def test_eta1_skips_eta0(self, wr3x3_flip, eta1_log):
+        assert specialized_dimension(wr3x3_flip, 2) == 29
+        assert eta1_log == [(3, 30)]
+
+    def test_rejects_evaluated_closure_and_unsafe_eta(self):
+        sp = line_space()
+        ev = ScalarMode.evaluated(7)
+        with pytest.raises(ValueError):
+            specialized_dimension(close(sp, [{0: ev.one()}], ev), 5)
+        alg = close(sp, [{0: ONE}], SYM)
+        for eta0 in (0, 1):
+            with pytest.raises(UnsafeEtaError):
+                specialized_dimension(alg, eta0)
+
+    def test_symbolic_dimension_too_high_fails(self):
+        sp = line_space()
+        alg = close(sp, [{0: ONE}], SYM)
+        alg.basis.insert({1: ONE})
+        # all 16 candidates 3, 4, 6, ..., 19 fall short; none certifies
+        with pytest.raises(RuntimeError, match=r"rank 1 at eta1 = 19,"):
+            specialized_dimension(alg, 5)
+
+    def test_symbolic_dimension_too_low_fails(self):
+        sp = line_space()
+        basis = EchelonBasis(SYM)
+        basis.insert({0: ONE})
+        alg = Subalgebra(sp, SYM, [({0: ONE}, "a"), ({1: ONE}, "b")], basis)
+        with pytest.raises(RuntimeError, match=r"rank 3 at eta1 = 3,"):
+            specialized_dimension(alg, 5)
