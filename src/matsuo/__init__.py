@@ -43,7 +43,6 @@ from .algebra import (
     GramData,
     axis_product,
     critical_values,
-    frobenius,
     gram,
     radical_dim,
     vec_product,

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
-from .fischer import FischerSpace
+from .fischer import FischerSpace, point_orbits
 from .scalars import EtaPoly, EtaScalar, rational_roots
 
 Vec = dict  # point index -> scalar of the active mode
@@ -63,10 +64,6 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
             else:
                 del out[k]
     return out
-
-
-def vec_equal(u: Vec, v: Vec) -> bool:
-    return u == v
 
 
 def vec_product(sp: FischerSpace, u: Vec, v: Vec, half_eta) -> Vec:
@@ -217,10 +214,6 @@ def axis_product(sp: FischerSpace, p: int, q: int) -> AlgebraVector:
     return AlgebraVector(sp, vec_product(sp, {p: one}, {q: one}, EtaScalar(EtaPoly.eta(), 2)))
 
 
-def frobenius(sp: FischerSpace, u: AlgebraVector, v: AlgebraVector) -> EtaScalar:
-    return u.form(v)
-
-
 # ---------------------------------------------------------------------------
 # adjacency, minimal polynomial, determinants
 # ---------------------------------------------------------------------------
@@ -232,20 +225,31 @@ def adjacency_rows(sp: FischerSpace) -> list[list[int]]:
     ]
 
 
+def _powers(nbrs: list[list[int]], seed: list[int]) -> Iterator[list[int]]:
+    """seed, A seed, A^2 seed, ... over Z, through the neighbour lists."""
+    vec = seed
+    while True:
+        yield vec
+        nxt = [0] * len(nbrs)
+        for i, ns in enumerate(nbrs):
+            vi = vec[i]
+            if vi:
+                for j in ns:
+                    nxt[j] += vi
+        vec = nxt
+
+
 def _krylov_annihilator(nbrs: list[list[int]], seed: list[int]) -> list[Fraction]:
     """Monic annihilator polynomial of the seed vector under the adjacency map.
 
     Returns coefficients c_0..c_d (c_d = 1) with sum c_k A^k seed = 0.
     """
-    n = len(nbrs)
     chain: list[list[Fraction]] = []   # echelon rows over Q
     chain_pivots: list[int] = []
     chain_combos: list[list[Fraction]] = []  # expression in Krylov vectors
-    vec = [Fraction(x) for x in seed]
-    k = 0
-    while True:
+    for k, vec in enumerate(_powers(nbrs, seed)):
         # reduce A^k seed against the chain, tracking the combination
-        work = list(vec)
+        work = [Fraction(x) for x in vec]
         combo = [Fraction(0)] * (k + 1)
         combo[k] = Fraction(1)
         for row, piv, rc in zip(chain, chain_pivots, chain_combos):
@@ -265,15 +269,6 @@ def _krylov_annihilator(nbrs: list[list[int]], seed: list[int]) -> list[Fraction
         chain_combos.append([x * inv for x in combo] + [Fraction(0)])
         for rc in chain_combos[:-1]:
             rc.append(Fraction(0))
-        # advance to A^(k+1) seed
-        nxt = [0] * n
-        for i, ns in enumerate(nbrs):
-            vi = vec[i]
-            if vi:
-                for j in ns:
-                    nxt[j] += vi
-        vec = nxt
-        k += 1
 
 
 def _poly_lcm_monic(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -283,54 +278,62 @@ def _poly_lcm_monic(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return list(res.coeffs)
 
 
-def _first_unannihilated(nbrs: list[list[int]], int_poly: list[int]) -> Optional[int]:
-    """First unit vector e_i with p(A) e_i != 0, by integer Horner; None when
-    p annihilates the whole space."""
-    n = len(nbrs)
-    for i in range(n):
-        vec = [0] * n
-        vec[i] = int_poly[-1]
-        for coeff in reversed(int_poly[:-1]):
-            nxt = [0] * n
-            for r, ns in enumerate(nbrs):
-                vr = vec[r]
-                if vr:
-                    for c in ns:
-                        nxt[c] += vr
-            nxt[i] += coeff
-            vec = nxt
-        if any(vec):
-            return i
-    return None
-
-
 def adjacency_minimal_polynomial(sp: FischerSpace) -> EtaPoly:
     """Exact monic minimal polynomial of the collinearity adjacency matrix.
 
-    Krylov annihilators of unit seeds are lcm-ed until the candidate kills
-    every unit vector; each annihilator divides the true minimal polynomial,
-    so success proves equality.  The final check runs over Z.
+    The lcm of the Krylov annihilators of one unit vector per point orbit.
+    The orbits come from verified automorphisms g, which commute with A, so
+    e_{g r} has the annihilator of e_r; the unit vectors span the space.
     """
     cached = getattr(sp, "_minpoly_cache", None)
     if cached is not None:
         return cached
     nbrs = adjacency_rows(sp)
-    n = len(nbrs)
     minpoly: list[Fraction] = [Fraction(1)]
-    seed_index = 0
-    while True:
-        seed = [0] * n
-        seed[seed_index] = 1
+    for orbit in point_orbits(sp):
+        seed = [int(q == orbit[0]) for q in range(len(nbrs))]
         ann = _krylov_annihilator(nbrs, seed)
         minpoly = _poly_lcm_monic(minpoly, ann)
-        ints = EtaPoly(minpoly).primitive_int_coeffs()
-        bad = _first_unannihilated(nbrs, ints)
-        if bad is None:
-            break
-        seed_index = bad
     result = EtaPoly(minpoly)
     sp._minpoly_cache = result  # type: ignore[attr-defined]
     return result
+
+
+def adjacency_spectrum(sp: FischerSpace) -> Optional[dict[Fraction, int]]:
+    """Eigenvalue multiplicities {lam: m} of the collinearity adjacency
+    matrix A, or None when an eigenvalue is irrational.
+
+    A is symmetric, so its distinct eigenvalues are the roots of the minimal
+    polynomial and m_l = tr(L_l(A)) for the Lagrange polynomial L_l of lam_l
+    on those roots.  The power traces are orbit sums,
+    tr(A^j) = sum_r |orbit(r)| (A^j e_r)_r, because verified automorphisms
+    permute the diagonal of A^j within each orbit.  Raises RuntimeError
+    unless every m_l is a positive integer.  Cached on the space.
+    """
+    if hasattr(sp, "_spectrum_cache"):
+        return sp._spectrum_cache
+    m = adjacency_minimal_polynomial(sp)
+    roots = sorted(rational_roots(m))
+    spectrum: Optional[dict[Fraction, int]] = None
+    if len(roots) == m.degree:
+        nbrs = adjacency_rows(sp)
+        traces = [0] * m.degree
+        for orbit in point_orbits(sp):
+            r = orbit[0]
+            seed = [int(q == r) for q in range(len(nbrs))]
+            for j, vec in enumerate(islice(_powers(nbrs, seed), m.degree)):
+                traces[j] += len(orbit) * vec[r]
+        spectrum = {}
+        for lam in roots:
+            lagrange = m // EtaPoly((-lam, 1))
+            mult = sum(c * t for c, t in zip(lagrange.coeffs, traces)) / lagrange.evaluate(lam)
+            if mult.denominator != 1 or mult <= 0:
+                raise RuntimeError(
+                    f"eigenvalue {lam} of {sp.describe()} got multiplicity {mult}"
+                )
+            spectrum[lam] = int(mult)
+    sp._spectrum_cache = spectrum  # type: ignore[attr-defined]
+    return spectrum
 
 
 def _int_matrix_rank(rows: list[list[int]]) -> int:
@@ -480,36 +483,30 @@ def _det_via_spectrum(sp: FischerSpace) -> EtaPoly:
 
     Each eigenvalue lam of multiplicity m contributes (2 + eta*lam)^m.
     """
-    m = adjacency_minimal_polynomial(sp)
-    roots = rational_roots(m)
-    distinct = m.degree
-    if len(roots) != distinct:
+    spectrum = adjacency_spectrum(sp)
+    if spectrum is None:
         raise SpectrumNotRationalError(
             f"adjacency spectrum of {sp.describe()} has irrational eigenvalues;"
             f" space too large ({len(sp.points)} points) for direct elimination"
         )
-    n = len(sp.points)
     det = EtaPoly.one()
-    total = 0
-    for lam in sorted(roots):
-        mult = eigenvalue_multiplicity(sp, lam)
-        total += mult
-        factor = EtaPoly((2 * lam.denominator, lam.numerator))
-        det = det * factor**mult
-    assert total == n, "eigenvalue multiplicities do not sum to the dimension"
+    for lam, mult in sorted(spectrum.items()):
+        det = det * EtaPoly((2 * lam.denominator, lam.numerator)) ** mult
     return det
 
 
 def gram_det(sp: FischerSpace) -> EtaPoly:
     """Cleared Gram determinant det(2I + eta*A), content-normalized.
 
-    Direct fraction-free elimination on small spaces, spectral route beyond.
+    Spectral route whenever the adjacency spectrum is rational; direct
+    fraction-free elimination otherwise, on spaces of at most
+    BAREISS_MAX_POINTS points.
     """
     cached = getattr(sp, "_gram_det_cache", None)
     if cached is not None:
         return cached
     n = len(sp.points)
-    if n <= BAREISS_MAX_POINTS:
+    if adjacency_spectrum(sp) is None and n <= BAREISS_MAX_POINTS:
         matrix = []
         for p, row in enumerate(sp.third):
             matrix.append(
@@ -518,10 +515,7 @@ def gram_det(sp: FischerSpace) -> EtaPoly:
         det = EtaPoly(bareiss_det_int_poly(matrix))
     else:
         det = _det_via_spectrum(sp)
-    sign = 1 if det.leading > 0 else -1
-    det = det.primitive()
-    if sign < 0:
-        det = EtaPoly([-c for c in det.coeffs])
+    det = det.primitive() if det.leading > 0 else -det.primitive()
     sp._gram_det_cache = det  # type: ignore[attr-defined]
     return det
 
@@ -576,9 +570,12 @@ def critical_values(sp: FischerSpace) -> CriticalValues:
     all_roots = {Fraction(-2, 1) / lam for lam in rational_roots(m) if lam != 0}
     excluded = frozenset(r for r in all_roots if r in (Fraction(0), Fraction(1)))
     roots = frozenset(r for r in all_roots if r not in excluded)
-    n = len(sp.points)
-    zero_mult = eigenvalue_multiplicity(sp, Fraction(0)) if m.evaluate(0) == 0 else 0
-    det_degree = n - zero_mult
+    spectrum = adjacency_spectrum(sp)
+    if spectrum is not None:
+        zero_mult = spectrum.get(Fraction(0), 0)
+    else:
+        zero_mult = eigenvalue_multiplicity(sp, Fraction(0)) if m.evaluate(0) == 0 else 0
+    det_degree = len(sp.points) - zero_mult
     result = CriticalValues(sp, roots, excluded, cert, det_degree)
     sp._critical_cache = result  # type: ignore[attr-defined]
     return result

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .algebra import Vec, vec_product, vec_scale, vec_sub
 from .closure import ScalarMode, Subalgebra
-from .fischer import FischerSpace, is_space_automorphism
+from .fischer import FischerSpace, verified_reflection
 from .scalars import EtaPoly, EtaScalar
 
 
@@ -402,18 +402,10 @@ def miyamoto_point_map(sp: FischerSpace, p: int) -> tuple[int, ...]:
     """Point permutation of the Miyamoto involution of a single axis.
 
     Fixes p and everything non-collinear with p; on each line through p it
-    swaps the other two points.
+    swaps the other two points.  Raises ValueError unless it is a space
+    automorphism.
     """
-    n = len(sp.points)
-    perm = list(range(n))
-    row = sp.third[p]
-    for q in range(n):
-        if q != p and row[q] >= 0:
-            perm[q] = row[q]
-    perm_t = tuple(perm)
-    if not is_space_automorphism(sp, perm_t):
-        raise ValueError("Miyamoto point map failed the automorphism check")
-    return perm_t
+    return verified_reflection(sp, p)
 
 
 def permutation_matrix_on(algebra: Subalgebra, perm: Sequence[int]) -> list[list]:

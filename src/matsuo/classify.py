@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .algebra import Vec
 from .axial import check_primitive
 from .closure import ScalarMode, close, is_direct_sum
-from .fischer import Diagram, FischerSpace, canonical_diagram, diagram_of
+from .fischer import Diagram, FischerSpace, canonical_diagram, diagram_of, point_orbits
 
 FULL_ENUMERATION_LIMIT = 40
 DEFAULT_SEARCH_ETA = Fraction(7)
@@ -272,8 +272,9 @@ def classify(
 ) -> ClassificationReport:
     """Bucket configurations by canonical diagram and record dimensions.
 
-    On a connected space the first point is fixed (point transitivity of the
-    automorphism group), shrinking the sweep without losing dimension values.
+    When verified reflections make the automorphism group transitive on the
+    points (point_orbits finds a single orbit), the first point is fixed,
+    shrinking the sweep without losing dimension values.
     A configuration counts as primitive when all three generators are
     primitive in the closed subalgebra.
     """
@@ -287,7 +288,7 @@ def classify(
     if not mode.is_safe_for(sp):
         raise ValueError(f"search mode {mode.describe()} is unsafe for this space")
     first_point: Optional[int] = None
-    if use_transitivity and sampling is None and sp.is_connected() and len(sp.points):
+    if use_transitivity and sampling is None and len(point_orbits(sp)) == 1:
         first_point = 0
     configs = list(
         enumerate_configs(sp, sampling=sampling, first_point=first_point)

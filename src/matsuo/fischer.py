@@ -165,7 +165,6 @@ class FischerSpace:
         self.lines: Optional[tuple[tuple[int, int, int], ...]] = None
         if len(self.points) <= EAGER_LINE_LIMIT:
             self.lines = tuple(sorted(self._line_set()))
-            self._line_lookup = frozenset(self.lines)
 
     def _build_third(self) -> None:
         npts = len(self.points)
@@ -218,8 +217,6 @@ class FischerSpace:
         return sum(1 for _ in self.iter_lines())
 
     def has_line(self, line: tuple[int, int, int]) -> bool:
-        if self.lines is not None:
-            return line in self._line_lookup
         p, q, r = line
         return self.third[p][q] == r
 
@@ -450,11 +447,73 @@ def is_space_automorphism(sp: FischerSpace, perm: Sequence[int]) -> bool:
     npts = len(sp.points)
     if len(perm) != npts or sorted(perm) != list(range(npts)):
         return False
-    for line in sp.iter_lines():
-        image = tuple(sorted(perm[p] for p in line))
-        if not sp.has_line(image):
-            return False
-    return True
+    third = sp.third
+    return all(third[perm[p]][perm[q]] == perm[r] for p, q, r in sp.iter_lines())
+
+
+def reflection_map(sp: FischerSpace, c: int) -> tuple[int, ...]:
+    """Point permutation of the Miyamoto reflection tau_c (conjugation by c).
+
+    Fixes c and every point not collinear with c; on each line through c it
+    swaps the other two points.  Unchecked: see verified_reflection.
+    """
+    return tuple(q if r < 0 else r for q, r in enumerate(sp.third[c]))
+
+
+def verified_reflection(sp: FischerSpace, c: int) -> tuple[int, ...]:
+    """reflection_map(sp, c), raising ValueError unless it maps lines to lines."""
+    perm = reflection_map(sp, c)
+    if not is_space_automorphism(sp, perm):
+        raise ValueError(f"reflection of point {c} failed the automorphism check")
+    return perm
+
+
+def point_orbits(sp: FischerSpace) -> tuple[tuple[int, ...], ...]:
+    """Point orbits under a group generated by verified reflections.
+
+    Each orbit is sorted and starts with its representative, its least point.
+    An orbit grows by the reflection tau_{third(p, x)}, which swaps a member p
+    with a collinear outsider x, and is closed under every reflection taken so
+    far.  It stops growing once no outsider is collinear with a member, so
+    the orbits are the connected components, each certified transitive.
+    Every generator passes is_space_automorphism, hence commutes with the
+    collinearity adjacency matrix.  Cached on the space.
+    """
+    cached = getattr(sp, "_orbit_cache", None)
+    if cached is not None:
+        return cached
+    third = sp.third
+    npts = len(sp.points)
+    orbit_of = [-1] * npts
+    gens: list[tuple[int, ...]] = []
+    orbits = []
+    for rep in range(npts):
+        if orbit_of[rep] >= 0:
+            continue
+        k = len(orbits)
+        orbit_of[rep] = k
+        orbit = [rep]
+        while True:
+            for p in orbit:  # grows while iterating: a breadth-first closure
+                for g in gens:
+                    if orbit_of[g[p]] != k:
+                        orbit_of[g[p]] = k
+                        orbit.append(g[p])
+            edge = next(
+                ((p, x) for p in orbit for x, c in enumerate(third[p])
+                 if c >= 0 and orbit_of[x] != k),
+                None,
+            )
+            if edge is None:
+                break
+            p, x = edge
+            g = verified_reflection(sp, third[p][x])
+            if g[p] != x:
+                raise ValueError(f"reflection of point {third[p][x]} does not swap {p} and {x}")
+            gens.append(g)
+        orbits.append(tuple(sorted(orbit)))
+    sp._orbit_cache = tuple(orbits)  # type: ignore[attr-defined]
+    return sp._orbit_cache
 
 
 @dataclass(frozen=True)

@@ -635,7 +635,7 @@ def format_poly(p: EtaPoly) -> str:
         if c == 0:
             continue
         if i == 0:
-            term = str(abs(c)) if abs(c) != 1 or True else ""
+            term = str(abs(c))
         elif i == 1:
             term = "eta" if abs(c) == 1 else f"{abs(c)}*eta"
         else:

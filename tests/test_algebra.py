@@ -7,7 +7,9 @@ import pytest
 
 from matsuo.algebra import (
     AlgebraVector,
+    SpectrumNotRationalError,
     adjacency_minimal_polynomial,
+    adjacency_spectrum,
     axis_product,
     bareiss_det_int_poly,
     critical_values,
@@ -17,7 +19,6 @@ from matsuo.algebra import (
     gram_det,
     radical_dim,
     vec_product,
-    _det_via_spectrum,
 )
 from matsuo.closure import ScalarMode
 from matsuo.fischer import build_named_space
@@ -182,8 +183,43 @@ class TestGram:
 
     @pytest.mark.parametrize("family,n", SMALL_SPACES)
     def test_bareiss_matches_spectral(self, family, n):
+        # every named space here has a rational spectrum, so gram_det takes
+        # the spectral route; Bareiss on the Gram matrix is the oracle
         sp = build_named_space(family, n)
-        assert gram_det(sp) == _det_via_spectrum(sp).primitive()
+        assert adjacency_spectrum(sp) is not None
+        npts = len(sp.points)
+        matrix = [
+            [[2] if i == j else ([0, 1] if sp.third[i][j] >= 0 else []) for j in range(npts)]
+            for i in range(npts)
+        ]
+        det = EtaPoly(bareiss_det_int_poly(matrix))
+        assert gram_det(sp) == (det.primitive() if det.leading > 0 else -det.primitive())
+
+    @pytest.mark.parametrize("family,n", SMALL_SPACES + [("WrA4", 3), ("W3D", 4)])
+    def test_spectrum_matches_integer_ranks(self, family, n):
+        sp = build_named_space(family, n)
+        spectrum = adjacency_spectrum(sp)
+        for lam, mult in spectrum.items():
+            assert eigenvalue_multiplicity(sp, lam) == mult
+        # the ranks leave no room for another eigenvalue
+        assert sum(spectrum.values()) == len(sp.points)
+
+    def test_irrational_spectrum_fallbacks(self, monkeypatch):
+        import matsuo.algebra as algebra_mod
+
+        spectral = gram_det(build_named_space("W3A", 3))
+        degree = critical_values(build_named_space("WrA4", 2)).det_degree
+        monkeypatch.setattr(algebra_mod, "adjacency_spectrum", lambda sp: None)
+        assert gram_det(build_named_space("W3A", 3)) == spectral  # Bareiss
+        assert critical_values(build_named_space("WrA4", 2)).det_degree == degree
+        with pytest.raises(SpectrumNotRationalError):
+            gram_det(build_named_space("A", 12))  # 66 points, beyond Bareiss
+
+    @pytest.mark.parametrize("family,n", SMALL_SPACES)
+    def test_det_degree_matches_gram_det(self, family, n):
+        # WrA4:2 has eigenvalue 0 with multiplicity 9
+        sp = build_named_space(family, n)
+        assert critical_values(sp).det_degree == gram_det(sp).degree
 
     def test_large_space_det_against_integer_determinant(self):
         # the 162-point determinant goes through the spectral route; evaluate
@@ -215,24 +251,26 @@ class TestGram:
         assert bareiss_det_int_poly(m) == [-1, 0, 1]
 
     def test_minimal_polynomial_annihilates(self):
-        sp = build_named_space("W3A", 4)
-        m = adjacency_minimal_polynomial(sp)
-        # apply m(A) to every unit vector through the neighbour lists
-        nbrs = [[q for q, r in enumerate(row) if r >= 0] for row in sp.third]
-        ints = m.primitive_int_coeffs()
-        n = len(nbrs)
-        for i in range(n):
-            vec = [0] * n
-            vec[i] = ints[-1]
-            for coeff in reversed(ints[:-1]):
-                nxt = [0] * n
-                for r, ns in enumerate(nbrs):
-                    if vec[r]:
-                        for cidx in ns:
-                            nxt[cidx] += vec[r]
-                nxt[i] += coeff
-                vec = nxt
-            assert not any(vec)
+        # the disconnected spaces have one orbit per component
+        for family, n in SMALL_SPACES + [("W2A", 2), ("W2D", 2)]:
+            sp = build_named_space(family, n)
+            m = adjacency_minimal_polynomial(sp)
+            # apply m(A) to every unit vector through the neighbour lists
+            nbrs = [[q for q, r in enumerate(row) if r >= 0] for row in sp.third]
+            ints = m.primitive_int_coeffs()
+            npts = len(nbrs)
+            for i in range(npts):
+                vec = [0] * npts
+                vec[i] = ints[-1]
+                for coeff in reversed(ints[:-1]):
+                    nxt = [0] * npts
+                    for r, ns in enumerate(nbrs):
+                        if vec[r]:
+                            for cidx in ns:
+                                nxt[cidx] += vec[r]
+                    nxt[i] += coeff
+                    vec = nxt
+                assert not any(vec), (family, n, i)
 
 
 class TestCriticalValues:

@@ -4,6 +4,7 @@ diagrams and their canonical codes, automorphism checks."""
 import pytest
 
 from matsuo.fischer import (
+    NAMED_FAMILIES,
     Diagram,
     InvalidConfigurationError,
     Point,
@@ -15,6 +16,7 @@ from matsuo.fischer import (
     is_space_automorphism,
     make_point,
     point_degree,
+    point_orbits,
     third_point,
     third_point_by_formula,
 )
@@ -218,6 +220,53 @@ class TestAutomorphismCheck:
     def test_non_bijection_rejected(self):
         sp = build_named_space("A", 3)
         assert not is_space_automorphism(sp, (0, 0, 1))
+
+
+class TestPointOrbits:
+    def test_transitive_on_connected_named_spaces(self):
+        # every named space up to 162 points: one orbit exactly when connected
+        for family in NAMED_FAMILIES:
+            order = len(build_named_space(family, 3).points) // 3
+            n = 3 if family == "A" else 2
+            while order * n * (n - 1) // 2 <= 162:
+                sp = build_named_space(family, n)
+                single = point_orbits(sp) == (tuple(range(len(sp.points))),)
+                assert single == sp.is_connected(), (family, n)
+                n += 1
+
+    def test_disconnected_spaces_split_into_components(self):
+        for family in ("W2A", "W2D"):
+            sp = build_named_space(family, 2)
+            assert point_orbits(sp) == tuple((p,) for p in range(len(sp.points)))
+        # two disjoint lines
+        sp = build_named_space("W3D", 2)
+        assert point_orbits(sp) == tuple(sp.lines)
+
+    def test_non_automorphism_reflection_raises(self, monkeypatch):
+        import matsuo.fischer as fischer_mod
+        from matsuo.algebra import adjacency_spectrum
+
+        def bad_reflection(space, c):
+            # swaps c with one collinear point only, breaking the other
+            # lines through c
+            q = next(x for x, r in enumerate(space.third[c]) if r >= 0)
+            perm = list(range(len(space.points)))
+            perm[c], perm[q] = q, c
+            return tuple(perm)
+
+        monkeypatch.setattr(fischer_mod, "reflection_map", bad_reflection)
+        sp = build_named_space("W3A", 3)
+        with pytest.raises(ValueError, match="automorphism check"):
+            point_orbits(sp)
+        with pytest.raises(ValueError, match="automorphism check"):
+            adjacency_spectrum(sp)
+        assert not hasattr(sp, "_orbit_cache")
+        # the identity is an automorphism, but it moves no point into the orbit
+        monkeypatch.setattr(
+            fischer_mod, "reflection_map", lambda space, c: tuple(range(len(space.points)))
+        )
+        with pytest.raises(ValueError, match="does not swap"):
+            point_orbits(sp)
 
 
 class TestDiagrams:
