@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .fischer import FischerSpace, point_orbits
-from .scalars import EtaPoly, EtaScalar, rational_roots
+from .scalars import EtaPoly, EtaScalar, _int_mul, _int_trim, rational_roots
 
 Vec = dict  # point index -> scalar of the active mode
 
@@ -53,16 +54,7 @@ def vec_scale(u: Vec, scale) -> Vec:
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
     out = dict(u)
-    for k, val in v.items():
-        cur = out.get(k)
-        if cur is None:
-            out[k] = -val
-        else:
-            new = cur - val
-            if new:
-                out[k] = new
-            else:
-                del out[k]
+    vec_add_scaled(out, v, -1)
     return out
 
 
@@ -382,30 +374,13 @@ def eigenvalue_multiplicity(sp: FischerSpace, lam: Fraction) -> int:
 
 # -- fraction-free Bareiss determinant over Z[eta] ---------------------------
 
-def _ip_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _ip_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 def _ip_sub(a: list[int], b: list[int]) -> list[int]:
     out = list(a)
     if len(out) < len(b):
         out.extend([0] * (len(b) - len(out)))
     for i, x in enumerate(b):
         out[i] -= x
-    return _ip_trim(out)
+    return _int_trim(out)
 
 
 def _ip_div_exact(a: list[int], b: list[int]) -> list[int]:
@@ -413,7 +388,7 @@ def _ip_div_exact(a: list[int], b: list[int]) -> list[int]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a)
-    _ip_trim(rem)
+    _int_trim(rem)
     if not rem:
         return []
     out = [0] * (len(rem) - len(b) + 1)
@@ -425,7 +400,7 @@ def _ip_div_exact(a: list[int], b: list[int]) -> list[int]:
         out[shift] = q
         for k, c in enumerate(b):
             rem[shift + k] -= q * c
-        _ip_trim(rem)
+        _int_trim(rem)
     assert not rem, "non-exact division in fraction-free elimination"
     return out
 
@@ -439,15 +414,15 @@ def bareiss_det_int_poly(matrix: list[list[list[int]]]) -> list[int]:
     sign = 1
     prev: list[int] = [1]
     for k in range(n - 1):
-        if not _ip_trim(m[k][k]):
-            swap = next((r for r in range(k + 1, n) if _ip_trim(m[r][k])), None)
+        if not _int_trim(m[k][k]):
+            swap = next((r for r in range(k + 1, n) if _int_trim(m[r][k])), None)
             if swap is None:
                 return []
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = _ip_sub(_ip_mul(m[i][j], m[k][k]), _ip_mul(m[i][k], m[k][j]))
+                num = _ip_sub(_int_mul(m[i][j], m[k][k]), _int_mul(m[i][k], m[k][j]))
                 m[i][j] = _ip_div_exact(num, prev)
             m[i][k] = []
         prev = m[k][k]
@@ -481,7 +456,8 @@ class GramData:
 def _det_via_spectrum(sp: FischerSpace) -> EtaPoly:
     """det(2I + eta*A) from the adjacency spectrum, when it is rational.
 
-    Each eigenvalue lam of multiplicity m contributes (2 + eta*lam)^m.
+    Each eigenvalue lam = p/q of multiplicity m contributes (2q + p*eta)^m,
+    expanded by the binomial theorem over Z.
     """
     spectrum = adjacency_spectrum(sp)
     if spectrum is None:
@@ -489,10 +465,11 @@ def _det_via_spectrum(sp: FischerSpace) -> EtaPoly:
             f"adjacency spectrum of {sp.describe()} has irrational eigenvalues;"
             f" space too large ({len(sp.points)} points) for direct elimination"
         )
-    det = EtaPoly.one()
+    det = [1]
     for lam, mult in sorted(spectrum.items()):
-        det = det * EtaPoly((2 * lam.denominator, lam.numerator)) ** mult
-    return det
+        a, b = 2 * lam.denominator, lam.numerator
+        det = _int_mul(det, [comb(mult, i) * a ** (mult - i) * b**i for i in range(mult + 1)])
+    return EtaPoly(det)
 
 
 def gram_det(sp: FischerSpace) -> EtaPoly:

@@ -121,40 +121,43 @@ def odd_part_index(law: FusionLaw) -> int:
 # dense linear algebra over the mode scalars
 # ---------------------------------------------------------------------------
 
+def _rref(m: list[list], ncols: int, mode: ScalarMode) -> list[int]:
+    """Gauss-Jordan on the first ncols columns of m, in place.
+
+    Returns the pivot columns; pivot i sits in row i with a unit entry and is
+    cleared from every other row.  Stops once every row holds a pivot.
+    """
+    one = mode.one()
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(m):
+            break
+        pr = next((r for r in range(row, len(m)) if m[r][col]), None)
+        if pr is None:
+            continue
+        m[row], m[pr] = m[pr], m[row]
+        inv = one / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+    return pivots
+
+
 def kernel_basis(matrix: list[list], mode: ScalarMode) -> list[list]:
     """Deterministic kernel basis of a square matrix (unit free variables)."""
     d = len(matrix)
     m = [list(row) for row in matrix]
+    pivots = _rref(m, d, mode)
     zero, one = mode.zero(), mode.one()
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    row = 0
-    for col in range(d):
-        pivot_row = None
-        for r in range(row, d):
-            if m[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        inv = one / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(d):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == d:
-            break
-    pivot_cols = {c for _, c in pivots}
     basis = []
-    for free in range(d):
-        if free in pivot_cols:
-            continue
+    for free in sorted(set(range(d)) - set(pivots)):
         vec = [zero] * d
         vec[free] = one
-        for r, c in pivots:
+        for r, c in enumerate(pivots):
             val = m[r][free]
             if val:
                 vec[c] = -val
@@ -163,52 +166,13 @@ def kernel_basis(matrix: list[list], mode: ScalarMode) -> list[list]:
 
 
 def invert_matrix(matrix: list[list], mode: ScalarMode) -> Optional[list[list]]:
-    """Inverse by Gauss-Jordan elimination; None when singular."""
+    """Inverse as the right half of the reduced [M | I]; None when singular."""
     d = len(matrix)
     one, zero = mode.one(), mode.zero()
     aug = [list(matrix[r]) + [one if c == r else zero for c in range(d)] for r in range(d)]
-    for col in range(d):
-        pr = next((r for r in range(col, d) if aug[r][col]), None)
-        if pr is None:
-            return None
-        aug[col], aug[pr] = aug[pr], aug[col]
-        inv = one / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    if len(_rref(aug, d, mode)) < d:
+        return None
     return [row[d:] for row in aug]
-
-
-def solve_coordinates(columns: list[list], target: list, mode: ScalarMode) -> Optional[list]:
-    """Solve sum_k x_k * columns[k] = target by elimination."""
-    d = len(target)
-    k = len(columns)
-    aug = [[columns[c][r] for c in range(k)] + [target[r]] for r in range(d)]
-    one = mode.one()
-    row = 0
-    piv_cols = []
-    for col in range(k):
-        pr = next((r for r in range(row, d) if aug[r][col]), None)
-        if pr is None:
-            continue
-        aug[row], aug[pr] = aug[pr], aug[row]
-        inv = one / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(d):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        piv_cols.append(col)
-        row += 1
-    for r in range(row, d):
-        if aug[r][k]:
-            return None
-    sol = [mode.zero()] * k
-    for r, col in enumerate(piv_cols):
-        sol[col] = aug[r][k]
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +265,7 @@ class FusionReport:
     law: FusionLaw
     decomposition: EigenDecomposition
     violations: list[FusionViolation]
+    inverse: list[list]  # P^-1 for P = the eigenvectors as columns, in part order
 
     @property
     def passed(self) -> bool:
@@ -379,7 +344,7 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
                             violations.append(
                                 FusionViolation(li, mi, (ia, ib), part_of_column[ci], val)
                             )
-    return FusionReport(law, dec, violations)
+    return FusionReport(law, dec, violations, inverse)
 
 
 def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
@@ -482,33 +447,27 @@ class MiyamotoMap:
 
 
 def miyamoto_algebra_map(algebra: Subalgebra, x: Vec, law: FusionLaw) -> MiyamotoMap:
-    """Identity on the even part, negation on the odd (eta) part."""
+    """Identity on the even part, negation on the odd (eta) part.
+
+    With P the eigenvectors as columns, the map is P S P^-1 for S = +-1 on
+    the parts, that is I - 2 * sum over odd k of P[:, k] * P^-1[k, :].
+    """
     report = check_fusion(algebra, x, law)
     if not report.passed:
         raise ValueError("fusion law fails; no Miyamoto involution")
     dec = report.decomposition
     odd = odd_part_index(law)
+    start = sum(len(part) for part in dec.parts[:odd])
     mode = algebra.mode
-    columns = dec.all_vectors()
-    signs = []
-    for pi, part in enumerate(dec.parts):
-        signs.extend([-mode.one() if pi == odd else mode.one()] * len(part))
+    one, zero = mode.one(), mode.zero()
+    two = one + one
     d = algebra.dimension
-    # solve P S P^-1 column by column: image of basis e_c
-    matrix_cols = []
-    for c in range(d):
-        target = [mode.one() if r == c else mode.zero() for r in range(d)]
-        y = solve_coordinates(columns, target, mode)
-        if y is None:
-            raise AdjointNotDiagonalizableError("eigenvectors do not span")
-        image = [mode.zero()] * d
-        for k, yk in enumerate(y):
-            if yk:
-                coeff = signs[k] * yk
-                for r in range(d):
-                    image[r] = image[r] + coeff * columns[k][r]
-        matrix_cols.append(image)
-    matrix = [[matrix_cols[c][r] for c in range(d)] for r in range(d)]
+    matrix = [[one if r == c else zero for c in range(d)] for r in range(d)]
+    for vec, inv_row in zip(dec.parts[odd], report.inverse[start:]):
+        for r, v in enumerate(vec):
+            if v:
+                f = two * v
+                matrix[r] = [a - f * b if b else a for a, b in zip(matrix[r], inv_row)]
     result = MiyamotoMap(algebra, matrix)
     if not result.is_involution() or not result.preserves_products():
         raise ValueError("constructed Miyamoto map is not an algebra involution")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Iterable, Optional, Sequence
 
-from .algebra import Vec, critical_values, vec_product
+from .algebra import Vec, critical_values, vec_add_scaled, vec_product
 from .fischer import FischerSpace
 from .scalars import EtaPoly, EtaScalar, PoleError, poly_lcm
 
@@ -131,14 +131,7 @@ class EchelonBasis:
         for col in sorted(self.row_of_pivot):
             coef = work.get(col)
             if coef:
-                row = self.rows[self.row_of_pivot[col]]
-                for k, v in row.items():
-                    cur = work.get(k)
-                    new = (cur - coef * v) if cur is not None else -coef * v
-                    if new:
-                        work[k] = new
-                    elif cur is not None:
-                        del work[k]
+                vec_add_scaled(work, self.rows[self.row_of_pivot[col]], -coef)
         return work
 
     def coordinates(self, vec: Vec) -> Optional[list]:
@@ -150,14 +143,7 @@ class EchelonBasis:
             if coef:
                 ridx = self.row_of_pivot[col]
                 coords[ridx] = coef
-                row = self.rows[ridx]
-                for k, v in row.items():
-                    cur = work.get(k)
-                    new = (cur - coef * v) if cur is not None else -coef * v
-                    if new:
-                        work[k] = new
-                    elif cur is not None:
-                        del work[k]
+                vec_add_scaled(work, self.rows[ridx], -coef)
         if work:
             return None
         return coords
@@ -184,13 +170,7 @@ class EchelonBasis:
         for other in self.rows:
             coef = other.get(pivot)
             if coef:
-                for k, v in row.items():
-                    cur = other.get(k)
-                    new = (cur - coef * v) if cur is not None else -coef * v
-                    if new:
-                        other[k] = new
-                    elif cur is not None:
-                        del other[k]
+                vec_add_scaled(other, row, -coef)
         self.rows.append(row)
         self.pivot_of_row.append(pivot)
         self.row_of_pivot[pivot] = new_index
@@ -202,21 +182,14 @@ class EchelonBasis:
         Independent of insertion order and of the pivot-choice heuristic;
         suitable for exact basis comparisons.
         """
-        rows = [dict(r) for r in self.rows]
         canon: list[Vec] = []
         pivots: list[int] = []
-        for vec in rows:
+        for vec in self.rows:
             work = dict(vec)
             for row, piv in zip(canon, pivots):
                 coef = work.get(piv)
                 if coef:
-                    for k, v in row.items():
-                        cur = work.get(k)
-                        new = (cur - coef * v) if cur is not None else -coef * v
-                        if new:
-                            work[k] = new
-                        elif cur is not None:
-                            del work[k]
+                    vec_add_scaled(work, row, -coef)
             if not work:
                 continue
             piv = min(work)
@@ -226,13 +199,7 @@ class EchelonBasis:
             for row in canon:
                 coef = row.get(piv)
                 if coef:
-                    for k, v in newrow.items():
-                        cur = row.get(k)
-                        new = (cur - coef * v) if cur is not None else -coef * v
-                        if new:
-                            row[k] = new
-                        elif cur is not None:
-                            del row[k]
+                    vec_add_scaled(row, newrow, -coef)
             canon.append(newrow)
             pivots.append(piv)
         order = sorted(range(len(canon)), key=lambda i: pivots[i])
@@ -270,13 +237,7 @@ class Subalgebra:
         out: Vec = {}
         for c, row in zip(coords, self.basis.rows):
             if c:
-                for k, v in row.items():
-                    cur = out.get(k)
-                    new = (cur + c * v) if cur is not None else c * v
-                    if new:
-                        out[k] = new
-                    elif cur is not None:
-                        del out[k]
+                vec_add_scaled(out, row, c)
         return out
 
     def product_in_coords(self, u_coords: Sequence, v_coords: Sequence) -> list:

@@ -120,9 +120,6 @@ def elem_to_point(group: FiniteGroup, e: WElem) -> Optional[Point]:
 # the space
 # ---------------------------------------------------------------------------
 
-EAGER_LINE_LIMIT = 500
-
-
 class FischerSpace:
     """Indexed point set with the third-point map and line list.
 
@@ -162,9 +159,13 @@ class FischerSpace:
         self.label_index: dict[str, int] = {}
         for k, lab in enumerate(self.labels):
             self.label_index[lab] = k
-        self.lines: Optional[tuple[tuple[int, int, int], ...]] = None
-        if len(self.points) <= EAGER_LINE_LIMIT:
-            self.lines = tuple(sorted(self._line_set()))
+        # each line once, as its sorted triple p < q < r, in lexicographic order
+        self.lines: tuple[tuple[int, int, int], ...] = tuple(
+            (p, q, r)
+            for p, row in enumerate(self.third)
+            for q in range(p + 1, len(row))
+            if (r := row[q]) > q
+        )
 
     def _build_third(self) -> None:
         npts = len(self.points)
@@ -194,27 +195,11 @@ class FischerSpace:
 
     # -- lines ---------------------------------------------------------------
 
-    def _line_set(self) -> set[tuple[int, int, int]]:
-        lines: set[tuple[int, int, int]] = set()
-        npts = len(self.points)
-        for p in range(npts):
-            row = self.third[p]
-            for q in range(p + 1, npts):
-                r = row[q]
-                if r >= 0:
-                    lines.add(tuple(sorted((p, q, r))))  # type: ignore[arg-type]
-        return lines
-
     def iter_lines(self) -> Iterator[tuple[int, int, int]]:
-        if self.lines is not None:
-            yield from self.lines
-        else:
-            yield from sorted(self._line_set())
+        return iter(self.lines)
 
     def line_count(self) -> int:
-        if self.lines is not None:
-            return len(self.lines)
-        return sum(1 for _ in self.iter_lines())
+        return len(self.lines)
 
     def has_line(self, line: tuple[int, int, int]) -> bool:
         p, q, r = line

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matsuo.algebra import (
     AlgebraVector,
@@ -18,6 +20,7 @@ from matsuo.algebra import (
     gram,
     gram_det,
     radical_dim,
+    vec_add_scaled,
     vec_product,
 )
 from matsuo.closure import ScalarMode
@@ -116,6 +119,26 @@ def _vec_add(u, v):
         elif cur is not None:
             del out[k]
     return out
+
+
+_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+_SPARSE = st.dictionaries(st.integers(0, 7), _FRACTIONS, max_size=6)
+
+
+@given(_SPARSE, _SPARSE, st.fractions(min_value=-3, max_value=3, max_denominator=4),
+       st.sets(st.integers(0, 7)))
+@settings(max_examples=100, deadline=None)
+def test_vec_add_scaled_matches_dense(target, source, scale, cancel):
+    # force exact cancellations on the chosen keys both vectors share
+    for k in cancel & source.keys():
+        if scale:
+            target[k] = -scale * source[k]
+    frozen = dict(source)
+    dense = [target.get(k, 0) + scale * source.get(k, 0) for k in range(8)]
+    vec_add_scaled(target, source, scale)
+    assert target == {k: v for k, v in enumerate(dense) if v}
+    assert all(target.values())
+    assert source == frozen
 
 
 class TestFrobenius:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matsuo.axial import (
     AdjointNotDiagonalizableError,
@@ -13,7 +15,9 @@ from matsuo.axial import (
     check_fusion,
     check_primitive,
     eigen_decompose,
+    invert_matrix,
     jordan_law,
+    kernel_basis,
     law_by_name,
     miyamoto_algebra_map,
     miyamoto_point_map,
@@ -21,7 +25,7 @@ from matsuo.axial import (
     permutation_matrix_on,
     tau_composition_identity,
 )
-from matsuo.algebra import frobenius_value, vec_product
+from matsuo.algebra import _int_matrix_rank, frobenius_value, vec_product
 from matsuo.closure import ScalarMode, close
 from matsuo.fischer import build_named_space, is_space_automorphism
 from matsuo.flips import classify_orbits, fixed_subalgebra_basis, orbit_vector, standard_flip
@@ -66,6 +70,74 @@ class TestLaws:
         assert law_by_name("J", SYM).name == "J"
         with pytest.raises(ValueError):
             law_by_name("X", SYM)
+
+
+def _mat_mul(a, b, zero):
+    return [
+        [sum((a[r][k] * b[k][c] for k in range(len(b))), zero) for c in range(len(b[0]))]
+        for r in range(len(a))
+    ]
+
+
+def _identity(d, mode):
+    return [[mode.one() if r == c else mode.zero() for c in range(d)] for r in range(d)]
+
+
+@st.composite
+def small_int_matrices(draw):
+    """Square integer matrices up to 5x5; about half are forced singular."""
+    d = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=d, max_size=d))
+    if d >= 2 and draw(st.booleans()):
+        rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+class TestDenseElimination:
+    QQ = ScalarMode.evaluated(2)  # any Q mode: the routines only use its zero and one
+
+    @given(small_int_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_basis_over_q(self, rows):
+        d = len(rows)
+        m = [[Fraction(x) for x in row] for row in rows]
+        kernel = kernel_basis(m, self.QQ)
+        assert len(kernel) == d - _int_matrix_rank(rows)
+        for vec in kernel:
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m)
+        # unit free variables: each vector has its own 1 where the others have 0
+        frees = [next(c for c in reversed(range(d)) if vec[c]) for vec in kernel]
+        for i, vec in enumerate(kernel):
+            assert [vec[c] for c in frees] == [int(i == j) for j in range(len(kernel))]
+
+    @given(small_int_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_invert_matrix_over_q(self, rows):
+        d = len(rows)
+        m = [[Fraction(x) for x in row] for row in rows]
+        inv = invert_matrix(m, self.QQ)
+        if _int_matrix_rank(rows) < d:
+            assert inv is None
+        else:
+            assert _mat_mul(inv, m, Fraction(0)) == _identity(d, self.QQ)
+            assert _mat_mul(m, inv, Fraction(0)) == _identity(d, self.QQ)
+
+    def test_shifted_adjoint_on_line_algebra(self):
+        alg = line_algebra()
+        mat = adjoint_matrix(alg, {0: ONE})
+        d = alg.dimension
+        eta = SYM.eta()
+        for lam in (ONE, SYM.zero(), eta, eta + eta):
+            shifted = [[mat[r][c] - lam if r == c else mat[r][c] for c in range(d)] for r in range(d)]
+            kernel = kernel_basis(shifted, SYM)
+            inv = invert_matrix(shifted, SYM)
+            if lam == eta + eta:  # not an eigenvalue of a single axis
+                assert kernel == [] and inv is not None
+                assert _mat_mul(inv, shifted, SYM.zero()) == _identity(d, SYM)
+            else:
+                assert len(kernel) == 1 and inv is None
+                vec = kernel[0]
+                assert all(not sum((a * b for a, b in zip(row, vec)), SYM.zero()) for row in shifted)
 
 
 class TestEigenDecompose:

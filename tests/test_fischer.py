@@ -160,21 +160,23 @@ def test_connectivity():
     assert not build_named_space("W3D", 2).is_connected()
 
 
-def test_lazy_line_streaming(monkeypatch):
-    # above the eager cutoff only the third map is stored; lines stream
-    import matsuo.fischer as fischer_mod
-
-    eager = build_named_space("W3A", 3)
-    monkeypatch.setattr(fischer_mod, "EAGER_LINE_LIMIT", 0)
+def test_lazy_line_streaming():
     sp = build_named_space("W3A", 3)
-    assert sp.lines is None
     streamed = list(sp.iter_lines())
     assert len(streamed) == sp.line_count() == 12
     p, q, r = streamed[0]
     assert sp.has_line((p, q, r))
     s = next(x for x in range(len(sp.points)) if x not in (p, q, r))
     assert not sp.has_line((p, q, s))
-    assert tuple(streamed) == eager.lines
+    # the stored lines are the sorted set of sorted triples of the third map
+    npts = len(sp.points)
+    triples = {
+        tuple(sorted((a, b, sp.third[a][b])))
+        for a in range(npts)
+        for b in range(npts)
+        if sp.third[a][b] >= 0
+    }
+    assert tuple(streamed) == sp.lines == tuple(sorted(triples))
 
 
 def test_export_schema():
