@@ -16,7 +16,7 @@ from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .fischer import FischerSpace, point_orbits
-from .scalars import EtaPoly, EtaScalar, _int_mul, _int_trim, rational_roots
+from .scalars import HALF_ETA, EtaPoly, EtaScalar, _int_mul, _int_trim, rational_roots
 
 Vec = dict  # point index -> scalar of the active mode
 
@@ -190,7 +190,7 @@ def _half_eta_like(u: AlgebraVector, v: AlgebraVector):
     probe = _scalar_kind(u) or _scalar_kind(v)
     if isinstance(probe, Fraction):
         raise ValueError("evaluated-mode vectors need an explicit eta; use vec_product")
-    return EtaScalar(EtaPoly.eta(), 2)
+    return HALF_ETA
 
 
 def _one_like(u: AlgebraVector, v: AlgebraVector):
@@ -203,7 +203,7 @@ def _one_like(u: AlgebraVector, v: AlgebraVector):
 def axis_product(sp: FischerSpace, p: int, q: int) -> AlgebraVector:
     """Product of two basis points as a symbolic vector."""
     one = EtaScalar.one()
-    return AlgebraVector(sp, vec_product(sp, {p: one}, {q: one}, EtaScalar(EtaPoly.eta(), 2)))
+    return AlgebraVector(sp, vec_product(sp, {p: one}, {q: one}, HALF_ETA))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +442,7 @@ class GramData:
 
     @property
     def matrix(self) -> list[list[EtaScalar]]:
-        half = EtaScalar(EtaPoly.eta(), 2)
+        half = HALF_ETA
         one = EtaScalar.one()
         zero = EtaScalar.zero()
         out = []

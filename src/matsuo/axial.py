@@ -1,22 +1,29 @@
 """Axial verification: eigenspaces, fusion laws, primitivity, Miyamoto maps.
 
-Eigenspaces are computed as exact kernels of the adjoint on a closed
-subalgebra; the spectrum is known in advance from the fusion law, so no
-root-finding is involved.  Single axes follow the Jordan-type law with
-eigenvalues (1, 0, eta); sums of two orthogonal axes follow the Monster-type
-law with eigenvalues (1, 0, 2*eta, eta).
+Single axes follow the Jordan-type law with eigenvalues (1, 0, eta); sums of
+two orthogonal axes follow the Monster-type law with eigenvalues
+(1, 0, 2*eta, eta).  The spectrum is known in advance from the law, so no
+root-finding is involved: eigenspace dimensions are exact kernels of the
+shifted adjoint on a closed subalgebra, and everything else is read off
+polynomials in ad_x applied to sparse ambient vectors.  A product of
+eigenvectors obeys a fusion cell iff prod over allowed nu of (ad_x - nu)
+kills it; the component on part k is the Lagrange projection
+prod over mu != lambda_k of (ad_x - mu) / (lambda_k - mu); and the Miyamoto
+involution is I - 2 * P_odd for the projection P_odd onto the eta part.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import count
+from typing import Iterable, Sequence
 
-from .algebra import Vec, vec_product, vec_scale, vec_sub
+from .algebra import Vec, vec_add_scaled, vec_product, vec_scale
 from .closure import ScalarMode, Subalgebra
 from .fischer import FischerSpace, verified_reflection
-from .scalars import EtaPoly, EtaScalar
+from .scalars import HALF_ETA, EtaScalar
 
 
 class AdjointNotDiagonalizableError(ValueError):
@@ -165,19 +172,27 @@ def kernel_basis(matrix: list[list], mode: ScalarMode) -> list[list]:
     return basis
 
 
-def invert_matrix(matrix: list[list], mode: ScalarMode) -> Optional[list[list]]:
-    """Inverse as the right half of the reduced [M | I]; None when singular."""
-    d = len(matrix)
-    one, zero = mode.one(), mode.zero()
-    aug = [list(matrix[r]) + [one if c == r else zero for c in range(d)] for r in range(d)]
-    if len(_rref(aug, d, mode)) < d:
-        return None
-    return [row[d:] for row in aug]
-
-
 # ---------------------------------------------------------------------------
 # adjoints and eigenspaces
 # ---------------------------------------------------------------------------
+
+def _ad_poly(sp: FischerSpace, x: Vec, w: Vec, roots: Iterable, half) -> Vec:
+    """prod over nu in roots of (ad_x - nu), applied to w."""
+    for nu in roots:
+        image = vec_product(sp, x, w, half)
+        if nu:
+            vec_add_scaled(image, w, -nu)
+        w = image
+    return w
+
+
+def _project(sp: FischerSpace, x: Vec, w: Vec, values: tuple, k: int, half) -> Vec:
+    """Component of w on the values[k]-eigenspace of ad_x, for w in the sum
+    of the eigenspaces on values (Lagrange projection)."""
+    others = values[:k] + values[k + 1:]
+    scale = 1 / math.prod(values[k] - mu for mu in others)
+    return vec_scale(_ad_poly(sp, x, w, others, half), scale)
+
 
 def adjoint_matrix(algebra: Subalgebra, x: Vec) -> list[list]:
     """Matrix of u -> x*u on the subalgebra basis (columns = images)."""
@@ -208,12 +223,6 @@ class EigenDecomposition:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.parts)
-
-    def all_vectors(self) -> list[list]:
-        return [v for part in self.parts for v in part]
-
-    def part_of(self, index: int) -> list[list]:
-        return self.parts[index]
 
 
 def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDecomposition:
@@ -253,11 +262,14 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
 
 @dataclass
 class FusionViolation:
+    """A product of the eigenvectors numbered pair with a nonzero component
+    on a part its cell does not allow; component is that ambient vector."""
+
     lam_index: int
     mu_index: int
     pair: tuple[int, int]
     offending_part: int
-    component: object
+    component: Vec
 
 
 @dataclass
@@ -265,7 +277,6 @@ class FusionReport:
     law: FusionLaw
     decomposition: EigenDecomposition
     violations: list[FusionViolation]
-    inverse: list[list]  # P^-1 for P = the eigenvectors as columns, in part order
 
     @property
     def passed(self) -> bool:
@@ -300,51 +311,39 @@ def _vec_text(sp: FischerSpace, vec: Vec) -> str:
 
 
 def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
-    """Verify every eigenspace product lands in the cells the law allows."""
+    """Verify every eigenspace product lands in the cells the law allows.
+
+    Eigenvectors are numbered in part order; each pair passes iff the
+    product of (ad_x - nu) over the allowed eigenvalues nu kills its product
+    (an empty cell asks for zero).  A failing pair gives one violation per
+    disallowed part on which the product has a nonzero component.
+    """
     dec = eigen_decompose(algebra, x, law.eigenvalues)
-    mode = algebra.mode
-    columns = dec.all_vectors()
-    part_of_column: list[int] = []
-    for pi, part in enumerate(dec.parts):
-        part_of_column.extend([pi] * len(part))
+    sp = algebra.space
+    half = algebra.mode.half_eta()
+    values = law.eigenvalues
+    column = count()
+    parts = [[(next(column), algebra.row_vector(v)) for v in part] for part in dec.parts]
     violations: list[FusionViolation] = []
-    nparts = len(dec.parts)
-    half = mode.half_eta()
-    ambient = [algebra.row_vector(col) for col in columns]
-    d = algebra.dimension
-    eigen_matrix = [[columns[c][r] for c in range(d)] for r in range(d)]
-    inverse = invert_matrix(eigen_matrix, mode)
-    if inverse is None:
-        raise AdjointNotDiagonalizableError("eigenvectors do not span the subalgebra")
-    offsets = []
-    acc = 0
-    for part in dec.parts:
-        offsets.append(acc)
-        acc += len(part)
-    for li in range(nparts):
-        for mi in range(li, nparts):
+    for li, lpart in enumerate(parts):
+        for mi in range(li, len(parts)):
             allowed = law.allowed(li, mi)
-            for a in range(len(dec.parts[li])):
-                ia = offsets[li] + a
-                b_start = a if li == mi else 0
-                for b in range(b_start, len(dec.parts[mi])):
-                    ib = offsets[mi] + b
-                    w = vec_product(algebra.space, ambient[ia], ambient[ib], half)
-                    coords = algebra.coordinates(w)
-                    if coords is None:
+            roots = [values[k] for k in sorted(allowed)]
+            for a, (ia, u) in enumerate(lpart):
+                for ib, v in parts[mi][a if li == mi else 0:]:
+                    w = vec_product(sp, u, v, half)
+                    if not algebra.contains(w):
                         raise ValueError("eigenvector product left the subalgebra")
-                    for ci in range(d):
-                        if part_of_column[ci] in allowed:
-                            continue
-                        val = sum(
-                            (inverse[ci][r] * coords[r] for r in range(d) if coords[r]),
-                            mode.zero(),
-                        )
-                        if val:
-                            violations.append(
-                                FusionViolation(li, mi, (ia, ib), part_of_column[ci], val)
-                            )
-    return FusionReport(law, dec, violations, inverse)
+                    if not _ad_poly(sp, x, w, roots, half):
+                        continue
+                    for k in range(len(values)):
+                        if k not in allowed:
+                            component = _project(sp, x, w, values, k, half)
+                            if component:
+                                violations.append(
+                                    FusionViolation(li, mi, (ia, ib), k, component)
+                                )
+    return FusionReport(law, dec, violations)
 
 
 def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
@@ -449,26 +448,20 @@ class MiyamotoMap:
 def miyamoto_algebra_map(algebra: Subalgebra, x: Vec, law: FusionLaw) -> MiyamotoMap:
     """Identity on the even part, negation on the odd (eta) part.
 
-    With P the eigenvectors as columns, the map is P S P^-1 for S = +-1 on
-    the parts, that is I - 2 * sum over odd k of P[:, k] * P^-1[k, :].
+    Column c holds the coordinates of b_c - 2 * P_odd(b_c) for the basis
+    row b_c and the Lagrange projection P_odd onto the odd part.
     """
-    report = check_fusion(algebra, x, law)
-    if not report.passed:
+    if not check_fusion(algebra, x, law).passed:
         raise ValueError("fusion law fails; no Miyamoto involution")
-    dec = report.decomposition
+    sp = algebra.space
+    half = algebra.mode.half_eta()
     odd = odd_part_index(law)
-    start = sum(len(part) for part in dec.parts[:odd])
-    mode = algebra.mode
-    one, zero = mode.one(), mode.zero()
-    two = one + one
-    d = algebra.dimension
-    matrix = [[one if r == c else zero for c in range(d)] for r in range(d)]
-    for vec, inv_row in zip(dec.parts[odd], report.inverse[start:]):
-        for r, v in enumerate(vec):
-            if v:
-                f = two * v
-                matrix[r] = [a - f * b if b else a for a, b in zip(matrix[r], inv_row)]
-    result = MiyamotoMap(algebra, matrix)
+    columns = []
+    for row in algebra.basis.rows:
+        image = dict(row)
+        vec_add_scaled(image, _project(sp, x, row, law.eigenvalues, odd, half), -2)
+        columns.append(algebra.coordinates(image))
+    result = MiyamotoMap(algebra, [list(r) for r in zip(*columns)])
     if not result.is_involution() or not result.preserves_products():
         raise ValueError("constructed Miyamoto map is not an algebra involution")
     return result
@@ -488,14 +481,8 @@ def tau_composition_identity(sp: FischerSpace, a: int, b: int) -> bool:
     pb = miyamoto_point_map(sp, b)
     perm = tuple(pb[pa[q]] for q in range(len(sp.points)))
     one = EtaScalar.one()
-    eta = EtaScalar.eta()
-    two_eta = eta + eta
-    half = EtaScalar(EtaPoly.eta(), 2)
+    *even, odd = monster_law(ScalarMode.symbolic()).eigenvalues
     x: Vec = {a: one, b: one}
-
-    def ad(v: Vec) -> Vec:
-        return vec_product(sp, x, v, half)
-
     for q in range(len(sp.points)):
         qp = perm[q]
         if qp == q:
@@ -504,11 +491,6 @@ def tau_composition_identity(sp: FischerSpace, a: int, b: int) -> bool:
         else:
             plus = {q: one, qp: one}
             minus = {q: one, qp: -one}
-        if minus and vec_sub(ad(minus), vec_scale(minus, eta)):
-            return False
-        work = vec_sub(ad(plus), vec_scale(plus, one))
-        work = ad(work)
-        work = vec_sub(ad(work), vec_scale(work, two_eta))
-        if work:
+        if _ad_poly(sp, x, minus, (odd,), HALF_ETA) or _ad_poly(sp, x, plus, even, HALF_ETA):
             return False
     return True

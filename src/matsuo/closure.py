@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import Vec, critical_values, vec_add_scaled, vec_product
 from .fischer import FischerSpace
-from .scalars import EtaPoly, EtaScalar, PoleError, poly_lcm
+from .scalars import HALF_ETA, EtaPoly, EtaScalar, PoleError, poly_lcm
 
 
 class UnsafeEtaError(ValueError):
@@ -61,18 +61,7 @@ class ScalarMode:
         return EtaScalar.eta() if self.is_symbolic else self.eta0
 
     def half_eta(self):
-        if self.is_symbolic:
-            return EtaScalar(EtaPoly.eta(), 2)
-        return self.eta0 / 2
-
-    def from_fraction(self, q):
-        q = Fraction(q)
-        return EtaScalar.from_fraction(q) if self.is_symbolic else q
-
-    def scalar_complexity(self, s) -> int:
-        if self.is_symbolic:
-            return s.complexity
-        return 0
+        return HALF_ETA if self.is_symbolic else self.eta0 / 2
 
     def is_safe_for(self, sp: FischerSpace) -> bool:
         """Safe evaluated mode: away from 1/2, 2, -1 and the rational
@@ -239,15 +228,6 @@ class Subalgebra:
             if c:
                 vec_add_scaled(out, row, c)
         return out
-
-    def product_in_coords(self, u_coords: Sequence, v_coords: Sequence) -> list:
-        u = self.row_vector(u_coords)
-        v = self.row_vector(v_coords)
-        w = vec_product(self.space, u, v, self.mode.half_eta())
-        coords = self.basis.coordinates(w)
-        if coords is None:
-            raise ValueError("product left the subalgebra; basis is not closed")
-        return coords
 
     def structure_constants(self) -> list[list[dict[int, object]]]:
         """Sparse tensor: entry [i][j] maps basis index k to the coefficient

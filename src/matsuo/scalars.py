@@ -481,10 +481,6 @@ class EtaScalar:
     def eta(cls) -> "EtaScalar":
         return cls(EtaPoly.eta())
 
-    @classmethod
-    def from_fraction(cls, q: ScalarLike) -> "EtaScalar":
-        return cls(Fraction(q))
-
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:

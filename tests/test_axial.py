@@ -15,7 +15,6 @@ from matsuo.axial import (
     check_fusion,
     check_primitive,
     eigen_decompose,
-    invert_matrix,
     jordan_law,
     kernel_basis,
     law_by_name,
@@ -25,7 +24,7 @@ from matsuo.axial import (
     permutation_matrix_on,
     tau_composition_identity,
 )
-from matsuo.algebra import _int_matrix_rank, frobenius_value, vec_product
+from matsuo.algebra import _int_matrix_rank, frobenius_value, vec_product, vec_scale
 from matsuo.closure import ScalarMode, close
 from matsuo.fischer import build_named_space, is_space_automorphism
 from matsuo.flips import classify_orbits, fixed_subalgebra_basis, orbit_vector, standard_flip
@@ -72,17 +71,6 @@ class TestLaws:
             law_by_name("X", SYM)
 
 
-def _mat_mul(a, b, zero):
-    return [
-        [sum((a[r][k] * b[k][c] for k in range(len(b))), zero) for c in range(len(b[0]))]
-        for r in range(len(a))
-    ]
-
-
-def _identity(d, mode):
-    return [[mode.one() if r == c else mode.zero() for c in range(d)] for r in range(d)]
-
-
 @st.composite
 def small_int_matrices(draw):
     """Square integer matrices up to 5x5; about half are forced singular."""
@@ -110,18 +98,6 @@ class TestDenseElimination:
         for i, vec in enumerate(kernel):
             assert [vec[c] for c in frees] == [int(i == j) for j in range(len(kernel))]
 
-    @given(small_int_matrices())
-    @settings(max_examples=80, deadline=None)
-    def test_invert_matrix_over_q(self, rows):
-        d = len(rows)
-        m = [[Fraction(x) for x in row] for row in rows]
-        inv = invert_matrix(m, self.QQ)
-        if _int_matrix_rank(rows) < d:
-            assert inv is None
-        else:
-            assert _mat_mul(inv, m, Fraction(0)) == _identity(d, self.QQ)
-            assert _mat_mul(m, inv, Fraction(0)) == _identity(d, self.QQ)
-
     def test_shifted_adjoint_on_line_algebra(self):
         alg = line_algebra()
         mat = adjoint_matrix(alg, {0: ONE})
@@ -130,12 +106,10 @@ class TestDenseElimination:
         for lam in (ONE, SYM.zero(), eta, eta + eta):
             shifted = [[mat[r][c] - lam if r == c else mat[r][c] for c in range(d)] for r in range(d)]
             kernel = kernel_basis(shifted, SYM)
-            inv = invert_matrix(shifted, SYM)
             if lam == eta + eta:  # not an eigenvalue of a single axis
-                assert kernel == [] and inv is not None
-                assert _mat_mul(inv, shifted, SYM.zero()) == _identity(d, SYM)
+                assert kernel == []
             else:
-                assert len(kernel) == 1 and inv is None
+                assert len(kernel) == 1
                 vec = kernel[0]
                 assert all(not sum((a * b for a, b in zip(row, vec)), SYM.zero()) for row in shifted)
 
@@ -207,6 +181,31 @@ class TestFusion:
         exported = report.export()
         assert exported["violations"][0]["lambda"] == "eta"
 
+    def test_violations_on_multi_dimensional_eigenspaces(self):
+        # tighten the eta*eta cell of M(2eta, eta) to {2eta}: the 1- and
+        # eta-eigenspaces of a double axis are 2-dimensional, and each
+        # violation carries the exact eigencomponent of the product
+        from matsuo.axial import FusionLaw
+
+        good = monster_law(SYM)
+        table = dict(good.table)
+        table[(3, 3)] = frozenset({2})
+        wrong = FusionLaw("M'", good.eigenvalues, table)
+        sp = build_named_space("A", 4)
+        alg = full_algebra(sp)
+        x = {sp.point_of_label("b(1,2)"): ONE, sp.point_of_label("b(3,4)"): ONE}
+        report = check_fusion(alg, x, wrong)
+        assert report.decomposition.dims == (2, 1, 1, 2)
+        assert {v.offending_part for v in report.violations} == {0, 1}
+        keys = [(v.pair, v.offending_part) for v in report.violations]
+        assert len(keys) == len(set(keys))
+        half = SYM.half_eta()
+        for v in report.violations:
+            assert (v.lam_index, v.mu_index) == (3, 3)
+            lam = good.eigenvalues[v.offending_part]
+            assert v.component
+            assert vec_product(sp, x, v.component, half) == vec_scale(v.component, lam)
+
 
 class TestPrimitivity:
     def test_single_axis_in_own_closure(self):
@@ -262,16 +261,28 @@ class TestMiyamotoAlgebraMap:
         assert mm.matrix == permutation_matrix_on(alg, perm)
 
     def test_tau_of_double_is_composition_matrixwise(self):
+        # one double axis of the full A:4 algebra, then every double of the
+        # W2A and W3A k = 2 flip algebras: the projection-built map is the
+        # composed point map
+        from matsuo.flips import flip_subalgebra
+
         sp = build_named_space("A", 4)
-        alg = full_algebra(sp)
-        a = sp.point_of_label("b(1,2)")
-        b = sp.point_of_label("b(3,4)")
-        x = {a: ONE, b: ONE}
-        mm = miyamoto_algebra_map(alg, x, monster_law(SYM))
-        pa = miyamoto_point_map(sp, a)
-        pb = miyamoto_point_map(sp, b)
-        composed = tuple(pb[pa[q]] for q in range(len(sp.points)))
-        assert mm.matrix == permutation_matrix_on(alg, composed)
+        cases = [
+            (full_algebra(sp), [(sp.point_of_label("b(1,2)"), sp.point_of_label("b(3,4)"))])
+        ]
+        for family in ("W2A", "W3A"):
+            tau = standard_flip(family, 2)
+            doubles = classify_orbits(tau.space, tau).doubles
+            assert doubles
+            cases.append((flip_subalgebra(tau.space, tau, SYM), doubles))
+        for alg, doubles in cases:
+            sp = alg.space
+            for a, b in doubles:
+                mm = miyamoto_algebra_map(alg, {a: ONE, b: ONE}, monster_law(SYM))
+                pa = miyamoto_point_map(sp, a)
+                pb = miyamoto_point_map(sp, b)
+                composed = tuple(pb[pa[q]] for q in range(len(sp.points)))
+                assert mm.matrix == permutation_matrix_on(alg, composed)
 
     def test_preserves_frobenius_form(self):
         alg = line_algebra()
@@ -302,11 +313,27 @@ class TestTauComposition:
         with pytest.raises(ValueError):
             tau_composition_identity(sp, 0, 1)
 
+    def test_wrong_point_map_fails(self, monkeypatch):
+        # with tau_a replaced by the identity, P = tau_b is not the Miyamoto
+        # map of a + b, since tau_a moves the points on the lines through a
+        import matsuo.axial as axial
+
+        sp = build_named_space("A", 4)
+        a, b = sp.point_of_label("b(1,2)"), sp.point_of_label("b(3,4)")
+        real = axial.miyamoto_point_map
+        assert real(sp, a) != tuple(range(len(sp.points)))
+        monkeypatch.setattr(
+            axial,
+            "miyamoto_point_map",
+            lambda s, p: tuple(range(len(s.points))) if p == a else real(s, p),
+        )
+        assert not tau_composition_identity(sp, a, b)
+
 
 class TestMinimalPolynomialDivisibility:
     def test_single_axis_min_poly(self):
         # (ad_p - 1) ad_p (ad_p - eta) kills every basis vector
-        from matsuo.algebra import vec_scale, vec_sub
+        from matsuo.algebra import vec_sub
 
         for family, n in [("W3A", 3), ("WrA4", 2)]:
             sp = build_named_space(family, n)
