@@ -58,6 +58,13 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
     return out
 
 
+def vec_hadamard(u: Vec, v: Vec) -> Vec:
+    """Coordinatewise product: the p == q terms of vec_product."""
+    if len(v) < len(u):
+        u, v = v, u
+    return {k: c * v[k] for k, c in u.items() if k in v}
+
+
 def vec_product(sp: FischerSpace, u: Vec, v: Vec, half_eta) -> Vec:
     """Bilinear extension of the point product; commutative."""
     out: Vec = {}

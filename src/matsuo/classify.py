@@ -13,16 +13,14 @@ import json
 import os
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import Vec
 from .axial import check_primitive
-from .closure import ScalarMode, close, is_direct_sum
+from .closure import DEFAULT_SEARCH_ETA, ScalarMode, close, is_direct_sum
 from .fischer import Diagram, FischerSpace, canonical_diagram, diagram_of, point_orbits
 
 FULL_ENUMERATION_LIMIT = 40
-DEFAULT_SEARCH_ETA = Fraction(7)
 
 
 @dataclass(frozen=True, order=True)

@@ -5,6 +5,14 @@ present at that moment, reduces the product, and inserts nonzero remainders;
 bilinearity makes this cover all pairs of the final basis, so a terminated
 run is a verified closure.  Everything works either over Q(eta) (symbolic
 mode) or over Q at a fixed rational eta (evaluated mode).
+
+A symbolic closure of generators with rational coefficients is certified
+instead of run over Q(eta): the worklist runs over Q at eta1 = 7, and if the
+resulting span E is closed under the coordinatewise (Hadamard) product, E
+tensored with Q(eta) is the symbolic closure (the proof is in ``close``).
+eta1 need not be safe for the space, because ``vec_product`` has no poles.
+The Q(eta) worklist still runs when a generator coefficient involves eta, or
+when the check fails at eta1.
 """
 
 from __future__ import annotations
@@ -14,13 +22,17 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Iterable, Optional, Sequence
 
-from .algebra import Vec, critical_values, vec_add_scaled, vec_product
+from .algebra import Vec, critical_values, vec_add_scaled, vec_hadamard, vec_product
 from .fischer import FischerSpace
 from .scalars import HALF_ETA, EtaPoly, EtaScalar, PoleError, poly_lcm
 
 
 class UnsafeEtaError(ValueError):
     """Evaluated-mode eta that collides with a degenerate parameter value."""
+
+
+# eta of the census search and the certifying point of symbolic closures
+DEFAULT_SEARCH_ETA = Fraction(7)
 
 
 # ---------------------------------------------------------------------------
@@ -111,26 +123,27 @@ class EchelonBasis:
     def dimension(self) -> int:
         return len(self.rows)
 
-    def pivots_sorted(self) -> list[int]:
-        return sorted(self.row_of_pivot)
-
     def reduce(self, vec: Vec) -> Vec:
-        """Remainder of vec modulo the span; one pass over pivot columns."""
+        """Remainder of vec modulo the span.
+
+        A row is zero at every other row's pivot, so subtracting it leaves
+        the other pivot coefficients alone: one pass over the pivot columns
+        in vec's support, with vec's own coefficients, reduces it.
+        """
         work = dict(vec)
-        for col in sorted(self.row_of_pivot):
-            coef = work.get(col)
-            if coef:
-                vec_add_scaled(work, self.rows[self.row_of_pivot[col]], -coef)
+        for col, coef in vec.items():
+            ridx = self.row_of_pivot.get(col)
+            if ridx is not None:
+                vec_add_scaled(work, self.rows[ridx], -coef)
         return work
 
     def coordinates(self, vec: Vec) -> Optional[list]:
         """Coefficients of vec on the rows, or None if vec is outside the span."""
         work = dict(vec)
         coords = [self.mode.zero()] * len(self.rows)
-        for col in sorted(self.row_of_pivot):
-            coef = work.get(col)
-            if coef:
-                ridx = self.row_of_pivot[col]
+        for col, coef in vec.items():
+            ridx = self.row_of_pivot.get(col)
+            if ridx is not None:
                 coords[ridx] = coef
                 vec_add_scaled(work, self.rows[ridx], -coef)
         if work:
@@ -140,17 +153,21 @@ class EchelonBasis:
     def contains(self, vec: Vec) -> bool:
         return not self.reduce(vec)
 
-    def _choose_pivot(self, vec: Vec) -> int:
-        if self.mode.is_symbolic:
-            return min(vec, key=lambda k: (vec[k].complexity, k))
-        return min(vec)
+    def is_hadamard_closed(self) -> bool:
+        """Whether the coordinatewise product of any two rows lies in the span."""
+        rows = self.rows
+        for i, u in enumerate(rows):
+            for v in rows[i:]:
+                if self.reduce(vec_hadamard(u, v)):
+                    return False
+        return True
 
     def insert(self, vec: Vec) -> bool:
         """Reduce and insert; True when the span grew."""
         rem = self.reduce(vec)
         if not rem:
             return False
-        pivot = self._choose_pivot(rem)
+        pivot = min(rem)
         inv = self.mode.one() / rem[pivot]
         row = {k: v * inv for k, v in rem.items()}
         row[pivot] = self.mode.one()
@@ -168,7 +185,7 @@ class EchelonBasis:
     def canonical_rows(self) -> tuple:
         """Unique reduced row echelon form of the span, leftmost pivots.
 
-        Independent of insertion order and of the pivot-choice heuristic;
+        Independent of insertion order and of the pivot choice;
         suitable for exact basis comparisons.
         """
         canon: list[Vec] = []
@@ -300,15 +317,50 @@ def close(
     mode: ScalarMode,
     roles: Optional[Sequence[str]] = None,
 ) -> Subalgebra:
-    """Smallest product-closed subspace containing the generators."""
+    """Smallest product-closed subspace containing the generators.
+
+    In symbolic mode, generators with rational coefficients are certified
+    rather than closed over Q(eta).  The product splits as
+    u*v = H(u,v) + (eta/2) L(u,v), with H the coordinatewise (Hadamard)
+    product and L the line terms, both rational.  Let E be the closure over
+    Q at a rational eta1 != 0.  If H(E,E) lies in E, then so does
+    L = (2/eta1)(*_eta1 - H), so E (x) Q(eta) is closed and contains the
+    symbolic closure S.  E is spanned by product words in the generators
+    whose values at eta1 are independent, hence independent over Q(eta),
+    so S = E (x) Q(eta): the result carries E's rows and pivots, lifted to
+    constants, and E's product count.  eta1 need not be safe for the space,
+    since ``vec_product`` has no poles.  When the check fails (eta1
+    degenerates the closure), or a generator coefficient involves eta, the
+    Q(eta) worklist runs.
+    """
     gen_list = [dict(g) for g in gens]
     if roles is None:
         roles = ["custom"] * len(gen_list)
     if any(not g for g in gen_list):
         raise ValueError("generators must be nonzero")
+    generators = list(zip(gen_list, roles))
+    if mode.is_symbolic and all(_is_constant(v) for g in gen_list for v in g.values()):
+        ev_gens = [evaluate_vec(g, DEFAULT_SEARCH_ETA) for g in gen_list]
+        basis, products = _worklist(sp, ev_gens, ScalarMode.evaluated(DEFAULT_SEARCH_ETA))
+        if basis.is_hadamard_closed():
+            return Subalgebra(sp, mode, generators, _lift_basis(basis), products)
+    return Subalgebra(sp, mode, generators, *_worklist(sp, gen_list, mode))
+
+
+def _close_over_qeta(sp: FischerSpace, gens: Sequence[Vec]) -> Subalgebra:
+    """The Q(eta) worklist without the certificate: the fallback of close,
+    kept callable as the oracle for the certified route."""
+    mode = ScalarMode.symbolic()
+    return Subalgebra(sp, mode, [(g, "custom") for g in gens], *_worklist(sp, gens, mode))
+
+
+def _worklist(
+    sp: FischerSpace, vecs: Sequence[Vec], mode: ScalarMode
+) -> tuple[EchelonBasis, int]:
+    """Closed echelon basis of the vectors and the number of products taken."""
     basis = EchelonBasis(mode)
     half = mode.half_eta()
-    for g in gen_list:
+    for g in vecs:
         basis.insert(g)
     products = 0
     cursor = 0
@@ -324,7 +376,25 @@ def close(
             cursor += 1
     except PoleError as exc:
         raise UnsafeEtaError(f"pole during evaluated-mode closure: {exc}") from exc
-    return Subalgebra(sp, mode, list(zip(gen_list, roles)), basis, products)
+    return basis, products
+
+
+def _is_constant(v) -> bool:
+    return isinstance(v, (int, Fraction)) or isinstance(v, EtaScalar) and v.is_rational()
+
+
+def _lift_basis(basis: EchelonBasis) -> EchelonBasis:
+    """The basis over Q(eta), in place: same rows and pivots, each distinct
+    value one shared EtaScalar constant (the values are immutable)."""
+    constants: dict = {}
+    for row in basis.rows:
+        for k, v in row.items():
+            c = constants.get(v)
+            if c is None:
+                c = constants[v] = EtaScalar(v)
+            row[k] = c
+    basis.mode = ScalarMode.symbolic()
+    return basis
 
 
 def reclose(subalgebra: Subalgebra) -> Subalgebra:
@@ -368,7 +438,11 @@ def consistency_check(
     """Symbolic dimension equals the dimension evaluated at eta0.
 
     Generators are given symbolically; their evaluated twins are obtained by
-    scalar evaluation.
+    scalar evaluation.  For rational generators the symbolic side is the
+    certificate of ``close``: a closure over Q at eta1 = 7 whose span is
+    closed under the coordinatewise product (eta1 need not be safe, since
+    ``vec_product`` has no poles); generators involving eta, or a failed
+    check, are closed over Q(eta).
     """
     eta0 = Fraction(eta0)
     ev_mode = ScalarMode.evaluated(eta0)

@@ -17,6 +17,7 @@ Rational = Fraction
 ScalarLike = Union[int, Fraction, "EtaPoly", "EtaScalar"]
 
 _F_ZERO = Fraction(0)
+_UNIT = (Fraction(1),)
 
 
 class PoleError(ZeroDivisionError):
@@ -499,11 +500,6 @@ class EtaScalar:
             return Fraction(0)
         return self.num.coeffs[0] / self.den.coeffs[0]
 
-    @property
-    def complexity(self) -> int:
-        """Total polynomial degree; the pivot-selection heuristic."""
-        return max(self.num.degree, 0) + max(self.den.degree, 0)
-
     def __eq__(self, other) -> bool:
         other = _as_scalar(other)
         if other is None:
@@ -546,6 +542,11 @@ class EtaScalar:
         other = _as_scalar(other)
         if other is None:
             return NotImplemented
+        # immutable values: a unit factor can hand back the other operand
+        if self.num.coeffs == _UNIT and self.den.coeffs == _UNIT:
+            return other
+        if other.num.coeffs == _UNIT and other.den.coeffs == _UNIT:
+            return self
         return EtaScalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

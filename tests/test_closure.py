@@ -8,11 +8,13 @@ import pytest
 
 from matsuo import closure
 from matsuo.algebra import vec_product
+from matsuo.classify import enumerate_configs
 from matsuo.closure import (
     EchelonBasis,
     ScalarMode,
     Subalgebra,
     UnsafeEtaError,
+    _close_over_qeta,
     close,
     consistency_check,
     evaluate_vec,
@@ -21,7 +23,7 @@ from matsuo.closure import (
     specialized_dimension,
 )
 from matsuo.fischer import build_named_space
-from matsuo.flips import flip_subalgebra, standard_flip
+from matsuo.flips import FLIP_FAMILIES, flip_subalgebra, standard_flip
 from matsuo.scalars import EtaPoly, EtaScalar
 
 SYM = ScalarMode.symbolic()
@@ -345,3 +347,89 @@ class TestSpecializedDimension:
         alg = Subalgebra(sp, SYM, [({0: ONE}, "a"), ({1: ONE}, "b")], basis)
         with pytest.raises(RuntimeError, match=r"rank 3 at eta1 = 3,"):
             specialized_dimension(alg, 5)
+
+
+def as_fractions(canon) -> tuple:
+    return tuple(tuple((k, v.as_fraction()) for k, v in row) for row in canon)
+
+
+def assert_matches_oracle(alg):
+    """alg equals the Q(eta) worklist's closure of its own generators."""
+    gens = [g for g, _ in alg.generators]
+    oracle = _close_over_qeta(alg.space, gens)
+    assert alg.dimension == oracle.dimension
+    assert as_fractions(alg.basis.canonical_rows()) == as_fractions(
+        oracle.basis.canonical_rows()
+    )
+    return oracle
+
+
+@pytest.fixture
+def worklist_modes(monkeypatch):
+    """Log the mode of every worklist run."""
+    seen = []
+    worklist = closure._worklist
+
+    def spy(sp, vecs, mode):
+        seen.append(mode)
+        return worklist(sp, vecs, mode)
+
+    monkeypatch.setattr(closure, "_worklist", spy)
+    return seen
+
+
+class TestCertifiedClosure:
+    # the Wr3p2 oracle alone takes seconds; its flip is checked in the benchmark
+    @pytest.mark.parametrize("family", [f for f in FLIP_FAMILIES if f != "Wr3p2"])
+    def test_flip_closures_match_oracle(self, family, worklist_modes):
+        tau = standard_flip(family, 2)
+        alg = flip_subalgebra(tau.space, tau, SYM)
+        assert worklist_modes == [ScalarMode.evaluated(7)]
+        oracle = assert_matches_oracle(alg)
+        # the benchmark's closure replay relies on equal product counts
+        assert alg.products_computed == oracle.products_computed
+        assert all(v.is_rational() for row in alg.basis.rows for v in row.values())
+
+    def test_a5_configurations_match_oracle(self):
+        sp = build_named_space("A", 5)
+        configs = list(enumerate_configs(sp, first_point=0))
+        assert len(configs) == 45
+        for cfg in configs:
+            assert_matches_oracle(close(sp, cfg.generators(SYM), SYM))
+
+    @pytest.mark.parametrize("family,dim", [("Wr3x3", 29), ("Wr3p2", 89)])
+    def test_knife_edge_closures_fail_the_check(self, family, dim):
+        tau = standard_flip(family, 2)
+        ev = flip_subalgebra(tau.space, tau, ScalarMode.evaluated(2))
+        assert ev.dimension == dim
+        assert not ev.basis.is_hadamard_closed()
+
+    def test_failing_check_falls_back_to_oracle(self, worklist_modes, monkeypatch):
+        monkeypatch.setattr(EchelonBasis, "is_hadamard_closed", lambda self: False)
+        sp = build_named_space("W3A", 3)
+        gens = [{0: ONE}, {4: ONE}, {7: ONE}]
+        alg = close(sp, gens, SYM)
+        assert worklist_modes == [ScalarMode.evaluated(7), SYM]
+        oracle = _close_over_qeta(sp, gens)
+        assert alg.basis.rows == oracle.basis.rows
+        assert alg.products_computed == oracle.products_computed
+
+    def test_eta_coefficients_take_the_fallback(self, worklist_modes):
+        sp = build_named_space("W3A", 3)
+        gens = [{0: ONE, 4: EtaScalar.eta()}, {7: ONE}]
+        alg = close(sp, gens, SYM)
+        assert worklist_modes == [SYM]
+        assert alg.is_closed()
+        assert alg.basis.canonical_rows() == _close_over_qeta(sp, gens).basis.canonical_rows()
+
+    def test_rational_constants_in_any_form(self, worklist_modes):
+        sp = line_space()
+        alg = close(sp, [{0: EtaScalar(2, 3)}, {1: Fraction(-1)}, {2: 5}], SYM)
+        assert worklist_modes == [ScalarMode.evaluated(7)]
+        assert alg.dimension == 3 and alg.is_closed()
+
+    def test_consistency_check_results(self, wr3x3_flip):
+        gens = [g for g, _ in wr3x3_flip.generators]
+        sp = wr3x3_flip.space
+        assert consistency_check(sp, gens, 7)
+        assert consistency_check(sp, gens, 2, allow_unsafe=True) is False

@@ -208,6 +208,14 @@ class TestFieldAxioms:
         assert vab == va * vb
         assert vsum == va + vb
 
+    @given(scalars(), st.sampled_from([EtaScalar.one(), EtaScalar(3, 3), 1, Fraction(1)]))
+    @settings(max_examples=60, deadline=None)
+    def test_unit_factor_fast_path(self, a, unit):
+        general = EtaScalar(a.num * EtaPoly.one(), a.den * EtaPoly.one())
+        for prod in (a * unit, unit * a):
+            assert isinstance(prod, EtaScalar)
+            assert (prod.num, prod.den) == (general.num, general.den)
+
 
 class TestTextForm:
     def test_format_examples(self):
