@@ -3,13 +3,14 @@
 Single axes follow the Jordan-type law with eigenvalues (1, 0, eta); sums of
 two orthogonal axes follow the Monster-type law with eigenvalues
 (1, 0, 2*eta, eta).  The spectrum is known in advance from the law, so no
-root-finding is involved: eigenspace dimensions are exact kernels of the
-shifted adjoint on a closed subalgebra, and everything else is read off
-polynomials in ad_x applied to sparse ambient vectors.  A product of
-eigenvectors obeys a fusion cell iff prod over allowed nu of (ad_x - nu)
-kills it; the component on part k is the Lagrange projection
-prod over mu != lambda_k of (ad_x - mu) / (lambda_k - mu); and the Miyamoto
-involution is I - 2 * P_odd for the projection P_odd onto the eta part.
+root-finding is involved, and everything is read off polynomials in ad_x
+applied to sparse ambient vectors of a closed subalgebra; no adjoint matrix
+is formed.  The eigenspace of lambda_k is the image of the Lagrange
+projection P_k = prod over mu != lambda_k of (ad_x - mu) / (lambda_k - mu),
+echelonized in coordinates on the subalgebra basis; primitivity is the rank
+of b -> x*b - b.  A product of eigenvectors obeys a fusion cell iff prod
+over allowed nu of (ad_x - nu) kills it, and its component on part k is its
+image under P_k; the Miyamoto involution is I - 2 * P_odd for the eta part.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import count
 from typing import Iterable, Sequence
 
 from .algebra import Vec, vec_add_scaled, vec_product, vec_scale
-from .closure import ScalarMode, Subalgebra
+from .closure import EchelonBasis, ScalarMode, Subalgebra
 from .fischer import FischerSpace, verified_reflection
 from .scalars import HALF_ETA, EtaScalar
 
@@ -29,10 +30,6 @@ from .scalars import HALF_ETA, EtaScalar
 class AdjointNotDiagonalizableError(ValueError):
     """Eigenspace dimensions fall short of the ambient dimension: the element
     is not an axis for the requested spectrum."""
-
-
-class SpectrumCollisionError(ValueError):
-    """Evaluated eta makes two spectrum values coincide; fusion is ill-posed."""
 
 
 class ParameterDomainError(ValueError):
@@ -55,22 +52,11 @@ class FusionLaw:
         return self.table[(li, mi)] if (li, mi) in self.table else self.table[(mi, li)]
 
 
-def _check_distinct(values: Sequence, what: str) -> None:
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if values[i] == values[j]:
-                raise SpectrumCollisionError(
-                    f"{what}: eigenvalues {values[i]} and {values[j]} coincide"
-                )
-
-
 def jordan_law(mode: ScalarMode) -> FusionLaw:
-    """Jordan-type law on (1, 0, eta): eta is the odd part."""
-    if not mode.is_symbolic and mode.eta0 in (Fraction(0), Fraction(1)):
-        raise ParameterDomainError("Jordan-type law needs eta outside {0, 1}")
+    """Jordan-type law on (1, 0, eta): eta is the odd part.  The values are
+    distinct, since ScalarMode refuses eta = 0 and 1."""
     one, zero, eta = mode.one(), mode.zero(), mode.eta()
     values = (one, zero, eta)
-    _check_distinct(values, "Jordan-type law")
     t = {
         (0, 0): frozenset({0}),
         (0, 1): frozenset(),
@@ -84,18 +70,15 @@ def jordan_law(mode: ScalarMode) -> FusionLaw:
 
 def monster_law(mode: ScalarMode) -> FusionLaw:
     """Monster-type law on (1, 0, 2*eta, eta): eta is the odd part."""
-    if not mode.is_symbolic and mode.eta0 in (
-        Fraction(0),
-        Fraction(1),
-        Fraction(1, 2),
-    ):
+    # ScalarMode refuses eta = 0 and 1, so 1/2 (where 2*eta = 1) is the one
+    # value left at which two eigenvalues coincide
+    if mode.eta0 == Fraction(1, 2):
         raise ParameterDomainError(
             "Monster-type law at (2*eta, eta) needs eta outside {0, 1, 1/2}"
         )
     one, zero, eta = mode.one(), mode.zero(), mode.eta()
     alpha = eta + eta
     values = (one, zero, alpha, eta)
-    _check_distinct(values, "Monster-type law")
     t = {
         (0, 0): frozenset({0}),
         (0, 1): frozenset(),
@@ -125,54 +108,6 @@ def odd_part_index(law: FusionLaw) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense linear algebra over the mode scalars
-# ---------------------------------------------------------------------------
-
-def _rref(m: list[list], ncols: int, mode: ScalarMode) -> list[int]:
-    """Gauss-Jordan on the first ncols columns of m, in place.
-
-    Returns the pivot columns; pivot i sits in row i with a unit entry and is
-    cleared from every other row.  Stops once every row holds a pivot.
-    """
-    one = mode.one()
-    pivots: list[int] = []
-    for col in range(ncols):
-        row = len(pivots)
-        if row == len(m):
-            break
-        pr = next((r for r in range(row, len(m)) if m[r][col]), None)
-        if pr is None:
-            continue
-        m[row], m[pr] = m[pr], m[row]
-        inv = one / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-    return pivots
-
-
-def kernel_basis(matrix: list[list], mode: ScalarMode) -> list[list]:
-    """Deterministic kernel basis of a square matrix (unit free variables)."""
-    d = len(matrix)
-    m = [list(row) for row in matrix]
-    pivots = _rref(m, d, mode)
-    zero, one = mode.zero(), mode.one()
-    basis = []
-    for free in sorted(set(range(d)) - set(pivots)):
-        vec = [zero] * d
-        vec[free] = one
-        for r, c in enumerate(pivots):
-            val = m[r][free]
-            if val:
-                vec[c] = -val
-        basis.append(vec)
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # adjoints and eigenspaces
 # ---------------------------------------------------------------------------
 
@@ -194,21 +129,25 @@ def _project(sp: FischerSpace, x: Vec, w: Vec, values: tuple, k: int, half) -> V
     return vec_scale(_ad_poly(sp, x, w, others, half), scale)
 
 
-def adjoint_matrix(algebra: Subalgebra, x: Vec) -> list[list]:
-    """Matrix of u -> x*u on the subalgebra basis (columns = images)."""
+def _image(algebra: Subalgebra, x: Vec, roots: Sequence) -> EchelonBasis:
+    """Span of prod over nu in roots of (ad_x - nu) on the subalgebra.
+
+    Each image enters as its coordinates on the subalgebra basis with the
+    index reversed (c -> d - 1 - c).  EchelonBasis keeps leftmost pivots and
+    fully reduced rows, so back in the basis order its rows are the unique
+    reduced basis of the span with rightmost pivots.
+    """
     if algebra.coordinates(x) is None:
         raise ValueError("the axis does not lie in the subalgebra")
     half = algebra.mode.half_eta()
-    d = algebra.dimension
-    cols = []
+    last = algebra.dimension - 1
+    span = EchelonBasis(algebra.mode)
     for row in algebra.basis.rows:
-        image = vec_product(algebra.space, x, row, half)
-        coords = algebra.coordinates(image)
+        coords = algebra.coordinates(_ad_poly(algebra.space, x, row, roots, half))
         if coords is None:
             raise ValueError("adjoint image left the subalgebra; not closed")
-        cols.append(coords)
-    # transpose: entry [r][c] = coefficient of basis_r in x * basis_c
-    return [[cols[c][r] for c in range(d)] for r in range(d)]
+        span.insert({last - c: v for c, v in enumerate(coords) if v})
+    return span
 
 
 @dataclass
@@ -226,34 +165,48 @@ class EigenDecomposition:
 
 
 def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDecomposition:
-    """Exact kernel bases of (ad_x - lambda) per spectrum value.
+    """Eigenvectors of ad_x per value of the spectrum, two or more distinct
+    values, as coordinate vectors on the subalgebra basis.
 
-    Raises when the eigenspace dimensions do not sum to the dimension of the
-    subalgebra, i.e. the adjoint is not diagonalizable over the spectrum.
+    Part k spans the image of N_k = prod over mu != lambda_k of (ad_x - mu),
+    the numerator of the Lagrange projection onto the lambda_k-eigenspace.
+    The projections sum to the identity, so the images span the subalgebra,
+    and the sum is direct exactly when ad_x is diagonalizable over the
+    spectrum: otherwise the nonzero image of prod over lambda of
+    (ad_x - lambda) lies in every image.  Each image is then an eigenspace,
+    given by its unit-free-variable kernel basis (rightmost pivots), sorted
+    by free column.
+
+    Raises when the image dimensions do not sum to the dimension of the
+    subalgebra; the message gives the kernel dimensions of ad_x - lambda.
     """
-    mode = algebra.mode
-    half = mode.half_eta()
-    xx = vec_product(algebra.space, x, x, half)
-    if xx != x:
+    if vec_product(algebra.space, x, x, algebra.mode.half_eta()) != x:
         raise ValueError("axis must be an idempotent")
-    mat = adjoint_matrix(algebra, x)
+    spectrum = tuple(spectrum)
+    if len(spectrum) < 2 or len(set(spectrum)) < len(spectrum):
+        raise ValueError("the spectrum needs two or more distinct values")
     d = algebra.dimension
-    parts = []
-    total = 0
-    for lam in spectrum:
-        shifted = [
-            [mat[r][c] - lam if r == c else mat[r][c] for c in range(d)]
-            for r in range(d)
-        ]
-        part = kernel_basis(shifted, mode)
-        parts.append(part)
-        total += len(part)
-    if total != d:
+    images = [
+        _image(algebra, x, spectrum[:k] + spectrum[k + 1:]) for k in range(len(spectrum))
+    ]
+    if sum(map(len, images)) != d:
+        dims = tuple(d - len(_image(algebra, x, (lam,))) for lam in spectrum)
         raise AdjointNotDiagonalizableError(
-            f"eigenspace dimensions {tuple(len(p) for p in parts)} sum to"
-            f" {total}, expected {d}; not an axis for this spectrum"
+            f"eigenspace dimensions {dims} sum to"
+            f" {sum(dims)}, expected {d}; not an axis for this spectrum"
         )
-    return EigenDecomposition(algebra, x, tuple(spectrum), parts)
+    zero = algebra.mode.zero()
+    parts = []
+    for image in images:
+        part = []
+        pivots = image.pivot_of_row
+        for r in sorted(range(len(image)), key=pivots.__getitem__, reverse=True):
+            vec = [zero] * d
+            for c, v in image.rows[r].items():
+                vec[d - 1 - c] = v
+            part.append(vec)
+        parts.append(part)
+    return EigenDecomposition(algebra, x, spectrum, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +300,9 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
 
 
 def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
-    """True iff the 1-eigenspace of ad_x inside the subalgebra is a line."""
-    mode = algebra.mode
-    mat = adjoint_matrix(algebra, x)
-    d = algebra.dimension
-    one = mode.one()
-    shifted = [
-        [mat[r][c] - one if r == c else mat[r][c] for c in range(d)] for r in range(d)
-    ]
-    return len(kernel_basis(shifted, mode)) == 1
+    """True iff the 1-eigenspace of ad_x inside the subalgebra is a line,
+    i.e. b -> x*b - b has rank d - 1 on the basis rows."""
+    return algebra.dimension - len(_image(algebra, x, (algebra.mode.one(),))) == 1
 
 
 # ---------------------------------------------------------------------------

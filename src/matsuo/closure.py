@@ -547,8 +547,10 @@ def _walk_at(
 
     for g in gens:
         offer(tuple(evaluate_vec(g, m.eta0) for m in modes))
-    for left in worklist:  # the worklist grows while it is walked
-        for right in list(worklist):
+    # the worklist grows while it is walked; the product is commutative, so
+    # each unordered pair is taken once, when its later node is the left one
+    for i, left in enumerate(worklist):
+        for right in worklist[: i + 1]:
             offer(tuple(vec_product(sp, a, b, h) for a, b, h in zip(left, right, halves)))
     return [basis.dimension for basis in bases]
 

@@ -1,22 +1,19 @@
 """Eigenspaces, fusion laws, primitivity, Miyamoto involutions."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from matsuo.axial import (
     AdjointNotDiagonalizableError,
     ParameterDomainError,
-    SpectrumCollisionError,
-    adjoint_matrix,
+    _ad_poly,
     check_fusion,
     check_primitive,
     eigen_decompose,
     jordan_law,
-    kernel_basis,
     law_by_name,
     miyamoto_algebra_map,
     miyamoto_point_map,
@@ -24,14 +21,22 @@ from matsuo.axial import (
     permutation_matrix_on,
     tau_composition_identity,
 )
-from matsuo.algebra import _int_matrix_rank, frobenius_value, vec_product, vec_scale
-from matsuo.closure import ScalarMode, close
+from matsuo.algebra import _int_matrix_rank, frobenius_value, vec_product, vec_scale, vec_sub
+from matsuo.classify import enumerate_configs
+from matsuo.closure import EchelonBasis, ScalarMode, Subalgebra, UnsafeEtaError, close
 from matsuo.fischer import build_named_space, is_space_automorphism
-from matsuo.flips import classify_orbits, fixed_subalgebra_basis, orbit_vector, standard_flip
+from matsuo.flips import (
+    classify_orbits,
+    fixed_subalgebra_basis,
+    flip_subalgebra,
+    orbit_vector,
+    standard_flip,
+)
 from matsuo.scalars import EtaScalar
 
 SYM = ScalarMode.symbolic()
 ONE = SYM.one()
+EV7 = ScalarMode.evaluated(7)
 
 
 def line_algebra():
@@ -63,55 +68,34 @@ class TestLaws:
 
     def test_collision_detection(self):
         # alpha = 2*eta collides with 1 at eta = 1/2, caught by the domain
-        # guard; a genuinely colliding spectrum raises too
-        with pytest.raises((SpectrumCollisionError, ParameterDomainError)):
+        # guard; the values 0 and 1, at which eta collides with 0 or 1, are
+        # refused by the mode before a law is built
+        with pytest.raises(ParameterDomainError):
             monster_law(ScalarMode.evaluated(Fraction(1, 2)))
+        for eta0 in (0, 1):
+            with pytest.raises(UnsafeEtaError):
+                ScalarMode.evaluated(eta0)
         assert law_by_name("J", SYM).name == "J"
         with pytest.raises(ValueError):
             law_by_name("X", SYM)
 
 
-@st.composite
-def small_int_matrices(draw):
-    """Square integer matrices up to 5x5; about half are forced singular."""
-    d = draw(st.integers(1, 5))
-    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=d, max_size=d))
-    if d >= 2 and draw(st.booleans()):
-        rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
-    return rows
-
-
-class TestDenseElimination:
-    QQ = ScalarMode.evaluated(2)  # any Q mode: the routines only use its zero and one
-
-    @given(small_int_matrices())
-    @settings(max_examples=80, deadline=None)
-    def test_kernel_basis_over_q(self, rows):
-        d = len(rows)
-        m = [[Fraction(x) for x in row] for row in rows]
-        kernel = kernel_basis(m, self.QQ)
-        assert len(kernel) == d - _int_matrix_rank(rows)
-        for vec in kernel:
-            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m)
-        # unit free variables: each vector has its own 1 where the others have 0
-        frees = [next(c for c in reversed(range(d)) if vec[c]) for vec in kernel]
-        for i, vec in enumerate(kernel):
-            assert [vec[c] for c in frees] == [int(i == j) for j in range(len(kernel))]
-
-    def test_shifted_adjoint_on_line_algebra(self):
-        alg = line_algebra()
-        mat = adjoint_matrix(alg, {0: ONE})
-        d = alg.dimension
-        eta = SYM.eta()
-        for lam in (ONE, SYM.zero(), eta, eta + eta):
-            shifted = [[mat[r][c] - lam if r == c else mat[r][c] for c in range(d)] for r in range(d)]
-            kernel = kernel_basis(shifted, SYM)
-            if lam == eta + eta:  # not an eigenvalue of a single axis
-                assert kernel == []
-            else:
-                assert len(kernel) == 1
-                vec = kernel[0]
-                assert all(not sum((a * b for a, b in zip(row, vec)), SYM.zero()) for row in shifted)
+def assert_eigenbases(alg, x, spectrum):
+    """Every vector of part k is a lambda_k-eigenvector, each part is in
+    unit-free-variable form (1 at its own last nonzero column, 0 at the
+    others', sorted by that column), and the dimensions sum to d."""
+    dec = eigen_decompose(alg, x, spectrum)
+    sp, half, d = alg.space, alg.mode.half_eta(), alg.dimension
+    assert sum(dec.dims) == d
+    for lam, part in zip(spectrum, dec.parts):
+        for coords in part:
+            vec = alg.row_vector(coords)
+            assert vec_product(sp, x, vec, half) == vec_scale(vec, lam)
+        frees = [max(c for c in range(d) if coords[c]) for coords in part]
+        assert frees == sorted(set(frees))
+        for i, coords in enumerate(part):
+            assert [coords[f] for f in frees] == [int(i == j) for j in range(len(part))]
+    return dec
 
 
 class TestEigenDecompose:
@@ -120,19 +104,30 @@ class TestEigenDecompose:
         dec = eigen_decompose(alg, {0: ONE}, jordan_law(SYM).eigenvalues)
         assert dec.dims == (1, 1, 1)
 
+    def test_monster_spectrum_on_line_algebra(self):
+        # 2*eta is not an eigenvalue of a single axis: its part is empty
+        dec = assert_eigenbases(line_algebra(), {0: ONE}, monster_law(SYM).eigenvalues)
+        assert dec.dims == (1, 1, 0, 1)
+
     def test_single_axes_are_jordan(self):
         for family, n in [("A", 4), ("W2A", 3), ("W3A", 3), ("WrA4", 2)]:
             sp = build_named_space(family, n)
-            alg = full_algebra(sp)
-            dec = eigen_decompose(alg, {0: ONE}, jordan_law(SYM).eigenvalues)
-            assert sum(dec.dims) == alg.dimension
+            assert_eigenbases(full_algebra(sp), {0: ONE}, jordan_law(SYM).eigenvalues)
 
     def test_double_axis_monster_spectrum(self):
         sp = build_named_space("A", 4)
-        alg = full_algebra(sp)
-        x = {sp.point_of_label("b(1,2)"): ONE, sp.point_of_label("b(3,4)"): ONE}
-        dec = eigen_decompose(alg, x, monster_law(SYM).eigenvalues)
-        assert sum(dec.dims) == alg.dimension
+        for mode in (SYM, ScalarMode.evaluated(5)):
+            one = mode.one()
+            x = {sp.point_of_label("b(1,2)"): one, sp.point_of_label("b(3,4)"): one}
+            dec = assert_eigenbases(full_algebra(sp, mode), x, monster_law(mode).eigenvalues)
+            assert dec.dims == (2, 1, 1, 2)
+
+    @pytest.mark.parametrize("family", ["W2A", "W3A", "W2D"])
+    def test_flip_double_eigenbases(self, family):
+        tau = standard_flip(family, 2)
+        alg = flip_subalgebra(tau.space, tau, SYM)
+        for pair in classify_orbits(tau.space, tau).doubles:
+            assert_eigenbases(alg, orbit_vector(pair, ONE), monster_law(SYM).eigenvalues)
 
     def test_non_idempotent_rejected(self):
         alg = line_algebra()
@@ -141,8 +136,38 @@ class TestEigenDecompose:
 
     def test_wrong_spectrum_detected(self):
         alg = line_algebra()
-        with pytest.raises(AdjointNotDiagonalizableError):
+        # the message gives the kernel dimensions of ad_x - lambda
+        with pytest.raises(AdjointNotDiagonalizableError, match=r"\(1, 1\) sum to 2, expected 3"):
             eigen_decompose(alg, {0: ONE}, (ONE, SYM.zero()))
+
+    def test_degenerate_spectrum_refused(self):
+        alg = line_algebra()
+        for spectrum in ((ONE,), (ONE, SYM.zero(), ONE)):
+            with pytest.raises(ValueError, match="two or more distinct values"):
+                eigen_decompose(alg, {0: ONE}, spectrum)
+
+    def test_axis_outside_the_subalgebra(self):
+        alg = close(build_named_space("A", 3), [{0: ONE}], SYM)
+        for call in (
+            lambda: eigen_decompose(alg, {1: ONE}, jordan_law(SYM).eigenvalues),
+            lambda: check_primitive(alg, {1: ONE}),
+        ):
+            with pytest.raises(ValueError, match="does not lie in the subalgebra"):
+                call()
+
+    def test_subalgebra_not_closed(self):
+        # span(b0, b1) in the line algebra: b0 * b1 has a b2 component
+        sp = build_named_space("A", 3)
+        basis = EchelonBasis(SYM)
+        basis.insert({0: ONE})
+        basis.insert({1: ONE})
+        alg = Subalgebra(sp, SYM, [], basis)
+        for call in (
+            lambda: eigen_decompose(alg, {0: ONE}, jordan_law(SYM).eigenvalues),
+            lambda: check_primitive(alg, {0: ONE}),
+        ):
+            with pytest.raises(ValueError, match="not closed"):
+                call()
 
 
 class TestFusion:
@@ -207,7 +232,42 @@ class TestFusion:
             assert vec_product(sp, x, v.component, half) == vec_scale(v.component, lam)
 
 
+def shifted_adjoint_rank(alg, x) -> int:
+    """Rank of b -> x*b - b on an evaluated-mode subalgebra, read from
+    coordinates with denominators cleared column by column."""
+    half = alg.mode.half_eta()
+    columns = []
+    for row in alg.basis.rows:
+        image = vec_product(alg.space, x, row, half)
+        coords = alg.coordinates(vec_sub(image, row))
+        scale = math.lcm(*(c.denominator for c in coords))
+        columns.append([int(c * scale) for c in coords])
+    return _int_matrix_rank(columns)
+
+
 class TestPrimitivity:
+    def test_matches_shifted_adjoint_rank(self):
+        # the generators of the 45 A:5 configurations, and the doubles of
+        # the W2A, W3A and W2D k = 2 fixed subalgebras, all at eta = 7
+        cases = []
+        sp = build_named_space("A", 5)
+        for cfg in enumerate_configs(sp, first_point=0):
+            gens = cfg.generators(EV7)
+            cases.append((close(sp, gens, EV7), gens))
+        for family in ("W2A", "W3A", "W2D"):
+            tau = standard_flip(family, 2)
+            fixed = close(tau.space, fixed_subalgebra_basis(tau.space, tau, EV7), EV7)
+            doubles = classify_orbits(tau.space, tau).doubles
+            cases.append((fixed, [orbit_vector(pair, EV7.one()) for pair in doubles]))
+        assert len(cases) == 48
+        verdicts = set()
+        for alg, axes in cases:
+            for x in axes:
+                expected = alg.dimension - shifted_adjoint_rank(alg, x) == 1
+                assert check_primitive(alg, x) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
     def test_single_axis_in_own_closure(self):
         sp = build_named_space("A", 3)
         alg = close(sp, [{0: ONE}], SYM)
@@ -264,8 +324,6 @@ class TestMiyamotoAlgebraMap:
         # one double axis of the full A:4 algebra, then every double of the
         # W2A and W3A k = 2 flip algebras: the projection-built map is the
         # composed point map
-        from matsuo.flips import flip_subalgebra
-
         sp = build_named_space("A", 4)
         cases = [
             (full_algebra(sp), [(sp.point_of_label("b(1,2)"), sp.point_of_label("b(3,4)"))])
@@ -333,8 +391,6 @@ class TestTauComposition:
 class TestMinimalPolynomialDivisibility:
     def test_single_axis_min_poly(self):
         # (ad_p - 1) ad_p (ad_p - eta) kills every basis vector
-        from matsuo.algebra import vec_sub
-
         for family, n in [("W3A", 3), ("WrA4", 2)]:
             sp = build_named_space(family, n)
             half = SYM.half_eta()
@@ -348,32 +404,15 @@ class TestMinimalPolynomialDivisibility:
                 assert w == {}
 
     def test_double_axis_min_poly_in_flip_subalgebra(self):
-        from matsuo.flips import flip_subalgebra
-
         tau = standard_flip("W2A", 2)
         sp = tau.space
         alg = flip_subalgebra(sp, tau, SYM)
         dec = classify_orbits(sp, tau)
         eta = SYM.eta()
         two_eta = eta + eta
+        half = SYM.half_eta()
         for pair in dec.doubles:
             x = orbit_vector(pair, ONE)
-            mat = adjoint_matrix(alg, x)
-            d = alg.dimension
-            # evaluate (M - 1) M (M - 2eta) (M - eta) on the identity matrix
-            def matmul(a, b):
-                return [
-                    [sum((a[r][k] * b[k][c] for k in range(d)), SYM.zero()) for c in range(d)]
-                    for r in range(d)
-                ]
-
-            def shift(m, lam):
-                return [
-                    [m[r][c] - lam if r == c else m[r][c] for c in range(d)]
-                    for r in range(d)
-                ]
-
-            prod = matmul(shift(mat, ONE), mat)
-            prod = matmul(prod, shift(mat, two_eta))
-            prod = matmul(prod, shift(mat, eta))
-            assert all(not prod[r][c] for r in range(d) for c in range(d))
+            # (ad_x - 1) ad_x (ad_x - 2eta) (ad_x - eta) kills every basis row
+            for row in alg.basis.rows:
+                assert _ad_poly(sp, x, row, (ONE, SYM.zero(), two_eta, eta), half) == {}

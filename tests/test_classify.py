@@ -153,6 +153,21 @@ class TestClassify:
                 cfg.diagram(sp)
             )
 
+    def test_point_transitivity_loses_nothing(self):
+        # A:5 is point-transitive, so fixing the first point divides every
+        # (bucket, dim) count and primitive count of the full sweep by n
+        sp = build_named_space("A", 5)
+        n = len(sp.points)
+        fixed = classify(sp)
+        full = classify(sp, use_transitivity=False, recertify_symbolic=False)
+        assert fixed.first_point_fixed and not full.first_point_fixed
+        assert fixed.buckets.keys() == full.buckets.keys()
+        for code, bucket in full.buckets.items():
+            assert bucket["examined"] == n * fixed.buckets[code]["examined"]
+            for key in ("dims", "primitive_dims"):
+                expected = {dim: n * c for dim, c in fixed.buckets[code][key].items()}
+                assert bucket[key] == expected
+
     def test_unsafe_mode_rejected(self):
         sp = build_named_space("W3A", 4)
         with pytest.raises(ValueError):

@@ -82,6 +82,15 @@ def test_fusion_double_axis_monster(capsys):
     assert code == 0 and data["violations"] == []
 
 
+def test_fusion_monster_at_half_refused(capsys):
+    # 2*eta = 1 at eta = 1/2, so the Monster-type spectrum is not distinct
+    code = main([
+        "fusion", "--ambient", "A:4", "--axis", "b(1,2)+b(3,4)", "--law", "M", "--mode", "1/2",
+    ])
+    assert code == 2
+    assert "outside {0, 1, 1/2}" in capsys.readouterr().err
+
+
 def test_flip_report(capsys):
     code, data = run_cli(capsys, "flip", "--family", "W3A", "--k", "2")
     assert code == 0
