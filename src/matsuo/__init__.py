@@ -36,6 +36,7 @@ from .fischer import (
     parse_space_spec,
     point_degree,
     third_point,
+    third_point_by_conjugation,
     third_point_by_formula,
 )
 from .algebra import (

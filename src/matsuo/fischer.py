@@ -2,10 +2,10 @@
 
 Points are the class elements t.(i,j) = t_i t_j^-1 (i,j) of T wr S_n; two
 points are collinear when their product has order three, and the third point
-of their line is the conjugate of one by the other.  The third-point map is
-computed by literal conjugation inside the wreath group, which sidesteps the
-orientation case-split of the closed formulas; the formula route is kept as
-an independent oracle.
+of their line is the conjugate of one by the other.  The third-point table is
+filled block by block, one block per pair of position pairs, from the closed
+formulas; literal conjugation inside the wreath group is kept as the
+independent per-pair oracle `third_point_by_conjugation`.
 """
 
 from __future__ import annotations
@@ -120,6 +120,17 @@ def elem_to_point(group: FiniteGroup, e: WElem) -> Optional[Point]:
 # the space
 # ---------------------------------------------------------------------------
 
+def _check_lines(third: Sequence[Sequence[int]]) -> None:
+    """Raise unless every entry r = third[p][q] >= 0 has third[q][p] = r and
+    third[p][r] = q, i.e. the table is a symmetric set of lines."""
+    for p, row in enumerate(third):
+        for q, r in enumerate(row):
+            if r >= 0 and (third[q][p] != r or row[r] != q):
+                raise ThreeTranspositionError(
+                    f"third-point table is not a line set at points {p}, {q}"
+                )
+
+
 class FischerSpace:
     """Indexed point set with the third-point map and line list.
 
@@ -151,7 +162,6 @@ class FischerSpace:
             for t in range(base.order)
         )
         self.index: dict[Point, int] = {p: k for k, p in enumerate(self.points)}
-        self._elems: list[WElem] = [point_to_elem(base, n, p) for p in self.points]
         self._build_third()
         if labeler is None:
             labeler = lambda p: f"{base.labels[p.t]}.({p.i},{p.j})"
@@ -168,29 +178,58 @@ class FischerSpace:
         )
 
     def _build_third(self) -> None:
-        npts = len(self.points)
+        """Fill the third-point table from the closed formulas, block by block.
+
+        The block of position pairs P, Q holds the entries between the points
+        t.P and s.Q.  Disjoint P and Q commute, so their block stays -1.  On
+        P = Q the points t and s are joined, with third point s t^-1 s,
+        exactly when s t^-1 has order three.  Otherwise P and Q share one
+        position m, and a.(x,m), b.(m,y) are always joined, with third point
+        (ab).(x,y).  No wreath arithmetic is done; third_point_by_conjugation
+        is the oracle.
+
+        The points t.P, t = 0..|T|-1, are consecutive from the index of 0.P,
+        which self.index gives.  Entries are the int objects of self.index,
+        so the table holds no copies of them.
+        """
+        group, order = self.base, self.base.order
+        mul, inv = group.table, group.inv
+        ident = range(order)
+        index = self.index
+        ids = [index[p] for p in self.points]
+        npts = len(ids)
         third = [[-1] * npts for _ in range(npts)]
-        group = self.base
-        elems = self._elems
-        for p in range(npts):
-            ep = elems[p]
-            for q in range(p + 1, npts):
-                eq = elems[q]
-                order = w_order(group, w_mul(group, ep, eq))
-                if order == 3:
-                    r_pt = elem_to_point(group, w_conj(group, ep, eq))
-                    if r_pt is None:
-                        raise ThreeTranspositionError(
-                            "conjugate left the transposition class"
-                        )
-                    r = self.index[r_pt]
-                    third[p][q] = r
-                    third[q][p] = r
-                elif order > 3:
-                    raise ThreeTranspositionError(
-                        f"points {self.points[p]} and {self.points[q]} generate"
-                        f" an element of order {order}"
-                    )
+        pairs = [(i, j) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)]
+        offset = {pair: index[Point(*pair, 0)] for pair in pairs}
+        # same[t][s]: the r with r.P the third point of t.P and s.P, or -1
+        same = [[-1] * order for _ in ident]
+        for t in ident:
+            for s in ident:
+                d = mul[s][inv[t]]
+                if group.element_order(d) == 3:
+                    same[t][s] = mul[d][s]
+        for P in pairs:
+            p0 = offset[P]
+            for Q in pairs:
+                q0 = offset[Q]
+                shared = set(P) & set(Q)
+                if len(shared) == 2:
+                    for t in ident:
+                        third[p0 + t][q0:q0 + order] = [
+                            -1 if r < 0 else ids[p0 + r] for r in same[t]
+                        ]
+                    continue
+                if not shared:
+                    continue
+                # orient t.P as a.(x, m) and s.Q as b.(m, y)
+                (m,) = shared
+                amap, x = (ident, P[0]) if P[1] == m else (inv, P[1])
+                bmap, y = (ident, Q[1]) if Q[0] == m else (inv, Q[0])
+                r0, cmap = (offset[x, y], ident) if x < y else (offset[y, x], inv)
+                for t in ident:
+                    row_a = mul[amap[t]]
+                    third[p0 + t][q0:q0 + order] = [ids[r0 + cmap[row_a[b]]] for b in bmap]
+        _check_lines(third)
         self.third: list[list[int]] = third
 
     # -- lines ---------------------------------------------------------------
@@ -278,8 +317,31 @@ def third_point(sp: FischerSpace, p: Point, q: Point) -> Optional[Point]:
     return sp.points[r] if r >= 0 else None
 
 
+def third_point_by_conjugation(sp: FischerSpace, p: Point, q: Point) -> Optional[Point]:
+    """Third point by literal conjugation in the wreath group; the oracle.
+
+    p and q are joined iff their product has order three, and then the
+    third point is p conjugated by q.
+    """
+    if p == q:
+        raise ValueError("third point needs two distinct points")
+    group, n = sp.base, sp.n
+    ep, eq = point_to_elem(group, n, p), point_to_elem(group, n, q)
+    order = w_order(group, w_mul(group, ep, eq))
+    if order > 3:
+        raise ThreeTranspositionError(
+            f"points {p} and {q} generate an element of order {order}"
+        )
+    if order < 3:
+        return None
+    r = elem_to_point(group, w_conj(group, ep, eq))
+    if r is None:
+        raise ThreeTranspositionError("conjugate left the transposition class")
+    return r
+
+
 def third_point_by_formula(sp: FischerSpace, p: Point, q: Point) -> Optional[Point]:
-    """Closed-formula third point; the independent oracle for conjugation.
+    """Closed-formula third point of one pair; the table uses the same formulas.
 
     Lines either join t.(i,j), s.(j,k) to (ts).(i,k) across overlapping
     position pairs, or join t.(i,j), s.(i,j) to (s t^-1 s).(i,j) when

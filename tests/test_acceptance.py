@@ -26,7 +26,13 @@ from matsuo.classify import (
 )
 from matsuo.cli import main as cli_main
 from matsuo.closure import ScalarMode, close, evaluate_vec, reclose, specialized_dimension
-from matsuo.fischer import build_named_space, is_space_automorphism, third_point_by_formula
+from matsuo.fischer import (
+    build_named_space,
+    is_space_automorphism,
+    third_point,
+    third_point_by_conjugation,
+    third_point_by_formula,
+)
 from matsuo.flips import (
     FIXED_DIM_FORMULA,
     FLIP_FAMILIES,
@@ -84,22 +90,19 @@ def test_criterion_2_third_point_oracle_equivalence():
             if family == "A" and n < 3:
                 continue
             sp = build_named_space(family, n)
-            if len(sp.points) <= 30:
+            if len(sp.points) <= 60:
                 spaces.append(sp)
     pairs = 0
     for sp in spaces:
-        npts = len(sp.points)
-        for p in range(npts):
-            for q in range(p + 1, npts):
-                want = sp.third[p][q]
-                got = third_point_by_formula(sp, sp.points[p], sp.points[q])
-                if want < 0:
-                    assert got is None
-                else:
-                    assert got == sp.points[want]
-                pairs += 1
-    report(2, f"formula oracle equals wreath conjugation on {pairs} pairs"
-              f" across {len(spaces)} spaces")
+        for a in sp.points:
+            for b in sp.points:
+                if a != b:
+                    want = third_point_by_conjugation(sp, a, b)
+                    assert third_point(sp, a, b) == want
+                    assert third_point_by_formula(sp, a, b) == want
+                    pairs += 1
+    report(2, f"third-point table and closed formula equal wreath conjugation"
+              f" on {pairs} ordered pairs across {len(spaces)} spaces")
 
 
 def test_criterion_3_fusion_suites():
@@ -215,6 +218,22 @@ def test_criterion_6_flip_dimensions():
     assert data["flip_dim_symbolic"] == 90 and data["flip_dims_at"] == {"2": 89}
     report(6, f"flip dimensions {results}; eta=2 drops 30->29 and 90->89"
               " via evaluated closures and specialize-last double entry")
+
+
+def test_criterion_6_flip_dimensions_k3():
+    # the families under 200 points at k = 3; each flip algebra is its whole
+    # fixed subalgebra, W3A included (at k = 2 it is one short)
+    results = {}
+    for family, expected in [
+        ("W2A", 18), ("W3A", 24), ("W2D", 33),
+        ("WrA4", 96), ("WrA4o", 99), ("Wr3x3", 72),
+    ]:
+        tau = get_flip(family, 3)
+        sym = flip_subalgebra(tau.space, tau, SYM)
+        assert sym.dimension == expected, (family, sym.dimension)
+        assert sym.dimension == classify_orbits(tau.space, tau).orbit_count()
+        results[family] = sym.dimension
+    report(6, f"k = 3 flip dimensions {results} equal the fixed dimensions")
 
 
 def test_criterion_7_critical_values():

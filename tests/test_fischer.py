@@ -1,4 +1,4 @@
-"""Fischer spaces: counts, lines, the third-point map and its oracle,
+"""Fischer spaces: counts, lines, the third-point table and its oracles,
 diagrams and their canonical codes, automorphism checks."""
 
 import pytest
@@ -18,9 +18,10 @@ from matsuo.fischer import (
     point_degree,
     point_orbits,
     third_point,
+    third_point_by_conjugation,
     third_point_by_formula,
 )
-from matsuo.groups import builtin_group, load_cayley_table
+from matsuo.groups import builtin_group, dump_cayley_table, load_cayley_table
 
 SMALL_SPACES = [
     ("A", 4), ("A", 5), ("W2A", 3), ("W2A", 4), ("W3A", 3), ("W3A", 4),
@@ -119,19 +120,43 @@ class TestThirdPoint:
                 if r >= 0:
                     assert sp.third[p][r] == q and sp.third[q][r] == p
 
-    @pytest.mark.parametrize("family,n", SMALL_SPACES)
+    @pytest.mark.parametrize("family,n", SMALL_SPACES + [
+        ("W3D", 4), ("WrA4", 3), ("Wr3x3", 4),
+    ])
     def test_formula_oracle_matches_conjugation(self, family, n):
-        sp = build_named_space(family, n)
-        if len(sp.points) > 30:
-            pytest.skip("oracle sweep is for small spaces")
-        for p in range(len(sp.points)):
-            for q in range(p + 1, len(sp.points)):
-                want = sp.third[p][q]
-                got = third_point_by_formula(sp, sp.points[p], sp.points[q])
-                if want < 0:
-                    assert got is None
-                else:
-                    assert got == sp.points[want]
+        assert_third_points_match_conjugation(build_named_space(family, n))
+
+    def test_shuffled_group_indices_match_conjugation(self):
+        # S3 with its non-identity elements indexed out of the catalog order,
+        # so inverses and block orientations land on other indices
+        s3 = builtin_group("S3")
+        order = [s3.index_of(x) for x in ("1", "f^2*e", "f", "e", "f^2", "f*e")]
+        text = "\n".join(
+            ["order 6", " ".join(s3.labels[a] for a in order)]
+            + [" ".join(s3.labels[s3.mul(a, b)] for b in order) for a in order]
+        )
+        shuffled = load_cayley_table(text, name="S3-shuffled")
+        assert shuffled.inv != s3.inv
+        sp = build_wreath_space(shuffled, 4)
+        assert sp.line_count() == build_named_space("W3D", 4).line_count()
+        assert_third_points_match_conjugation(sp)
+
+    def test_line_check_rejects_misoriented_table(self):
+        # a wrong inverse map misorients the blocks; the line check catches it
+        s3 = load_cayley_table(dump_cayley_table(builtin_group("S3")), name="S3")
+        s3.inv = tuple(range(s3.order))
+        with pytest.raises(ThreeTranspositionError, match="not a line set"):
+            build_wreath_space(s3, 3)
+
+
+def assert_third_points_match_conjugation(sp):
+    """The table and the closed formula both equal literal conjugation."""
+    for a in sp.points:
+        for b in sp.points:
+            if a != b:
+                want = third_point_by_conjugation(sp, a, b)
+                assert third_point(sp, a, b) == want, (a, b)
+                assert third_point_by_formula(sp, a, b) == want, (a, b)
 
 
 def test_make_point_normalizes():
