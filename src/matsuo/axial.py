@@ -11,15 +11,22 @@ echelonized in coordinates on the subalgebra basis; primitivity is the rank
 of b -> x*b - b.  A product of eigenvectors obeys a fusion cell iff prod
 over allowed nu of (ad_x - nu) kills it, and its component on part k is its
 image under P_k; the Miyamoto involution is I - 2 * P_odd for the eta part.
+
+Over Q(eta) with a rational axis, rational basis rows and eigenvalues of
+degree <= 1 in eta, every cell check is a vector of polynomials in eta of
+bounded degree, so a passing law is certified by integer arithmetic at a
+few even values of eta (see ``check_fusion``); violations are always found
+and reported over Q(eta).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Iterable, Optional, Sequence
 
 from .algebra import Vec, vec_add_scaled, vec_product, vec_scale
 from .closure import EchelonBasis, ScalarMode, Subalgebra
@@ -129,25 +136,29 @@ def _project(sp: FischerSpace, x: Vec, w: Vec, values: tuple, k: int, half) -> V
     return vec_scale(_ad_poly(sp, x, w, others, half), scale)
 
 
-def _image(algebra: Subalgebra, x: Vec, roots: Sequence) -> EchelonBasis:
-    """Span of prod over nu in roots of (ad_x - nu) on the subalgebra.
+def _image(algebra: Subalgebra, x: Vec, roots: Sequence) -> tuple[EchelonBasis, list[int]]:
+    """Span of prod over nu in roots of (ad_x - nu) on the subalgebra, and
+    the basis rows whose images grew it.
 
     Each image enters as its coordinates on the subalgebra basis with the
     index reversed (c -> d - 1 - c).  EchelonBasis keeps leftmost pivots and
     fully reduced rows, so back in the basis order its rows are the unique
-    reduced basis of the span with rightmost pivots.
+    reduced basis of the span with rightmost pivots.  The images of the
+    recorded rows are independent and span it too.
     """
     if algebra.coordinates(x) is None:
         raise ValueError("the axis does not lie in the subalgebra")
     half = algebra.mode.half_eta()
     last = algebra.dimension - 1
     span = EchelonBasis(algebra.mode)
-    for row in algebra.basis.rows:
+    sources = []
+    for a, row in enumerate(algebra.basis.rows):
         coords = algebra.coordinates(_ad_poly(algebra.space, x, row, roots, half))
         if coords is None:
             raise ValueError("adjoint image left the subalgebra; not closed")
-        span.insert({last - c: v for c, v in enumerate(coords) if v})
-    return span
+        if span.insert({last - c: v for c, v in enumerate(coords) if v}):
+            sources.append(a)
+    return span, sources
 
 
 @dataclass
@@ -158,6 +169,8 @@ class EigenDecomposition:
     axis: Vec
     eigenvalues: tuple
     parts: list[list[list]]  # per eigenvalue: list of coordinate vectors
+    # per eigenvalue: basis rows b_a whose images N_k(b_a) span the part
+    sources: list[list[int]]
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -175,7 +188,8 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
     spectrum: otherwise the nonzero image of prod over lambda of
     (ad_x - lambda) lies in every image.  Each image is then an eigenspace,
     given by its unit-free-variable kernel basis (rightmost pivots), sorted
-    by free column.
+    by free column; ``sources[k]`` lists the basis rows b_a whose images
+    N_k(b_a) form another basis of it.
 
     Raises when the image dimensions do not sum to the dimension of the
     subalgebra; the message gives the kernel dimensions of ad_x - lambda.
@@ -186,11 +200,13 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
     if len(spectrum) < 2 or len(set(spectrum)) < len(spectrum):
         raise ValueError("the spectrum needs two or more distinct values")
     d = algebra.dimension
-    images = [
-        _image(algebra, x, spectrum[:k] + spectrum[k + 1:]) for k in range(len(spectrum))
-    ]
+    images, sources = [], []
+    for k in range(len(spectrum)):
+        image, rows = _image(algebra, x, spectrum[:k] + spectrum[k + 1:])
+        images.append(image)
+        sources.append(rows)
     if sum(map(len, images)) != d:
-        dims = tuple(d - len(_image(algebra, x, (lam,))) for lam in spectrum)
+        dims = tuple(d - len(_image(algebra, x, (lam,))[0]) for lam in spectrum)
         raise AdjointNotDiagonalizableError(
             f"eigenspace dimensions {dims} sum to"
             f" {sum(dims)}, expected {d}; not an axis for this spectrum"
@@ -206,7 +222,7 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
                 vec[d - 1 - c] = v
             part.append(vec)
         parts.append(part)
-    return EigenDecomposition(algebra, x, spectrum, parts)
+    return EigenDecomposition(algebra, x, spectrum, parts, sources)
 
 
 # ---------------------------------------------------------------------------
@@ -270,39 +286,127 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
     product of (ad_x - nu) over the allowed eigenvalues nu kills its product
     (an empty cell asks for zero).  A failing pair gives one violation per
     disallowed part on which the product has a nonzero component.
+
+    In symbolic mode with a rational axis, rational basis rows and
+    eigenvalues of degree <= 1 in eta, a passing law is certified at integer
+    points first.  The images N_k(b_a) of the source rows of part k span it
+    (``eigen_decompose``), so by bilinearity every pair passes iff, for all
+    sources a of part lam and b of part mu, Q = N_lam(b_a) * N_mu(b_b) lies
+    in the subalgebra and prod over allowed nu of (ad_x - nu) kills it.  With
+    m eigenvalues, N_k has m - 1 factors of degree 1 in eta and the product
+    adds one, so the cell image of Q is a vector of polynomials in eta of
+    degree at most D = 2(m - 1) + 1 + the largest cell (10 for M, 7 for J);
+    the residual of Q modulo the rational unit-pivot rows is one of no
+    larger degree.  Both vanish identically iff they vanish at D + 1 points;
+    at eta = 2, 4, ..., 2(D + 1) eta/2 is an integer and nothing divides, so
+    the arithmetic stays in integers wherever the rows are integral.  If a
+    point fails, or the inputs do not qualify, the pairs are checked over
+    Q(eta), which alone reports violations.
     """
     dec = eigen_decompose(algebra, x, law.eigenvalues)
+    lowered = _rational_inputs(algebra, x, law)
+    if lowered is not None and _cells_vanish_at_points(dec, law, *lowered):
+        return FusionReport(law, dec, [])
     sp = algebra.space
     half = algebra.mode.half_eta()
     values = law.eigenvalues
-    column = count()
-    parts = [[(next(column), algebra.row_vector(v)) for v in part] for part in dec.parts]
+    parts = [[algebra.row_vector(v) for v in part] for part in dec.parts]
+    start = list(accumulate(map(len, parts), initial=0))
     violations: list[FusionViolation] = []
+    for li, mi, a, b, w in _pair_products(sp, parts, half):
+        if not algebra.contains(w):
+            raise ValueError("eigenvector product left the subalgebra")
+        allowed = law.allowed(li, mi)
+        if not _ad_poly(sp, x, w, [values[k] for k in sorted(allowed)], half):
+            continue
+        for k in range(len(values)):
+            if k not in allowed:
+                component = _project(sp, x, w, values, k, half)
+                if component:
+                    pair = (start[li] + a, start[mi] + b)
+                    violations.append(FusionViolation(li, mi, pair, k, component))
+    return FusionReport(law, dec, violations)
+
+
+def _pair_products(sp: FischerSpace, parts: Sequence[Sequence[Vec]], half):
+    """Each unordered pair of vectors from parts li <= mi, as (li, mi, a, b,
+    product) with a and b the positions of the factors in their parts."""
     for li, lpart in enumerate(parts):
         for mi in range(li, len(parts)):
-            allowed = law.allowed(li, mi)
-            roots = [values[k] for k in sorted(allowed)]
-            for a, (ia, u) in enumerate(lpart):
-                for ib, v in parts[mi][a if li == mi else 0:]:
-                    w = vec_product(sp, u, v, half)
-                    if not algebra.contains(w):
-                        raise ValueError("eigenvector product left the subalgebra")
-                    if not _ad_poly(sp, x, w, roots, half):
-                        continue
-                    for k in range(len(values)):
-                        if k not in allowed:
-                            component = _project(sp, x, w, values, k, half)
-                            if component:
-                                violations.append(
-                                    FusionViolation(li, mi, (ia, ib), k, component)
-                                )
-    return FusionReport(law, dec, violations)
+            mpart = parts[mi]
+            for a, u in enumerate(lpart):
+                for b in range(a if li == mi else 0, len(mpart)):
+                    yield li, mi, a, b, vec_product(sp, u, mpart[b], half)
+
+
+def _rational(v):
+    """A constant as an int when its denominator is 1, else a Fraction; None
+    when v involves eta."""
+    if isinstance(v, EtaScalar):
+        if not v.is_rational():
+            return None
+        v = v.as_fraction()
+    return v.numerator if v.denominator == 1 else v
+
+
+def _rational_inputs(
+    algebra: Subalgebra, x: Vec, law: FusionLaw
+) -> Optional[tuple[EchelonBasis, Vec]]:
+    """The subalgebra basis and the axis with rational coefficients, when
+    the point certificate of ``check_fusion`` applies; else None."""
+    if not algebra.mode.is_symbolic:
+        return None
+    for v in law.eigenvalues:
+        if not (isinstance(v, EtaScalar) and v.den.degree == 0 and v.num.degree <= 1):
+            return None
+    vecs = []
+    for vec in (x, *algebra.basis.rows):
+        lowered = {}
+        for k, v in vec.items():
+            c = _rational(v)
+            if c is None:
+                return None
+            lowered[k] = c
+        vecs.append(lowered)
+    # same pivots; constant rows reduce a vector evaluated at any eta
+    basis = copy.copy(algebra.basis)
+    basis.rows = vecs[1:]
+    return basis, vecs[0]
+
+
+def _certificate_points(law: FusionLaw) -> range:
+    """D + 1 even values of eta, with D = 2(m - 1) + 1 + the largest cell
+    bounding the eta-degree of every cell identity (see ``check_fusion``)."""
+    degree = 2 * (len(law.eigenvalues) - 1) + 1 + max(map(len, law.table.values()))
+    return range(2, 2 * (degree + 2), 2)
+
+
+def _cells_vanish_at_points(
+    dec: EigenDecomposition, law: FusionLaw, basis: EchelonBasis, x: Vec
+) -> bool:
+    """True iff at every certificate point each product of source images
+    lies in the span of the rational basis and its cell kills it."""
+    sp = dec.algebra.space
+    rows = basis.rows
+    for eta in _certificate_points(law):
+        half = eta // 2
+        values = [_rational(v.evaluate(eta)) for v in law.eigenvalues]
+        images = []
+        for k, sources in enumerate(dec.sources):
+            others = values[:k] + values[k + 1:]
+            images.append([_ad_poly(sp, x, rows[a], others, half) for a in sources])
+        for li, mi, _, _, w in _pair_products(sp, images, half):
+            roots = [values[k] for k in sorted(law.allowed(li, mi))]
+            if basis.reduce(w) or _ad_poly(sp, x, w, roots, half):
+                return False
+    return True
 
 
 def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
     """True iff the 1-eigenspace of ad_x inside the subalgebra is a line,
     i.e. b -> x*b - b has rank d - 1 on the basis rows."""
-    return algebra.dimension - len(_image(algebra, x, (algebra.mode.one(),))) == 1
+    span, _ = _image(algebra, x, (algebra.mode.one(),))
+    return algebra.dimension - len(span) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,39 @@ class TestFrobenius:
             )
 
 
+def int_det(matrix: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free Bareiss elimination
+    with row swaps; every division is exact."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for i in range(k + 1, n):
+            row, f = m[i], m[i][k]
+            m[i] = [0] * (k + 1) + [
+                (a * pivot - f * b) // prev for a, b in zip(row[k + 1:], top[k + 1:])
+            ]
+        prev = pivot
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def test_int_det_matches_bareiss_helper():
+    # random small integer matrices, some singular and some needing a swap
+    rng = random.Random(5)
+    for n in range(1, 7):
+        for _ in range(20):
+            matrix = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            poly = bareiss_det_int_poly([[[v] if v else [] for v in row] for row in matrix])
+            assert int_det(matrix) == (poly[0] if poly else 0)
+
+
 class TestGram:
     def test_single_point(self):
         sp = build_named_space("A", 3)
@@ -254,11 +287,10 @@ class TestGram:
         scale = None
         for eta0 in (3, 5):
             matrix = [
-                [[2] if i == j else ([eta0] if sp.third[i][j] >= 0 else [])
-                 for j in range(n)]
+                [2 if i == j else (eta0 if sp.third[i][j] >= 0 else 0) for j in range(n)]
                 for i in range(n)
             ]
-            exact = Fraction(bareiss_det_int_poly(matrix)[0])
+            exact = Fraction(int_det(matrix))
             value = det.evaluate(eta0)
             assert value != 0
             ratio = exact / value  # the content cleared by normalization

@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+import matsuo.axial as axial
 from matsuo.axial import (
     AdjointNotDiagonalizableError,
+    FusionLaw,
     ParameterDomainError,
     _ad_poly,
+    _certificate_points,
     check_fusion,
     check_primitive,
     eigen_decompose,
@@ -23,7 +26,14 @@ from matsuo.axial import (
 )
 from matsuo.algebra import _int_matrix_rank, frobenius_value, vec_product, vec_scale, vec_sub
 from matsuo.classify import enumerate_configs
-from matsuo.closure import EchelonBasis, ScalarMode, Subalgebra, UnsafeEtaError, close
+from matsuo.closure import (
+    EchelonBasis,
+    ScalarMode,
+    Subalgebra,
+    UnsafeEtaError,
+    _close_over_qeta,
+    close,
+)
 from matsuo.fischer import build_named_space, is_space_automorphism
 from matsuo.flips import (
     classify_orbits,
@@ -170,6 +180,13 @@ class TestEigenDecompose:
                 call()
 
 
+def tightened(law, cell, allowed):
+    """The law with one cell of its table replaced."""
+    table = dict(law.table)
+    table[cell] = frozenset(allowed)
+    return FusionLaw(law.name + "'", law.eigenvalues, table)
+
+
 class TestFusion:
     def test_line_jordan_passes(self):
         alg = line_algebra()
@@ -192,12 +209,7 @@ class TestFusion:
     def test_violations_are_reported_not_raised(self):
         # tighten the eta*eta cell to {0}: the line algebra violates it and
         # the offending 1-component is reported as data
-        from matsuo.axial import FusionLaw
-
-        good = jordan_law(SYM)
-        table = dict(good.table)
-        table[(2, 2)] = frozenset({1})
-        wrong = FusionLaw("J'", good.eigenvalues, table)
+        wrong = tightened(jordan_law(SYM), (2, 2), {1})
         alg = line_algebra()
         report = check_fusion(alg, {0: ONE}, wrong)
         assert not report.passed
@@ -210,12 +222,8 @@ class TestFusion:
         # tighten the eta*eta cell of M(2eta, eta) to {2eta}: the 1- and
         # eta-eigenspaces of a double axis are 2-dimensional, and each
         # violation carries the exact eigencomponent of the product
-        from matsuo.axial import FusionLaw
-
         good = monster_law(SYM)
-        table = dict(good.table)
-        table[(3, 3)] = frozenset({2})
-        wrong = FusionLaw("M'", good.eigenvalues, table)
+        wrong = tightened(good, (3, 3), {2})
         sp = build_named_space("A", 4)
         alg = full_algebra(sp)
         x = {sp.point_of_label("b(1,2)"): ONE, sp.point_of_label("b(3,4)"): ONE}
@@ -230,6 +238,213 @@ class TestFusion:
             lam = good.eigenvalues[v.offending_part]
             assert v.component
             assert vec_product(sp, x, v.component, half) == vec_scale(v.component, lam)
+
+
+@pytest.fixture
+def point_check(monkeypatch):
+    """Spy on the integer-point certificate: the list of its verdicts, one
+    per call, and a switch that forces it to report failure."""
+    real = axial._cells_vanish_at_points
+    verdicts = []
+
+    def spy(*args):
+        verdicts.append(False if spy.forced_off else real(*args))
+        return verdicts[-1]
+
+    spy.forced_off = False
+    spy.verdicts = verdicts
+    monkeypatch.setattr(axial, "_cells_vanish_at_points", spy)
+    return spy
+
+
+def exact_report(point_check, alg, x, law):
+    """check_fusion with the point certificate forced off: the Q(eta) loop."""
+    point_check.forced_off = True
+    try:
+        return check_fusion(alg, x, law)
+    finally:
+        point_check.forced_off = False
+
+
+def violation_keys(report):
+    return [
+        (v.lam_index, v.mu_index, v.pair, v.offending_part, v.component)
+        for v in report.violations
+    ]
+
+
+class TestFusionPointCertificate:
+    """The certificate at integer points against the pair loop over Q(eta)."""
+
+    @pytest.mark.parametrize(
+        "family,limit", [("W2A", None), ("W3A", None), ("W2D", 2), ("Wr3x3", 1)]
+    )
+    def test_passing_doubles_match_exact_loop(self, family, limit, point_check):
+        # every double of W2A and W3A, the first of W2D and of Wr3x3 (the
+        # benchmark's algebra), whose Q(eta) loops take seconds per double
+        tau = standard_flip(family, 2)
+        alg = flip_subalgebra(tau.space, tau, SYM)
+        law = monster_law(SYM)
+        doubles = classify_orbits(tau.space, tau).doubles[:limit]
+        assert doubles
+        for pair in doubles:
+            x = orbit_vector(pair, ONE)
+            fast = check_fusion(alg, x, law)
+            assert point_check.verdicts[-1] is True
+            exact = exact_report(point_check, alg, x, law)
+            assert fast.passed and exact.passed
+            assert fast.decomposition.dims == exact.decomposition.dims
+            assert fast.decomposition.parts == exact.decomposition.parts
+            assert fast.export() == exact.export()
+
+    @pytest.mark.parametrize("family,n", [("A", 4), ("W3A", 3)])
+    def test_passing_single_axes_match_exact_loop(self, family, n, point_check):
+        sp = build_named_space(family, n)
+        alg = full_algebra(sp)
+        law = jordan_law(SYM)
+        for p in range(len(sp.points)):
+            fast = check_fusion(alg, {p: ONE}, law)
+            assert point_check.verdicts[-1] is True
+            exact = exact_report(point_check, alg, {p: ONE}, law)
+            assert fast.passed and exact.passed
+            assert fast.decomposition.parts == exact.decomposition.parts
+            assert fast.export() == exact.export()
+
+    def test_tightened_laws_report_the_exact_violations(self, point_check):
+        sp = build_named_space("A", 4)
+        double = {sp.point_of_label("b(1,2)"): ONE, sp.point_of_label("b(3,4)"): ONE}
+        tau = standard_flip("W2A", 2)
+        flip = flip_subalgebra(tau.space, tau, SYM)
+        flip_double = orbit_vector(classify_orbits(tau.space, tau).doubles[0], ONE)
+        cases = [
+            (full_algebra(sp), double, tightened(monster_law(SYM), (3, 3), {2})),
+            (flip, flip_double, tightened(monster_law(SYM), (3, 3), {2})),
+            (line_algebra(), {0: ONE}, tightened(jordan_law(SYM), (2, 2), {1})),
+            (full_algebra(sp), {0: ONE}, tightened(jordan_law(SYM), (2, 2), {1})),
+            # the 1 * eta cell emptied: x * v = eta v is not zero
+            (full_algebra(sp), double, tightened(monster_law(SYM), (0, 3), ())),
+        ]
+        for alg, x, law in cases:
+            report = check_fusion(alg, x, law)
+            assert point_check.verdicts[-1] is False
+            exact = exact_report(point_check, alg, x, law)
+            assert not report.passed
+            assert violation_keys(report) == violation_keys(exact)
+            assert report.export() == exact.export()
+
+    def test_cell_vanishing_at_the_first_points_is_caught(self, point_check):
+        # spurious eigenvalues nu_i = eta + 1 - 2i (i = 2..5) have empty
+        # eigenspaces; allowed in the eta * eta cell next to 0, they make its
+        # polynomial on the line algebra eta (2 - eta) prod (2i - eta) times
+        # the axis, zero at eta = 2, 4, ..., 10 but not identically
+        law = jordan_law(SYM)
+        spurious = tuple(SYM.eta() + (1 - 2 * i) for i in range(2, 6))
+        table = dict(law.table)
+        table[(2, 2)] = frozenset({1, 3, 4, 5, 6})
+        for k in range(3, 7):
+            for j in range(k + 1):
+                table.setdefault((j, k), frozenset(range(7)))
+        wide = FusionLaw("J+", law.eigenvalues + spurious, table)
+        points = list(_certificate_points(wide))
+        assert points[:5] == [2, 4, 6, 8, 10] and len(points) > 5
+        report = check_fusion(line_algebra(), {0: ONE}, wide)
+        assert point_check.verdicts == [False]
+        assert report.decomposition.dims == (1, 1, 1, 0, 0, 0, 0)
+        assert [(v.lam_index, v.mu_index, v.offending_part) for v in report.violations] == [
+            (2, 2, 0)
+        ]
+
+    def test_product_leaving_the_subalgebra(self, point_check):
+        # the 1- and eta-eigenspaces of b(1,2) + b(3,4) in the full A:4
+        # algebra: a rational, ad_x-invariant span that is not closed, since
+        # (b(1,3) - b(2,4))^2 = b(1,3) + b(2,4)
+        sp = build_named_space("A", 4)
+        pt = sp.point_of_label
+        x = {pt("b(1,2)"): ONE, pt("b(3,4)"): ONE}
+        basis = EchelonBasis(SYM)
+        for vec in (
+            {pt("b(1,2)"): ONE},
+            {pt("b(3,4)"): ONE},
+            {pt("b(1,3)"): ONE, pt("b(2,4)"): -ONE},
+            {pt("b(1,4)"): ONE, pt("b(2,3)"): -ONE},
+        ):
+            basis.insert(vec)
+        alg = Subalgebra(sp, SYM, [], basis)
+        with pytest.raises(ValueError, match="left the subalgebra"):
+            check_fusion(alg, x, monster_law(SYM))
+        assert point_check.verdicts == [False]
+
+    def test_certificate_points(self):
+        # D + 1 points for the degree bound D = 2(m - 1) + 1 + largest cell
+        assert list(_certificate_points(monster_law(SYM))) == list(range(2, 23, 2))
+        assert list(_certificate_points(jordan_law(SYM))) == list(range(2, 17, 2))
+
+    def test_degree_bound_holds_symbolically(self):
+        # over Q(eta), the product of two source images and its cell image
+        # are polynomial vectors within the bound D, also for the tightened
+        # laws where the cell image is not zero; on the line algebra under
+        # J with (2,2) -> {1} it has degree D, so D points would not do
+        sp = build_named_space("A", 4)
+        double = {sp.point_of_label("b(1,2)"): ONE, sp.point_of_label("b(3,4)"): ONE}
+        tau = standard_flip("W2A", 2)
+        flip_double = orbit_vector(classify_orbits(tau.space, tau).doubles[0], ONE)
+        cases = [
+            (full_algebra(sp), double, monster_law(SYM)),
+            (full_algebra(sp), double, tightened(monster_law(SYM), (3, 3), {2})),
+            (flip_subalgebra(tau.space, tau, SYM), flip_double, monster_law(SYM)),
+            (line_algebra(), {0: ONE}, tightened(jordan_law(SYM), (2, 2), {1})),
+        ]
+        tops = []
+        for alg, x, law in cases:
+            bound = len(_certificate_points(law)) - 1
+            values = law.eigenvalues
+            dec = eigen_decompose(alg, x, values)
+            half = SYM.half_eta()
+            images = [
+                [
+                    _ad_poly(alg.space, x, alg.basis.rows[a], values[:k] + values[k + 1:], half)
+                    for a in sources
+                ]
+                for k, sources in enumerate(dec.sources)
+            ]
+            top = 0
+            for li in range(len(values)):
+                for mi in range(li, len(values)):
+                    roots = [values[k] for k in sorted(law.allowed(li, mi))]
+                    for u in images[li]:
+                        for v in images[mi]:
+                            w = vec_product(alg.space, u, v, half)
+                            for vec in (w, _ad_poly(alg.space, x, w, roots, half)):
+                                for c in vec.values():
+                                    assert c.den.degree == 0
+                                    top = max(top, c.num.degree)
+            assert 0 < top <= bound
+            tops.append((top, bound))
+        assert tops[-1] == (6, 6)
+
+    def test_skipped_without_rational_inputs(self, point_check):
+        sp = build_named_space("A", 4)
+        # evaluated mode
+        alg = full_algebra(sp, EV7)
+        one = EV7.one()
+        x = {sp.point_of_label("b(1,2)"): one, sp.point_of_label("b(3,4)"): one}
+        assert check_fusion(alg, x, monster_law(EV7)).passed
+        # an axis with an eta coefficient: the identity (a + b + c)/(1 + eta)
+        # of the line algebra, all of which is its 1-eigenspace
+        unit = EtaScalar.one() / (ONE + SYM.eta())
+        report = check_fusion(line_algebra(), {0: unit, 1: unit, 2: unit}, jordan_law(SYM))
+        assert report.passed and report.decomposition.dims == (3, 0, 0)
+        # a Q(eta) closure whose rows involve eta: the idempotent
+        # (a + b - eta c)/(1 + eta) on the line b(1,2), b(1,3), b(2,3) of A:5,
+        # next to the orthogonal point b(4,5)
+        sp5 = build_named_space("A", 5)
+        a, b, c, p = (sp5.point_of_label(s) for s in ("b(1,2)", "b(1,3)", "b(2,3)", "b(4,5)"))
+        e = {a: unit, b: unit, c: -SYM.eta() * unit}
+        alg5 = _close_over_qeta(sp5, [e, {p: ONE}])
+        assert alg5.dimension == 2
+        assert not all(v.is_rational() for row in alg5.basis.rows for v in row.values())
+        assert check_fusion(alg5, {p: ONE}, jordan_law(SYM)).passed
+        assert point_check.verdicts == []
 
 
 def shifted_adjoint_rank(alg, x) -> int:

@@ -1,7 +1,4 @@
-"""Smoke test: the quick demos run to completion.
-
-Demos 06 and 07 take several seconds each and are run by hand.
-"""
+"""Smoke test: every demo, 01 to 07, runs to completion in a few seconds."""
 
 import os
 import subprocess
@@ -11,11 +8,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-QUICK_DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
+QUICK_DEMOS = sorted((ROOT / "demos").glob("0[1-7]_*.py"))
 
 
 def test_quick_demos_found():
-    assert len(QUICK_DEMOS) == 5
+    assert len(QUICK_DEMOS) == 7
 
 
 @pytest.mark.parametrize("demo", QUICK_DEMOS, ids=lambda p: p.stem)
