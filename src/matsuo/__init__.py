@@ -37,7 +37,6 @@ from .fischer import (
     point_degree,
     third_point,
     third_point_by_conjugation,
-    third_point_by_formula,
 )
 from .algebra import (
     AlgebraVector,

@@ -16,9 +16,19 @@ from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .fischer import FischerSpace, point_orbits
-from .scalars import HALF_ETA, EtaPoly, EtaScalar, _int_mul, _int_trim, rational_roots
+from .scalars import (
+    HALF_ETA,
+    EtaPoly,
+    EtaScalar,
+    _int_mul,
+    _int_trim,
+    as_eta_scalar,
+    rational_roots,
+)
 
 Vec = dict  # point index -> scalar of the active mode
+
+_ONE = EtaScalar.one()
 
 
 class SpectrumNotRationalError(ValueError):
@@ -122,28 +132,21 @@ def frobenius_value(sp: FischerSpace, u: Vec, v: Vec, half_eta, one):
 
 @dataclass
 class AlgebraVector:
-    """Sparse element of the Matsuo algebra of a space."""
+    """Sparse element of the Matsuo algebra over Q(eta), with EtaScalar values."""
 
     space: FischerSpace
     coeffs: Vec
 
     def __post_init__(self):
-        self.coeffs = {k: v for k, v in self.coeffs.items() if v}
+        self.coeffs = {k: as_eta_scalar(v) for k, v in self.coeffs.items() if v}
 
     @classmethod
-    def from_point(cls, sp: FischerSpace, p: int, one=None) -> "AlgebraVector":
-        if one is None:
-            one = EtaScalar.one()
-        return cls(sp, {p: one})
+    def from_point(cls, sp: FischerSpace, p: int) -> "AlgebraVector":
+        return cls(sp, {p: _ONE})
 
     @classmethod
-    def from_labels(cls, sp: FischerSpace, labels: Sequence[str], one=None) -> "AlgebraVector":
-        if one is None:
-            one = EtaScalar.one()
-        coeffs: Vec = {}
-        for lab in labels:
-            coeffs[sp.point_of_label(lab)] = one
-        return cls(sp, coeffs)
+    def from_labels(cls, sp: FischerSpace, labels: Sequence[str]) -> "AlgebraVector":
+        return cls(sp, {sp.point_of_label(lab): _ONE for lab in labels})
 
     def _check(self, other: "AlgebraVector") -> None:
         if other.space is not self.space:
@@ -152,7 +155,7 @@ class AlgebraVector:
     def __add__(self, other: "AlgebraVector") -> "AlgebraVector":
         self._check(other)
         out = dict(self.coeffs)
-        vec_add_scaled(out, other.coeffs, _one_like(self, other))
+        vec_add_scaled(out, other.coeffs, _ONE)
         return AlgebraVector(self.space, out)
 
     def __sub__(self, other: "AlgebraVector") -> "AlgebraVector":
@@ -161,16 +164,15 @@ class AlgebraVector:
 
     def __mul__(self, other: "AlgebraVector") -> "AlgebraVector":
         self._check(other)
-        half = _half_eta_like(self, other)
-        return AlgebraVector(self.space, vec_product(self.space, self.coeffs, other.coeffs, half))
+        product = vec_product(self.space, self.coeffs, other.coeffs, HALF_ETA)
+        return AlgebraVector(self.space, product)
 
     def scaled(self, scalar) -> "AlgebraVector":
         return AlgebraVector(self.space, vec_scale(self.coeffs, scalar))
 
     def form(self, other: "AlgebraVector"):
         self._check(other)
-        half = _half_eta_like(self, other)
-        return frobenius_value(self.space, self.coeffs, other.coeffs, half, _one_like(self, other))
+        return frobenius_value(self.space, self.coeffs, other.coeffs, HALF_ETA, _ONE)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -187,30 +189,9 @@ class AlgebraVector:
         return " + ".join(parts)
 
 
-def _scalar_kind(vec: AlgebraVector):
-    for v in vec.coeffs.values():
-        return v
-    return None
-
-
-def _half_eta_like(u: AlgebraVector, v: AlgebraVector):
-    probe = _scalar_kind(u) or _scalar_kind(v)
-    if isinstance(probe, Fraction):
-        raise ValueError("evaluated-mode vectors need an explicit eta; use vec_product")
-    return HALF_ETA
-
-
-def _one_like(u: AlgebraVector, v: AlgebraVector):
-    probe = _scalar_kind(u) or _scalar_kind(v)
-    if isinstance(probe, Fraction):
-        return Fraction(1)
-    return EtaScalar.one()
-
-
 def axis_product(sp: FischerSpace, p: int, q: int) -> AlgebraVector:
     """Product of two basis points as a symbolic vector."""
-    one = EtaScalar.one()
-    return AlgebraVector(sp, vec_product(sp, {p: one}, {q: one}, HALF_ETA))
+    return AlgebraVector(sp, vec_product(sp, {p: _ONE}, {q: _ONE}, HALF_ETA))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ over allowed nu of (ad_x - nu) kills it, and its component on part k is its
 image under P_k; the Miyamoto involution is I - 2 * P_odd for the eta part.
 
 Over Q(eta) with a rational axis, rational basis rows and eigenvalues of
-degree <= 1 in eta, every cell check is a vector of polynomials in eta of
+degree <= 1 in eta (``scalars.rational_vec`` and ``is_linear_in_eta``
+decide), every cell check is a vector of polynomials in eta of
 bounded degree, so a passing law is certified by integer arithmetic at a
 few even values of eta (see ``check_fusion``); violations are always found
 and reported over Q(eta).
@@ -31,7 +32,14 @@ from typing import Iterable, Optional, Sequence
 from .algebra import Vec, vec_add_scaled, vec_product, vec_scale
 from .closure import EchelonBasis, ScalarMode, Subalgebra
 from .fischer import FischerSpace, verified_reflection
-from .scalars import HALF_ETA, EtaScalar
+from .scalars import (
+    HALF_ETA,
+    EtaScalar,
+    as_eta_scalar,
+    is_linear_in_eta,
+    rational_value,
+    rational_vec,
+)
 
 
 class AdjointNotDiagonalizableError(ValueError):
@@ -339,34 +347,18 @@ def _pair_products(sp: FischerSpace, parts: Sequence[Sequence[Vec]], half):
                     yield li, mi, a, b, vec_product(sp, u, mpart[b], half)
 
 
-def _rational(v):
-    """A constant as an int when its denominator is 1, else a Fraction; None
-    when v involves eta."""
-    if isinstance(v, EtaScalar):
-        if not v.is_rational():
-            return None
-        v = v.as_fraction()
-    return v.numerator if v.denominator == 1 else v
-
-
 def _rational_inputs(
     algebra: Subalgebra, x: Vec, law: FusionLaw
 ) -> Optional[tuple[EchelonBasis, Vec]]:
     """The subalgebra basis and the axis with rational coefficients, when
     the point certificate of ``check_fusion`` applies; else None."""
-    if not algebra.mode.is_symbolic:
+    if not algebra.mode.is_symbolic or not all(map(is_linear_in_eta, law.eigenvalues)):
         return None
-    for v in law.eigenvalues:
-        if not (isinstance(v, EtaScalar) and v.den.degree == 0 and v.num.degree <= 1):
-            return None
     vecs = []
     for vec in (x, *algebra.basis.rows):
-        lowered = {}
-        for k, v in vec.items():
-            c = _rational(v)
-            if c is None:
-                return None
-            lowered[k] = c
+        lowered = rational_vec(vec)
+        if lowered is None:
+            return None
         vecs.append(lowered)
     # same pivots; constant rows reduce a vector evaluated at any eta
     basis = copy.copy(algebra.basis)
@@ -390,7 +382,7 @@ def _cells_vanish_at_points(
     rows = basis.rows
     for eta in _certificate_points(law):
         half = eta // 2
-        values = [_rational(v.evaluate(eta)) for v in law.eigenvalues]
+        values = [rational_value(as_eta_scalar(v).evaluate(eta)) for v in law.eigenvalues]
         images = []
         for k, sources in enumerate(dec.sources):
             others = values[:k] + values[k + 1:]

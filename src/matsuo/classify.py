@@ -292,7 +292,6 @@ def classify(
         enumerate_configs(sp, sampling=sampling, first_point=first_point)
     )
     buckets: dict[int, dict] = {}
-    results: list[tuple[TypeDConfig, int, dict]] = []
     workers = worker_count()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -301,21 +300,20 @@ def classify(
             evals = list(pool.map(_evaluate_for_pool, [(sp, c, mode) for c in configs]))
     else:
         evals = [evaluate_config(sp, c, mode) for c in configs]
+    samples: dict[tuple[int, int], TypeDConfig] = {}  # (code, dim) -> first config
     for cfg, data in zip(configs, evals):
-        code = canonical_diagram(cfg.diagram(sp))
-        results.append((cfg, code, data))
-    for cfg, code, data in results:
-        bucket = buckets.setdefault(
-            code,
-            {
-                "connected": cfg.diagram(sp).is_connected(),
+        diagram = cfg.diagram(sp)
+        code = canonical_diagram(diagram)
+        bucket = buckets.get(code)
+        if bucket is None:
+            bucket = buckets[code] = {
+                "connected": diagram.is_connected(),
                 "examined": 0,
                 "dims": {},
                 "primitive_dims": {},
                 "samples": {},
                 "certified": {},
-            },
-        )
+            }
         bucket["examined"] += 1
         dim = data["dim"]
         bucket["dims"][dim] = bucket["dims"].get(dim, 0) + 1
@@ -323,18 +321,13 @@ def classify(
             bucket["primitive_dims"][dim] = bucket["primitive_dims"].get(dim, 0) + 1
         if dim not in bucket["samples"]:
             bucket["samples"][dim] = _config_json(sp, cfg)
-            bucket["samples"][dim]["_cfg"] = (cfg.a, cfg.bc, cfg.de)
+            samples[code, dim] = cfg
     if recertify_symbolic:
         sym_mode = ScalarMode.symbolic()
-        for code, bucket in buckets.items():
-            for dim, sample in bucket["samples"].items():
-                a, bc, de = sample["_cfg"]
-                cfg = TypeDConfig(a, bc, de)
-                sym = close(sp, cfg.generators(sym_mode), sym_mode)
-                bucket["certified"][dim] = sym.dimension == dim
+        for (code, dim), cfg in samples.items():
+            sym = close(sp, cfg.generators(sym_mode), sym_mode)
+            buckets[code]["certified"][dim] = sym.dimension == dim
     for bucket in buckets.values():
-        for sample in bucket["samples"].values():
-            sample.pop("_cfg", None)
         if not bucket["connected"]:
             bucket["classification"] = "disconnected"
         else:

@@ -11,8 +11,9 @@ instead of run over Q(eta): the worklist runs over Q at eta1 = 7, and if the
 resulting span E is closed under the coordinatewise (Hadamard) product, E
 tensored with Q(eta) is the symbolic closure (the proof is in ``close``).
 eta1 need not be safe for the space, because ``vec_product`` has no poles.
-The Q(eta) worklist still runs when a generator coefficient involves eta, or
-when the check fails at eta1.
+The Q(eta) worklist still runs when a generator coefficient involves eta
+(``scalars.rational_vec`` decides), or when the check fails at eta1.  Pivots
+are chosen in one place, ``EchelonBasis.insert``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,15 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import Vec, critical_values, vec_add_scaled, vec_hadamard, vec_product
 from .fischer import FischerSpace
-from .scalars import HALF_ETA, EtaPoly, EtaScalar, PoleError, poly_lcm
+from .scalars import (
+    HALF_ETA,
+    EtaPoly,
+    EtaScalar,
+    PoleError,
+    as_eta_scalar,
+    poly_lcm,
+    rational_vec,
+)
 
 
 class UnsafeEtaError(ValueError):
@@ -139,16 +148,10 @@ class EchelonBasis:
 
     def coordinates(self, vec: Vec) -> Optional[list]:
         """Coefficients of vec on the rows, or None if vec is outside the span."""
-        work = dict(vec)
-        coords = [self.mode.zero()] * len(self.rows)
-        for col, coef in vec.items():
-            ridx = self.row_of_pivot.get(col)
-            if ridx is not None:
-                coords[ridx] = coef
-                vec_add_scaled(work, self.rows[ridx], -coef)
-        if work:
+        if self.reduce(vec):
             return None
-        return coords
+        zero = self.mode.zero()
+        return [vec.get(pivot, zero) for pivot in self.pivot_of_row]
 
     def contains(self, vec: Vec) -> bool:
         return not self.reduce(vec)
@@ -188,28 +191,11 @@ class EchelonBasis:
         Independent of insertion order and of the pivot choice;
         suitable for exact basis comparisons.
         """
-        canon: list[Vec] = []
-        pivots: list[int] = []
-        for vec in self.rows:
-            work = dict(vec)
-            for row, piv in zip(canon, pivots):
-                coef = work.get(piv)
-                if coef:
-                    vec_add_scaled(work, row, -coef)
-            if not work:
-                continue
-            piv = min(work)
-            inv = self.mode.one() / work[piv]
-            newrow = {k: v * inv for k, v in work.items()}
-            newrow[piv] = self.mode.one()
-            for row in canon:
-                coef = row.get(piv)
-                if coef:
-                    vec_add_scaled(row, newrow, -coef)
-            canon.append(newrow)
-            pivots.append(piv)
-        order = sorted(range(len(canon)), key=lambda i: pivots[i])
-        return tuple(tuple(sorted(canon[i].items())) for i in order)
+        canon = EchelonBasis(self.mode)
+        for row in self.rows:
+            canon.insert(row)
+        order = sorted(range(len(canon)), key=canon.pivot_of_row.__getitem__)
+        return tuple(tuple(sorted(canon.rows[r].items())) for r in order)
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +317,21 @@ def close(
     constants, and E's product count.  eta1 need not be safe for the space,
     since ``vec_product`` has no poles.  When the check fails (eta1
     degenerates the closure), or a generator coefficient involves eta, the
-    Q(eta) worklist runs.
+    Q(eta) worklist runs.  Zero coefficients are dropped from the
+    generators, which must stay nonzero.
     """
-    gen_list = [dict(g) for g in gens]
+    gen_list = [{k: v for k, v in g.items() if v} for g in gens]
     if roles is None:
         roles = ["custom"] * len(gen_list)
     if any(not g for g in gen_list):
         raise ValueError("generators must be nonzero")
     generators = list(zip(gen_list, roles))
-    if mode.is_symbolic and all(_is_constant(v) for g in gen_list for v in g.values()):
-        ev_gens = [evaluate_vec(g, DEFAULT_SEARCH_ETA) for g in gen_list]
-        basis, products = _worklist(sp, ev_gens, ScalarMode.evaluated(DEFAULT_SEARCH_ETA))
-        if basis.is_hadamard_closed():
-            return Subalgebra(sp, mode, generators, _lift_basis(basis), products)
+    if mode.is_symbolic:
+        lowered = [rational_vec(g) for g in gen_list]
+        if all(g is not None for g in lowered):
+            basis, products = _worklist(sp, lowered, ScalarMode.evaluated(DEFAULT_SEARCH_ETA))
+            if basis.is_hadamard_closed():
+                return Subalgebra(sp, mode, generators, _lift_basis(basis), products)
     return Subalgebra(sp, mode, generators, *_worklist(sp, gen_list, mode))
 
 
@@ -377,10 +365,6 @@ def _worklist(
     except PoleError as exc:
         raise UnsafeEtaError(f"pole during evaluated-mode closure: {exc}") from exc
     return basis, products
-
-
-def _is_constant(v) -> bool:
-    return isinstance(v, (int, Fraction)) or isinstance(v, EtaScalar) and v.is_rational()
 
 
 def _lift_basis(basis: EchelonBasis) -> EchelonBasis:
@@ -462,10 +446,7 @@ def evaluate_vec(vec: Vec, eta0) -> Vec:
     eta0 = Fraction(eta0)
     out: Vec = {}
     for k, v in vec.items():
-        if isinstance(v, (EtaScalar, EtaPoly)):
-            val = v.evaluate(eta0)
-        else:
-            val = Fraction(v)
+        val = as_eta_scalar(v).evaluate(eta0)
         if val:
             out[k] = val
     return out
@@ -477,17 +458,11 @@ def evaluate_vec(vec: Vec, eta0) -> Vec:
 
 def _poly_vec(vec: Vec) -> dict[int, EtaPoly]:
     """Clear a sparse vector to polynomial coefficients (row-wise lcm)."""
+    scalars = {k: as_eta_scalar(v) for k, v in vec.items()}
     lcm = EtaPoly.one()
-    for v in vec.values():
-        if isinstance(v, EtaScalar):
-            lcm = poly_lcm(lcm, v.den)
-    out: dict[int, EtaPoly] = {}
-    for k, v in vec.items():
-        if isinstance(v, EtaScalar):
-            out[k] = v.num * (lcm // v.den)
-        else:
-            out[k] = EtaPoly.constant(Fraction(v))
-    return out
+    for v in scalars.values():
+        lcm = poly_lcm(lcm, v.den)
+    return {k: v.num * (lcm // v.den) for k, v in scalars.items()}
 
 
 # Candidates for the certifying point eta1: integers from _ETA1_START up,

@@ -2,10 +2,11 @@
 
 Points are the class elements t.(i,j) = t_i t_j^-1 (i,j) of T wr S_n; two
 points are collinear when their product has order three, and the third point
-of their line is the conjugate of one by the other.  The third-point table is
-filled block by block, one block per pair of position pairs, from the closed
-formulas; literal conjugation inside the wreath group is kept as the
-independent per-pair oracle `third_point_by_conjugation`.
+of their line is the conjugate of one by the other.  The closed formulas for
+it are applied in one place: they fill the third-point table block by block,
+one block per pair of position pairs, and `third_point` reads the table.
+Literal conjugation inside the wreath group is kept as the independent
+per-pair oracle `third_point_by_conjugation`.
 """
 
 from __future__ import annotations
@@ -252,10 +253,6 @@ class FischerSpace:
     def collinear(self, p: int, q: int) -> bool:
         return self.third[p][q] >= 0
 
-    def third_index(self, p: int, q: int) -> Optional[int]:
-        r = self.third[p][q]
-        return r if r >= 0 else None
-
     def degree(self, p: int) -> int:
         """Number of lines through point p."""
         partners = sum(1 for r in self.third[p] if r >= 0)
@@ -338,40 +335,6 @@ def third_point_by_conjugation(sp: FischerSpace, p: Point, q: Point) -> Optional
     if r is None:
         raise ThreeTranspositionError("conjugate left the transposition class")
     return r
-
-
-def third_point_by_formula(sp: FischerSpace, p: Point, q: Point) -> Optional[Point]:
-    """Closed-formula third point of one pair; the table uses the same formulas.
-
-    Lines either join t.(i,j), s.(j,k) to (ts).(i,k) across overlapping
-    position pairs, or join t.(i,j), s.(i,j) to (s t^-1 s).(i,j) when
-    s t^-1 has order three.
-    """
-    group = sp.base
-    if p == q:
-        raise ValueError("third point needs two distinct points")
-    shared = {p.i, p.j} & {q.i, q.j}
-    if len(shared) == 2:
-        # same position pair
-        t, s = p.t, q.t
-        st = group.mul(s, group.inverse(t))
-        if group.element_order(st) != 3:
-            return None
-        r = group.mul(group.mul(s, group.inverse(t)), s)
-        return make_point(group, r, p.i, p.j)
-    if len(shared) != 1:
-        return None
-    m = shared.pop()
-    # orient p as a.(x, m) and q as b.(m, y); then the third is (ab).(x, y)
-    if p.j == m:
-        a, x = p.t, p.i
-    else:
-        a, x = group.inverse(p.t), p.j
-    if q.i == m:
-        b, y = q.t, q.j
-    else:
-        b, y = group.inverse(q.t), q.i
-    return make_point(group, group.mul(a, b), x, y)
 
 
 def point_degree(sp: FischerSpace, p: Point) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Optional, Sequence
 
 from .algebra import Vec, vec_product
@@ -24,7 +25,7 @@ from .fischer import (
     make_point,
     w_conj,
 )
-from .groups import FiniteGroup, GroupAutomorphism, e27_mul
+from .groups import FiniteGroup, GroupAutomorphism, _cycle_label, e27_mul
 
 
 FLIP_FAMILIES = ("W2A", "W3A", "W2D", "WrA4", "WrA4o", "Wr3p2", "Wr3x3")
@@ -174,25 +175,6 @@ def _a4_inner_flip(sp: FischerSpace) -> tuple[int, ...]:
     return _conjugation_flip(sp, (tuple([sigma] * sp.n), perm))
 
 
-_A4_PERMS: list[tuple[int, ...]] = []
-_A4_INDEX: dict[tuple[int, ...], int] = {}
-
-
-def _init_a4_tables(group: FiniteGroup) -> None:
-    global _A4_PERMS, _A4_INDEX
-    if _A4_PERMS:
-        return
-    from itertools import permutations as _perms
-
-    from .groups import _cycle_label  # shared labelling
-
-    by_label = {}
-    for p in _perms(range(4)):
-        by_label[_cycle_label(p)] = p
-    _A4_PERMS = [by_label[lab] for lab in group.labels]
-    _A4_INDEX = {p: i for i, p in enumerate(_A4_PERMS)}
-
-
 def _e27_swap_automorphism(group: FiniteGroup) -> GroupAutomorphism:
     """u <-> v; w = [u, v] goes to its inverse.
 
@@ -249,15 +231,12 @@ def standard_flip(family: str, k: int) -> FlipInvolution:
         perm = _a4_inner_flip(sp)
     elif family == "WrA4o":
         # conjugation by the transposition (3,4); outer on A4
-        _init_a4_tables(sp.base)
+        by_label = {_cycle_label(p): p for p in permutations(range(4))}
+        perms = [by_label[lab] for lab in sp.base.labels]
+        index = {p: t for t, p in enumerate(perms)}
         swap = (0, 1, 3, 2)
-
-        def conj(t: int) -> int:
-            p = _A4_PERMS[t]
-            image = tuple(swap[p[swap[i]]] for i in range(4))
-            return _A4_INDEX[image]
-
-        alpha = GroupAutomorphism(sp.base, tuple(conj(t) for t in range(sp.base.order)))
+        conj = tuple(index[tuple(swap[p[swap[i]]] for i in range(4))] for p in perms)
+        alpha = GroupAutomorphism(sp.base, conj)
         perm = _letter_flip(sp, alpha, pi)
     elif family == "Wr3p2":
         alpha = _e27_swap_automorphism(sp.base)

@@ -360,7 +360,3 @@ class GroupAutomorphism:
 
 def identity_automorphism(group: FiniteGroup) -> GroupAutomorphism:
     return GroupAutomorphism(group, tuple(range(group.order)))
-
-
-def automorphism_from_map(group: FiniteGroup, mapping: Callable[[int], int]) -> GroupAutomorphism:
-    return GroupAutomorphism(group, tuple(mapping(x) for x in range(group.order)))

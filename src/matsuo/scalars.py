@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -617,6 +617,45 @@ def field_op(a: EtaScalar, b: EtaScalar, op: str) -> EtaScalar:
     if op == "div":
         return a / b
     raise ValueError(f"unknown field operation {op!r}")
+
+
+# ---------------------------------------------------------------------------
+# coefficient types: the one place that asks which kind a scalar is
+# ---------------------------------------------------------------------------
+
+def as_eta_scalar(v: ScalarLike) -> EtaScalar:
+    """v as an element of Q(eta)."""
+    return v if isinstance(v, EtaScalar) else EtaScalar(v)
+
+
+def rational_value(v: ScalarLike) -> Union[int, Fraction, None]:
+    """A constant as an int when it is integral, else as a Fraction; None
+    when v involves eta."""
+    if not isinstance(v, (int, Fraction)):
+        v = as_eta_scalar(v)
+        if not v.is_rational():
+            return None
+        v = v.as_fraction()
+    return v.numerator if v.denominator == 1 else v
+
+
+def rational_vec(vec: dict) -> Optional[dict]:
+    """A sparse vector's nonzero coefficients as rational values; None when
+    any coefficient involves eta."""
+    out = {}
+    for k, v in vec.items():
+        c = rational_value(v)
+        if c is None:
+            return None
+        if c:
+            out[k] = c
+    return out
+
+
+def is_linear_in_eta(v: ScalarLike) -> bool:
+    """True iff v = c0 + c1*eta with rational c0 and c1."""
+    v = as_eta_scalar(v)
+    return v.den.degree == 0 and v.num.degree <= 1
 
 
 # ---------------------------------------------------------------------------

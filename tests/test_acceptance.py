@@ -31,7 +31,6 @@ from matsuo.fischer import (
     is_space_automorphism,
     third_point,
     third_point_by_conjugation,
-    third_point_by_formula,
 )
 from matsuo.flips import (
     FIXED_DIM_FORMULA,
@@ -99,9 +98,8 @@ def test_criterion_2_third_point_oracle_equivalence():
                 if a != b:
                     want = third_point_by_conjugation(sp, a, b)
                     assert third_point(sp, a, b) == want
-                    assert third_point_by_formula(sp, a, b) == want
                     pairs += 1
-    report(2, f"third-point table and closed formula equal wreath conjugation"
+    report(2, f"third-point table equals wreath conjugation"
               f" on {pairs} ordered pairs across {len(spaces)} spaces")
 
 

@@ -108,6 +108,17 @@ class TestProducts:
         with pytest.raises(ValueError):
             _ = u * v
 
+    def test_vector_coefficients_are_lifted_to_q_eta(self):
+        sp = build_named_space("A", 3)
+        u = AlgebraVector(sp, {0: 1, 1: Fraction(0), 2: Fraction(1, 2)})
+        assert u.coeffs == {0: EtaScalar.one(), 2: EtaScalar(1, 2)}
+        assert all(type(c) is EtaScalar for c in u.coeffs.values())
+        a, b = AlgebraVector.from_point(sp, 0), AlgebraVector.from_point(sp, 1)
+        # (a0 + a2/2) * a1 on the line {0, 1, 2}
+        quarter_eta = EtaScalar(EtaPoly.eta(), 4)
+        assert (u * b).coeffs == {0: quarter_eta, 1: 3 * quarter_eta, 2: -quarter_eta}
+        assert (a + a).form(b) == EtaScalar.eta()
+
 
 def _vec_add(u, v):
     out = dict(u)

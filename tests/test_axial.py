@@ -557,6 +557,18 @@ class TestMiyamotoAlgebraMap:
                 composed = tuple(pb[pa[q]] for q in range(len(sp.points)))
                 assert mm.matrix == permutation_matrix_on(alg, composed)
 
+    def test_refuses_a_failing_law(self):
+        # with the eta*eta cell tightened to {2eta}, the map I - 2 P_eta of
+        # this double is still an involutive automorphism; only the fusion
+        # guard refuses it
+        sp = build_named_space("A", 4)
+        alg = full_algebra(sp)
+        x = {sp.point_of_label("b(1,2)"): ONE, sp.point_of_label("b(3,4)"): ONE}
+        wrong = tightened(monster_law(SYM), (3, 3), {2})
+        assert not check_fusion(alg, x, wrong).passed
+        with pytest.raises(ValueError, match="no Miyamoto involution"):
+            miyamoto_algebra_map(alg, x, wrong)
+
     def test_preserves_frobenius_form(self):
         alg = line_algebra()
         sp = alg.space

@@ -117,6 +117,21 @@ class TestClose:
         with pytest.raises(ValueError):
             close(sp, [{}], SYM)
 
+    @pytest.mark.parametrize("mode,zero,coef,route", [
+        (ScalarMode.evaluated(5), Fraction(0), Fraction(1), ScalarMode.evaluated(5)),
+        (SYM, EtaScalar.zero(), EtaScalar.eta(), SYM),  # the Q(eta) worklist
+        (SYM, EtaScalar.zero(), ONE, ScalarMode.evaluated(7)),  # the certified route
+    ])
+    def test_zero_coefficients_are_dropped(self, mode, zero, coef, route, worklist_modes):
+        # an explicit zero coefficient must not become a pivot
+        sp = build_named_space("A", 4)
+        alg = close(sp, [{0: zero, 1: coef}], mode)
+        assert worklist_modes == [route]
+        assert alg.generators == [({1: coef}, "custom")]
+        assert alg.basis.canonical_rows() == close(sp, [{1: coef}], mode).basis.canonical_rows()
+        with pytest.raises(ValueError, match="generators must be nonzero"):
+            close(sp, [{0: zero}], mode)
+
     def test_line_spans_three_dims(self):
         sp = line_space()
         alg = close(sp, [{0: ONE}, {1: ONE}, {2: ONE}], SYM)

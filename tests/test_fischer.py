@@ -19,7 +19,6 @@ from matsuo.fischer import (
     point_orbits,
     third_point,
     third_point_by_conjugation,
-    third_point_by_formula,
 )
 from matsuo.groups import builtin_group, dump_cayley_table, load_cayley_table
 
@@ -150,13 +149,12 @@ class TestThirdPoint:
 
 
 def assert_third_points_match_conjugation(sp):
-    """The table and the closed formula both equal literal conjugation."""
+    """The table, filled from the closed formulas, equals literal conjugation."""
     for a in sp.points:
         for b in sp.points:
             if a != b:
                 want = third_point_by_conjugation(sp, a, b)
                 assert third_point(sp, a, b) == want, (a, b)
-                assert third_point_by_formula(sp, a, b) == want, (a, b)
 
 
 def test_make_point_normalizes():

@@ -12,11 +12,15 @@ from matsuo.scalars import (
     EtaPoly,
     EtaScalar,
     PoleError,
+    as_eta_scalar,
     field_op,
     format_scalar,
+    is_linear_in_eta,
     parse_scalar,
     poly_gcd,
     rational_roots,
+    rational_value,
+    rational_vec,
     square_free_part,
 )
 
@@ -178,6 +182,38 @@ def scalars(max_deg=2, lo=-4, hi=4):
         lambda c: any(c)
     )
     return st.builds(lambda n, d: EtaScalar(EtaPoly(n), EtaPoly(d)), num, den)
+
+
+class TestCoefficientTypes:
+    def test_as_eta_scalar(self):
+        one = EtaScalar.one()
+        assert as_eta_scalar(one) is one
+        for v in (1, Fraction(1), EtaPoly.one()):
+            assert type(as_eta_scalar(v)) is EtaScalar and as_eta_scalar(v) == one
+        with pytest.raises(TypeError):
+            as_eta_scalar("1")
+
+    def test_rational_value(self):
+        for v, want in [
+            (3, 3), (Fraction(6, 2), 3), (EtaScalar(6, 2), 3), (poly(3), 3),
+            (Fraction(1, 2), Fraction(1, 2)), (EtaScalar(1, 2), Fraction(1, 2)),
+        ]:
+            got = rational_value(v)
+            assert got == want and type(got) is type(want), v
+        for v in (ETA, HALF_ETA, poly(0, 1), EtaScalar(1, poly(1, 1))):
+            assert rational_value(v) is None
+
+    def test_rational_vec(self):
+        vec = {0: EtaScalar.zero(), 1: EtaScalar(4, 2), 2: Fraction(1, 3), 3: 0}
+        assert rational_vec(vec) == {1: 2, 2: Fraction(1, 3)}
+        assert rational_vec({0: 1, 1: ETA}) is None
+        assert rational_vec({}) == {}
+
+    def test_is_linear_in_eta(self):
+        for v in (0, Fraction(2, 3), EtaScalar.zero(), ETA + 1, HALF_ETA, poly(1, 2)):
+            assert is_linear_in_eta(v), v
+        for v in (ETA * ETA, poly(0, 0, 1), EtaScalar(1, poly(1, 1))):
+            assert not is_linear_in_eta(v), v
 
 
 class TestFieldAxioms:
