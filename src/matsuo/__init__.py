@@ -18,6 +18,7 @@ from .groups import (
     FiniteGroup,
     GroupAutomorphism,
     GroupTableError,
+    automorphism_by_images,
     builtin_group,
     element_order,
     load_cayley_table,

@@ -107,8 +107,9 @@ def vec_product(sp: FischerSpace, u: Vec, v: Vec, half_eta) -> Vec:
     return out
 
 
-def frobenius_value(sp: FischerSpace, u: Vec, v: Vec, half_eta, one):
-    """Bilinear extension of the basis form (1 / 0 / eta/2)."""
+def frobenius_value(sp: FischerSpace, u: Vec, v: Vec, half_eta):
+    """Bilinear extension of the basis form (1 / 0 / eta/2); a zero of the
+    type of half_eta when no term contributes."""
     total = None
     third = sp.third
     for p, cp in u.items():
@@ -122,7 +123,7 @@ def frobenius_value(sp: FischerSpace, u: Vec, v: Vec, half_eta, one):
                 continue
             total = term if total is None else total + term
     if total is None:
-        return one - one
+        return half_eta - half_eta
     return total
 
 
@@ -172,7 +173,7 @@ class AlgebraVector:
 
     def form(self, other: "AlgebraVector"):
         self._check(other)
-        return frobenius_value(self.space, self.coeffs, other.coeffs, HALF_ETA, _ONE)
+        return frobenius_value(self.space, self.coeffs, other.coeffs, HALF_ETA)
 
     def is_zero(self) -> bool:
         return not self.coeffs

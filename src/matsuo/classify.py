@@ -13,7 +13,7 @@ import json
 import os
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import Vec
 from .axial import check_primitive
@@ -99,7 +99,6 @@ def orthogonal_pairs(sp: FischerSpace) -> list[tuple[int, int]]:
 
 def enumerate_configs(
     sp: FischerSpace,
-    diagram_filter: Optional[Callable[[Diagram], bool]] = None,
     sampling: Optional[tuple[int, int]] = None,
     first_point: Optional[int] = None,
 ) -> Iterator[TypeDConfig]:
@@ -124,9 +123,7 @@ def enumerate_configs(
                 for de in pairs[idx1 + 1 :]:
                     if a in de or bc[0] in de or bc[1] in de:
                         continue
-                    cfg = TypeDConfig(a, bc, de)
-                    if diagram_filter is None or diagram_filter(cfg.diagram(sp)):
-                        yield cfg
+                    yield TypeDConfig(a, bc, de)
         return
     count, seed = sampling
     rng = random.Random(seed)
@@ -147,8 +144,6 @@ def enumerate_configs(
             continue
         cfg = TypeDConfig.canonical(a, bc, de)
         if cfg in seen:
-            continue
-        if diagram_filter is not None and not diagram_filter(cfg.diagram(sp)):
             continue
         seen.add(cfg)
         yield cfg
@@ -199,10 +194,15 @@ def evaluate_config(sp: FischerSpace, cfg: TypeDConfig, mode: ScalarMode) -> dic
 
 
 def worker_count() -> int:
+    """MATSUO_WORKERS as an integer >= 1; unset means 1."""
+    text = os.environ.get("MATSUO_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("MATSUO_WORKERS", "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"MATSUO_WORKERS must be an integer >= 1, got {text!r}")
+    return workers
 
 
 @dataclass
@@ -276,6 +276,7 @@ def classify(
     A configuration counts as primitive when all three generators are
     primitive in the closed subalgebra.
     """
+    workers = worker_count()
     if mode is None:
         eta = DEFAULT_SEARCH_ETA
         candidate = ScalarMode.evaluated(eta)
@@ -292,7 +293,6 @@ def classify(
         enumerate_configs(sp, sampling=sampling, first_point=first_point)
     )
     buckets: dict[int, dict] = {}
-    workers = worker_count()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

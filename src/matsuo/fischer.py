@@ -345,59 +345,22 @@ def point_degree(sp: FischerSpace, p: Point) -> int:
 # named families
 # ---------------------------------------------------------------------------
 
-NAMED_FAMILIES = ("A", "W2A", "W3A", "W2D", "W3D", "WrA4", "Wr3p2", "Wr3x3")
-
-_FAMILY_BASES = {
-    "A": "C1",
-    "W2A": "C2",
-    "W3A": "C3",
-    "W2D": "V4",
-    "W3D": "S3",
-    "WrA4": "A4",
-    "Wr3p2": "E27",
-    "Wr3x3": "C3xC3",
+# family -> (base group, point letter by element label).  A letter names
+# t.(i,j) as letter(i,j); a primed letter shows the positions swapped, so
+# W3A's "g2": "c'" reads c(j,i).  A family without letters keeps the generic
+# labels t.(i,j).
+_NAMED = {
+    "A": ("C1", {"1": "b"}),
+    "W2A": ("C2", {"1": "b", "g": "c"}),
+    "W3A": ("C3", {"1": "b", "g": "c", "g2": "c'"}),
+    "W2D": ("V4", {"1": "b", "e": "c", "f": "d", "ef": "e"}),
+    "W3D": ("S3", {"1": "b", "e": "c", "f": "d", "f^2": "d'", "f*e": "e", "f^2*e": "f"}),
+    "WrA4": ("A4", {}),
+    "Wr3p2": ("E27", {}),
+    "Wr3x3": ("C3xC3", {}),
 }
 
-
-def _letter_labeler(letters: dict[int, str]) -> Callable[[Point], str]:
-    def lab(p: Point) -> str:
-        return f"{letters[p.t]}({p.i},{p.j})"
-
-    return lab
-
-
-def _w3a_labeler(p: Point) -> str:
-    # t = 1 is c(i,j); t = 2 = inverse is stored on (i,j) but displays c(j,i)
-    if p.t == 0:
-        return f"b({p.i},{p.j})"
-    if p.t == 1:
-        return f"c({p.i},{p.j})"
-    return f"c({p.j},{p.i})"
-
-
-def _w3d_labeler(group: FiniteGroup) -> Callable[[Point], str]:
-    one = group.index_of("1")
-    f = group.index_of("f")
-    f2 = group.index_of("f^2")
-    e = group.index_of("e")
-    fe = group.index_of("f*e")
-    f2e = group.index_of("f^2*e")
-
-    def lab(p: Point) -> str:
-        if p.t == one:
-            return f"b({p.i},{p.j})"
-        if p.t == e:
-            return f"c({p.i},{p.j})"
-        if p.t == f:
-            return f"d({p.i},{p.j})"
-        if p.t == f2:
-            return f"d({p.j},{p.i})"
-        if p.t == fe:
-            return f"e({p.i},{p.j})"
-        assert p.t == f2e
-        return f"f({p.i},{p.j})"
-
-    return lab
+NAMED_FAMILIES = tuple(_NAMED)
 
 
 def build_named_space(family: str, n: int) -> FischerSpace:
@@ -408,33 +371,22 @@ def build_named_space(family: str, n: int) -> FischerSpace:
         raise ValueError("family A needs n >= 3")
     if n < 2:
         raise ValueError("need n >= 2")
-    base = builtin_group(_FAMILY_BASES[family])
-    labeler: Optional[Callable[[Point], str]] = None
-    if family == "A":
-        labeler = _letter_labeler({0: "b"})
-    elif family == "W2A":
-        labeler = _letter_labeler({0: "b", 1: "c"})
-    elif family == "W3A":
-        labeler = _w3a_labeler
-    elif family == "W2D":
-        labeler = _letter_labeler(
-            {
-                base.index_of("1"): "b",
-                base.index_of("e"): "c",
-                base.index_of("f"): "d",
-                base.index_of("ef"): "e",
-            }
-        )
-    elif family == "W3D":
-        labeler = _w3d_labeler(base)
-    sp = build_wreath_space(base, n, family=family, labeler=labeler)
+    group, letters = _NAMED[family]
+    base = builtin_group(group)
+
+    def labeler(p: Point) -> str:
+        letter = letters[base.labels[p.t]]
+        if letter.endswith("'"):
+            return f"{letter[:-1]}({p.j},{p.i})"
+        return f"{letter}({p.i},{p.j})"
+
+    sp = build_wreath_space(base, n, family=family, labeler=labeler if letters else None)
     if family == "W3D":
-        # Accept the alternative name g(i,j) for the point stored as d(j,i).
-        for k, p in enumerate(sp.points):
-            if sp.labels[k].startswith("d("):
-                inner = sp.labels[k][2:-1]
-                a, b = inner.split(",")
-                sp.label_index[f"g({b},{a})"] = k
+        # Accept the alternative name g(j,i) for the point labelled d(i,j).
+        for k, lab in enumerate(sp.labels):
+            if lab.startswith("d("):
+                i, j = lab[2:-1].split(",")
+                sp.label_index[f"g({j},{i})"] = k
     return sp
 
 

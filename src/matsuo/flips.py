@@ -3,42 +3,41 @@
 A flip is an involutive automorphism of a Fischer space.  Its point orbits
 split the fixed subalgebra basis into singles (fixed points), doubles
 (orthogonal orbit pairs), and extras (collinear orbit pairs); the flip
-subalgebra is generated by the singles and doubles alone.  Inner flips are
-realized by literal conjugation inside the wreath group; letter flips by a
-validated base-group automorphism composed with the position involution.
+subalgebra is generated by the singles and doubles alone.  Every standard
+flip is one pair (alpha, pi): a base-group automorphism alpha, given by the
+images of its generators, acting on the letters of the points, and the
+position involution pi = (1,2)(3,4)...; the inner flips are the pairs that
+equal conjugation inside the wreath group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Optional, Sequence
 
 from .algebra import Vec, vec_product
 from .axial import check_primitive
 from .closure import ScalarMode, Subalgebra, close, specialized_dimension
-from .fischer import (
-    FischerSpace,
-    build_named_space,
-    is_space_automorphism,
-    make_point,
-    w_conj,
-)
-from .groups import FiniteGroup, GroupAutomorphism, _cycle_label, e27_mul
+from .fischer import FischerSpace, build_named_space, is_space_automorphism, make_point
+from .groups import automorphism_by_images
 
 
-FLIP_FAMILIES = ("W2A", "W3A", "W2D", "WrA4", "WrA4o", "Wr3p2", "Wr3x3")
-
-_SPACE_OF_FLIP = {
-    "W2A": "W2A",
-    "W3A": "W3A",
-    "W2D": "W2D",
-    "WrA4": "WrA4",
-    "WrA4o": "WrA4",
-    "Wr3p2": "Wr3p2",
-    "Wr3x3": "Wr3x3",
+# family -> (ambient named family, images of the base-group generators under
+# alpha).  WrA4's alpha is conjugation by (1,2)(3,4), so that flip is
+# conjugation by the constant base element (1,2)(3,4) times pi; WrA4o's is
+# conjugation by (3,4), outer on A4.
+_FLIPS = {
+    "W2A": ("W2A", {"g": "g"}),
+    "W3A": ("W3A", {"g": "g"}),
+    "W2D": ("W2D", {"e": "f", "f": "e"}),
+    "WrA4": ("WrA4", {"(1,2,3)": "(1,4,2)", "(1,2)(3,4)": "(1,2)(3,4)"}),
+    "WrA4o": ("WrA4", {"(1,2,3)": "(1,2,4)", "(1,2)(3,4)": "(1,2)(3,4)"}),
+    "Wr3p2": ("Wr3p2", {"u": "v", "v": "u"}),
+    "Wr3x3": ("Wr3x3", {"u": "v", "v": "u"}),
 }
+
+FLIP_FAMILIES = tuple(_FLIPS)
 
 FIXED_DIM_FORMULA = {
     "W2A": lambda k: 2 * k * k,
@@ -128,122 +127,28 @@ def classify_orbits(sp: FischerSpace, tau: FlipInvolution) -> OrbitDecomposition
 # the standard constructions
 # ---------------------------------------------------------------------------
 
-def _position_involution(k: int) -> list[int]:
-    """(1,2)(3,4)...(2k-1,2k) as a 1-based image list of length 2k."""
-    pi = [0] * (2 * k + 1)
-    for i in range(1, k + 1):
-        pi[2 * i - 1] = 2 * i
-        pi[2 * i] = 2 * i - 1
-    return pi
-
-
-def _conjugation_flip(sp: FischerSpace, welem) -> tuple[int, ...]:
-    from .fischer import elem_to_point, point_to_elem
-
-    group, n = sp.base, sp.n
-    perm = []
-    for p in sp.points:
-        image = elem_to_point(group, w_conj(group, point_to_elem(group, n, p), welem))
-        if image is None:
-            raise ValueError("conjugation left the point class")
-        perm.append(sp.index[image])
-    return tuple(perm)
-
-
-def _letter_flip(sp: FischerSpace, alpha: GroupAutomorphism, pi: Sequence[int]) -> tuple[int, ...]:
-    perm = []
-    for p in sp.points:
-        image = make_point(sp.base, alpha(p.t), pi[p.i], pi[p.j])
-        perm.append(sp.index[image])
-    return tuple(perm)
-
-
-def _w2a_style_flip(sp: FischerSpace, k: int) -> tuple[int, ...]:
-    # conjugation by the product of the points b(1,2), b(3,4), ...
-    base = [0] * sp.n
-    pi = _position_involution(k)
-    perm = tuple(pi[i + 1] - 1 for i in range(sp.n))
-    return _conjugation_flip(sp, (tuple(base), perm))
-
-
-def _a4_inner_flip(sp: FischerSpace) -> tuple[int, ...]:
-    group = sp.base
-    sigma = group.index_of("(1,2)(3,4)")
-    k = sp.n // 2
-    pi = _position_involution(k)
-    perm = tuple(pi[i + 1] - 1 for i in range(sp.n))
-    return _conjugation_flip(sp, (tuple([sigma] * sp.n), perm))
-
-
-def _e27_swap_automorphism(group: FiniteGroup) -> GroupAutomorphism:
-    """u <-> v; w = [u, v] goes to its inverse.
-
-    The image of u^r v^s w^t is built by normal-form multiplication of the
-    swapped generator powers v^r u^s w^-t, so no hand-derived exponent
-    formula enters; the homomorphism check validates the result.
-    """
-
-    def image(t: int) -> int:
-        r, rem = divmod(t, 9)
-        s, tt = divmod(rem, 3)
-        acc = (0, 0, 0)
-        for _ in range(r):
-            acc = e27_mul(acc, (0, 1, 0))  # v
-        for _ in range(s):
-            acc = e27_mul(acc, (1, 0, 0))  # u
-        for _ in range((-tt) % 3):
-            acc = e27_mul(acc, (0, 0, 1))  # w
-        return acc[0] * 9 + acc[1] * 3 + acc[2]
-
-    return GroupAutomorphism(group, tuple(image(t) for t in range(group.order)))
-
-
-def _c3c3_swap_automorphism(group: FiniteGroup) -> GroupAutomorphism:
-    def image(t: int) -> int:
-        r, s = divmod(t, 3)
-        return s * 3 + r
-
-    return GroupAutomorphism(group, tuple(image(t) for t in range(group.order)))
-
-
 def standard_flip(family: str, k: int) -> FlipInvolution:
-    """The standard flip of a family at n = 2k positions."""
-    if family not in FLIP_FAMILIES:
+    """The standard flip of a family at n = 2k positions.
+
+    It sends t.(i,j) to alpha(t).(pi(i), pi(j)), where pi = (1,2)(3,4)...
+    swaps the positions in pairs and alpha is the automorphism of the base
+    group given by the generator images in _FLIPS.  FlipInvolution checks
+    that the result is an involutive automorphism of the space.
+    """
+    if family not in _FLIPS:
         raise ValueError(f"no standard flip for {family!r}; choose from {FLIP_FAMILIES}")
     if k < 1:
         raise ValueError("need k >= 1")
-    n = 2 * k
-    sp = build_named_space(_SPACE_OF_FLIP[family], n)
-    pi = _position_involution(k)
-    if family in ("W2A", "W3A"):
-        perm = _w2a_style_flip(sp, k)
-    elif family == "W2D":
-        group = sp.base
-        swap = {
-            group.index_of("1"): group.index_of("1"),
-            group.index_of("e"): group.index_of("f"),
-            group.index_of("f"): group.index_of("e"),
-            group.index_of("ef"): group.index_of("ef"),
-        }
-        alpha = GroupAutomorphism(group, tuple(swap[t] for t in range(group.order)))
-        perm = _letter_flip(sp, alpha, pi)
-    elif family == "WrA4":
-        perm = _a4_inner_flip(sp)
-    elif family == "WrA4o":
-        # conjugation by the transposition (3,4); outer on A4
-        by_label = {_cycle_label(p): p for p in permutations(range(4))}
-        perms = [by_label[lab] for lab in sp.base.labels]
-        index = {p: t for t, p in enumerate(perms)}
-        swap = (0, 1, 3, 2)
-        conj = tuple(index[tuple(swap[p[swap[i]]] for i in range(4))] for p in perms)
-        alpha = GroupAutomorphism(sp.base, conj)
-        perm = _letter_flip(sp, alpha, pi)
-    elif family == "Wr3p2":
-        alpha = _e27_swap_automorphism(sp.base)
-        perm = _letter_flip(sp, alpha, pi)
-    else:  # Wr3x3
-        alpha = _c3c3_swap_automorphism(sp.base)
-        perm = _letter_flip(sp, alpha, pi)
+    ambient, images = _FLIPS[family]
+    sp = build_named_space(ambient, 2 * k)
+    alpha = automorphism_by_images(sp.base, images)
+
+    def pi(i: int) -> int:
+        return i + 1 if i % 2 else i - 1
+
+    perm = tuple(
+        sp.index[make_point(sp.base, alpha(p.t), pi(p.i), pi(p.j))] for p in sp.points
+    )
     return FlipInvolution(sp, perm, {"family": family, "k": k})
 
 

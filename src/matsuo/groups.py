@@ -360,3 +360,27 @@ class GroupAutomorphism:
 
 def identity_automorphism(group: FiniteGroup) -> GroupAutomorphism:
     return GroupAutomorphism(group, tuple(range(group.order)))
+
+
+def automorphism_by_images(group: FiniteGroup, images: dict[str, str]) -> GroupAutomorphism:
+    """The automorphism sending each generator label to its image label.
+
+    The images are extended along words in the generators, breadth first
+    from the identity.  ValueError unless the generators reach every element
+    and keep their given images; GroupAutomorphism then rejects a map that
+    is not a bijective homomorphism.  An unknown label raises KeyError.
+    """
+    gens = [(group.index_of(g), group.index_of(x)) for g, x in images.items()]
+    image = {0: 0}
+    reached = [0]
+    for x in reached:  # grows while iterating
+        for g, gx in gens:
+            y = group.mul(x, g)
+            if y not in image:
+                image[y] = group.mul(image[x], gx)
+                reached.append(y)
+    if len(image) < group.order:
+        raise ValueError(f"generators {sorted(images)} do not generate {group.name}")
+    if any(image[g] != gx for g, gx in gens):
+        raise ValueError(f"images {images} do not extend to a homomorphism of {group.name}")
+    return GroupAutomorphism(group, tuple(image[x] for x in range(group.order)))

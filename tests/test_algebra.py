@@ -158,7 +158,7 @@ class TestFrobenius:
         b12 = sp.point_of_label("b(1,2)")
         b13 = sp.point_of_label("b(1,3)")
         b34 = sp.point_of_label("b(3,4)")
-        form = lambda u, v: frobenius_value(sp, u, v, HALF, ONE)
+        form = lambda u, v: frobenius_value(sp, u, v, HALF)
         assert form({b12: ONE}, {b12: ONE}) == ONE
         assert form({b12: ONE}, {b13: ONE}) == HALF
         assert form({b12: ONE}, {b34: ONE}) == EtaScalar.zero()
@@ -168,8 +168,8 @@ class TestFrobenius:
         a, b, c = ({i: ONE} for i in range(3))
         ab = vec_product(sp, a, b, HALF)
         bc = vec_product(sp, b, c, HALF)
-        lhs = frobenius_value(sp, ab, c, HALF, ONE)
-        rhs = frobenius_value(sp, a, bc, HALF, ONE)
+        lhs = frobenius_value(sp, ab, c, HALF)
+        rhs = frobenius_value(sp, a, bc, HALF)
         assert lhs == rhs
 
     @pytest.mark.parametrize("family,n", [("W3A", 3), ("W2D", 3), ("WrA4", 2)])
@@ -180,9 +180,7 @@ class TestFrobenius:
             u, v, w = (_rand_vec(sp, rng) for _ in range(3))
             uv = vec_product(sp, u, v, HALF)
             vw = vec_product(sp, v, w, HALF)
-            assert frobenius_value(sp, uv, w, HALF, ONE) == frobenius_value(
-                sp, u, vw, HALF, ONE
-            )
+            assert frobenius_value(sp, uv, w, HALF) == frobenius_value(sp, u, vw, HALF)
 
 
 def int_det(matrix: list[list[int]]) -> int:

@@ -574,14 +574,12 @@ class TestMiyamotoAlgebraMap:
         sp = alg.space
         mm = miyamoto_algebra_map(alg, {0: ONE}, jordan_law(SYM))
         rng = random.Random(2)
-        half, one = SYM.half_eta(), ONE
+        half = SYM.half_eta()
         for _ in range(8):
             u = {rng.randrange(3): EtaScalar(rng.randint(1, 3))}
             v = {rng.randrange(3): EtaScalar(rng.randint(1, 3))}
             tu, tv = mm.apply_vec(u), mm.apply_vec(v)
-            assert frobenius_value(sp, tu, tv, half, one) == frobenius_value(
-                sp, u, v, half, one
-            )
+            assert frobenius_value(sp, tu, tv, half) == frobenius_value(sp, u, v, half)
 
 
 class TestTauComposition:

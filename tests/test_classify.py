@@ -14,6 +14,7 @@ from matsuo.classify import (
     evaluate_config,
     naive_config_count,
     orthogonal_pairs,
+    worker_count,
 )
 from matsuo.cli import main as cli_main
 from matsuo.closure import ScalarMode
@@ -191,3 +192,14 @@ def test_worker_count_does_not_change_the_report(capsys, monkeypatch):
         reports.append(capsys.readouterr().out)
     assert json.loads(reports[0])["buckets"]
     assert reports[0] == reports[1]
+
+
+def test_worker_count_reads_the_environment(monkeypatch):
+    monkeypatch.delenv("MATSUO_WORKERS", raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv("MATSUO_WORKERS", "3")
+    assert worker_count() == 3
+    for bad in ("abc", "0", "-2", ""):
+        monkeypatch.setenv("MATSUO_WORKERS", bad)
+        with pytest.raises(ValueError, match="MATSUO_WORKERS"):
+            worker_count()

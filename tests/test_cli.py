@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from matsuo.cli import main
 
 
@@ -118,6 +120,16 @@ def test_classify_sampled(capsys):
     )
     assert code == 0
     assert sum(b["examined"] for b in data["buckets"]) == 10
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "-2"])
+def test_bad_worker_count_refused(capsys, monkeypatch, workers):
+    monkeypatch.setenv("MATSUO_WORKERS", workers)
+    code = main(["classify", "--ambient", "A:5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "MATSUO_WORKERS" in captured.err
 
 
 def test_bad_generator_label(capsys):

@@ -176,6 +176,15 @@ def test_named_space_validation():
         build_named_space("XX", 3)
 
 
+def test_w3d_g_alias_names_d_with_positions_swapped():
+    sp = build_named_space("W3D", 3)
+    d_labels = [lab for lab in sp.labels if lab.startswith("d(")]
+    assert len(d_labels) == 6
+    for lab in d_labels:
+        i, j = lab[2:-1].split(",")
+        assert sp.point_of_label(f"g({j},{i})") == sp.point_of_label(lab)
+
+
 def test_connectivity():
     assert build_named_space("W3A", 4).is_connected()
     assert build_named_space("WrA4", 2).is_connected()

@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from matsuo.closure import ScalarMode, close
-from matsuo.fischer import build_named_space, is_space_automorphism
+from matsuo.fischer import (
+    build_named_space,
+    elem_to_point,
+    is_space_automorphism,
+    point_to_elem,
+    w_conj,
+)
 from matsuo.flips import (
     FIXED_DIM_FORMULA,
     FLIP_FAMILIES,
@@ -89,6 +95,25 @@ class TestConstructions:
         perm[p], perm[q] = q, p
         with pytest.raises(ValueError):
             FlipInvolution(sp, tuple(perm), {})
+
+
+class TestInnerFlipOracle:
+    """The inner flips equal conjugation inside the wreath group by pi with
+    a constant base: 0, or (1,2)(3,4) on A4."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "family,constant", [("W2A", "1"), ("W3A", "1"), ("WrA4", "(1,2)(3,4)")]
+    )
+    def test_flip_is_wreath_conjugation(self, family, constant, k):
+        tau = standard_flip(family, k)
+        sp = tau.space
+        group, n = sp.base, sp.n
+        pi = tuple(i + 1 if i % 2 == 0 else i - 1 for i in range(n))
+        welem = ((group.index_of(constant),) * n, pi)
+        for q, p in enumerate(sp.points):
+            image = elem_to_point(group, w_conj(group, point_to_elem(group, n, p), welem))
+            assert tau.perm[q] == sp.index[image]
 
 
 class TestOrbitCounts:

@@ -8,6 +8,7 @@ from matsuo.groups import (
     CatalogError,
     GroupAutomorphism,
     GroupTableError,
+    automorphism_by_images,
     builtin_group,
     dump_cayley_table,
     element_order,
@@ -144,3 +145,33 @@ class TestAutomorphisms:
         composed = swap.compose(inv)  # validated on construction
         assert isinstance(composed, GroupAutomorphism)
         assert swap.compose(swap).image == identity_automorphism(g).image
+
+
+class TestAutomorphismByImages:
+    def test_swap_of_c3xc3(self):
+        g = builtin_group("C3xC3")
+        swap = automorphism_by_images(g, {"u": "v", "v": "u"})
+        assert swap.image == tuple((t % 3) * 3 + t // 3 for t in range(9))
+
+    def test_a4_inner_images_are_conjugation(self):
+        g = builtin_group("A4")
+        sigma = g.index_of("(1,2)(3,4)")
+        aut = automorphism_by_images(g, {"(1,2,3)": "(1,4,2)", "(1,2)(3,4)": "(1,2)(3,4)"})
+        assert aut.image == tuple(g.mul(g.mul(sigma, t), sigma) for t in range(g.order))
+
+    def test_images_must_generate(self):
+        with pytest.raises(ValueError, match="do not generate"):
+            automorphism_by_images(builtin_group("C3xC3"), {"u": "u"})
+
+    def test_images_must_give_a_homomorphism(self):
+        with pytest.raises(ValueError):
+            automorphism_by_images(builtin_group("C3"), {"g": "1"})
+        # the identity cannot be sent anywhere else
+        with pytest.raises(ValueError, match="homomorphism"):
+            automorphism_by_images(builtin_group("C3"), {"1": "g", "g": "g"})
+
+    def test_unknown_label(self):
+        with pytest.raises(KeyError):
+            automorphism_by_images(builtin_group("C3"), {"h": "g"})
+        with pytest.raises(KeyError):
+            automorphism_by_images(builtin_group("C3"), {"g": "h"})
