@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, gcd
 from typing import Iterator, Optional, Sequence
 
 from .fischer import FischerSpace, point_orbits
@@ -75,8 +75,13 @@ def vec_hadamard(u: Vec, v: Vec) -> Vec:
     return {k: c * v[k] for k, c in u.items() if k in v}
 
 
-def vec_product(sp: FischerSpace, u: Vec, v: Vec, half_eta) -> Vec:
-    """Bilinear extension of the point product; commutative."""
+def vec_product(sp: FischerSpace, u: Vec, v: Vec, half_eta, diagonal=1) -> Vec:
+    """Bilinear extension of the point product; commutative.
+
+    The p == q (coordinatewise) terms are weighted by ``diagonal`` and the
+    line terms by ``half_eta``.  With half_eta = n and diagonal = 2d the
+    result is 2d times the product at eta = n/d, exactly over Z.
+    """
     out: Vec = {}
     third = sp.third
     for p, cp in u.items():
@@ -86,6 +91,8 @@ def vec_product(sp: FischerSpace, u: Vec, v: Vec, half_eta) -> Vec:
             if not c:
                 continue
             if p == q:
+                if diagonal != 1:
+                    c *= diagonal
                 cur = out.get(p)
                 new = cur + c if cur is not None else c
                 if new:
@@ -125,6 +132,81 @@ def frobenius_value(sp: FischerSpace, u: Vec, v: Vec, half_eta):
     if total is None:
         return half_eta - half_eta
     return total
+
+
+# ---------------------------------------------------------------------------
+# fraction-free echelon rows over Z
+# ---------------------------------------------------------------------------
+
+def _eliminate(work: Vec, row: Vec, col: int) -> None:
+    """work := (r/g) work - (w/g) row in place, with r > 0 and w the entries
+    of row and work at col and g = gcd(r, w); clears col without fractions
+    and keeps the sign of work."""
+    r, w = row[col], work[col]
+    g = gcd(r, w)
+    if r != g:
+        scale = r // g
+        for k in work:
+            work[k] *= scale
+    vec_add_scaled(work, row, -(w // g))
+
+
+def _make_primitive(vec: Vec) -> Vec:
+    """Divide an integer vector by the gcd of its entries, in place."""
+    g = gcd(*vec.values())
+    if g > 1:
+        for k in vec:
+            vec[k] //= g
+    return vec
+
+
+class _IntEchelon:
+    """Reduced echelon family of sparse integer rows, fraction-free.
+
+    The pivot rule of ``closure.EchelonBasis``: leftmost pivot, each pivot
+    column eliminated from every other row.  Rows are primitive integer
+    vectors with a positive pivot entry, so each row is a positive multiple
+    of the unit-pivot row that EchelonBasis keeps for the same inserts, and
+    the two agree on spans, pivots and insertion order.
+    """
+
+    __slots__ = ("rows", "pivot_of_row", "row_of_pivot")
+
+    def __init__(self):
+        self.rows: list[Vec] = []
+        self.pivot_of_row: list[int] = []
+        self.row_of_pivot: dict[int, int] = {}
+
+    def reduce(self, vec: Vec) -> Vec:
+        """A positive multiple of vec's remainder modulo the span.
+
+        As in EchelonBasis.reduce, one pass over the pivot columns in vec's
+        support: scaling leaves zero and nonzero entries where they are."""
+        work = dict(vec)
+        for col in vec:
+            ridx = self.row_of_pivot.get(col)
+            if ridx is not None:
+                _eliminate(work, self.rows[ridx], col)
+        return work
+
+    def insert(self, vec: Vec) -> bool:
+        """Reduce and insert; True when the span grew."""
+        row = self.reduce(vec)
+        if not row:
+            return False
+        pivot = min(row)
+        g = gcd(*row.values())
+        if row[pivot] < 0:
+            g = -g
+        row = {k: c // g for k, c in row.items()}
+        for other in self.rows:
+            if pivot in other:
+                _eliminate(other, row, pivot)
+                _make_primitive(other)
+        self.row_of_pivot[pivot] = len(self.rows)
+        self.rows.append(row)
+        self.pivot_of_row.append(pivot)
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -224,32 +306,18 @@ def _krylov_annihilator(nbrs: list[list[int]], seed: list[int]) -> list[Fraction
     """Monic annihilator polynomial of the seed vector under the adjacency map.
 
     Returns coefficients c_0..c_d (c_d = 1) with sum c_k A^k seed = 0.
+    A^k seed is inserted with the tag e_{n+k}; the first remainder without
+    support below column n is sum c_j e_{n+j}, with sum c_j A^j seed = 0.
     """
-    chain: list[list[Fraction]] = []   # echelon rows over Q
-    chain_pivots: list[int] = []
-    chain_combos: list[list[Fraction]] = []  # expression in Krylov vectors
+    n = len(nbrs)
+    chain = _IntEchelon()
     for k, vec in enumerate(_powers(nbrs, seed)):
-        # reduce A^k seed against the chain, tracking the combination
-        work = [Fraction(x) for x in vec]
-        combo = [Fraction(0)] * (k + 1)
-        combo[k] = Fraction(1)
-        for row, piv, rc in zip(chain, chain_pivots, chain_combos):
-            factor = work[piv]
-            if factor:
-                for idx, val in enumerate(row):
-                    if val:
-                        work[idx] -= factor * val
-                for idx, val in enumerate(rc):
-                    combo[idx] -= factor * val
-        pivot = next((i for i, x in enumerate(work) if x), None)
-        if pivot is None:
-            return combo
-        inv = Fraction(1) / work[pivot]
-        chain.append([x * inv for x in work])
-        chain_pivots.append(pivot)
-        chain_combos.append([x * inv for x in combo] + [Fraction(0)])
-        for rc in chain_combos[:-1]:
-            rc.append(Fraction(0))
+        tagged = {i: x for i, x in enumerate(vec) if x}
+        tagged[n + k] = 1
+        chain.insert(tagged)
+        if chain.pivot_of_row[-1] >= n:
+            row = chain.rows[-1]
+            return [Fraction(row.get(n + j, 0), row[n + k]) for j in range(k + 1)]
 
 
 def _poly_lcm_monic(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

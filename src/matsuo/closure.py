@@ -4,7 +4,16 @@ The worklist multiplies each newly inserted basis row against every row
 present at that moment, reduces the product, and inserts nonzero remainders;
 bilinearity makes this cover all pairs of the final basis, so a terminated
 run is a verified closure.  Everything works either over Q(eta) (symbolic
-mode) or over Q at a fixed rational eta (evaluated mode).
+mode) or over Q at a fixed rational eta0 = n/d (evaluated mode).
+
+Evaluated closures run over Z.  Generators are evaluated at eta0 and scaled
+to primitive integer vectors, and the product is scaled by 2d to the integer
+2d*H(u,v) + n*L(u,v), with H the coordinatewise (Hadamard) part and L the
+line terms; scaling changes no span.  Each echelon row is then a positive
+multiple of the unit-pivot row over Q, so pivots, row order and product
+count are those over Q, and the returned basis divides each row by its
+pivot entry.  The Hadamard certificate and the specialize-last walk run
+over Z the same way.
 
 A symbolic closure of generators with rational coefficients is certified
 instead of run over Q(eta): the worklist runs over Q at eta1 = 7, and if the
@@ -23,7 +32,15 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Iterable, Optional, Sequence
 
-from .algebra import Vec, critical_values, vec_add_scaled, vec_hadamard, vec_product
+from .algebra import (
+    Vec,
+    _IntEchelon,
+    _make_primitive,
+    critical_values,
+    vec_add_scaled,
+    vec_hadamard,
+    vec_product,
+)
 from .fischer import FischerSpace
 from .scalars import (
     HALF_ETA,
@@ -31,7 +48,9 @@ from .scalars import (
     EtaScalar,
     PoleError,
     as_eta_scalar,
+    evaluate_vec,
     poly_lcm,
+    primitive_int_vec,
     rational_vec,
 )
 
@@ -83,6 +102,14 @@ class ScalarMode:
 
     def half_eta(self):
         return HALF_ETA if self.is_symbolic else self.eta0 / 2
+
+    def product_weights(self) -> tuple:
+        """(half_eta, diagonal) arguments of ``vec_product`` for the rows of
+        this mode's worklist: (eta/2, 1) over Q(eta); (n, 2d) over Z at
+        eta0 = n/d, which gives 2d times the product."""
+        if self.is_symbolic:
+            return HALF_ETA, 1
+        return self.eta0.numerator, 2 * self.eta0.denominator
 
     def is_safe_for(self, sp: FischerSpace) -> bool:
         """Safe evaluated mode: away from 1/2, 2, -1 and the rational
@@ -157,11 +184,18 @@ class EchelonBasis:
         return not self.reduce(vec)
 
     def is_hadamard_closed(self) -> bool:
-        """Whether the coordinatewise product of any two rows lies in the span."""
-        rows = self.rows
+        """Whether the coordinatewise product of any two rows lies in the span.
+
+        Rational rows only.  Runs over Z, on the rows scaled to primitive
+        integer vectors: scaling rows changes neither the span nor whether
+        a product lies in it."""
+        span = _IntEchelon()
+        for row in self.rows:
+            span.insert(primitive_int_vec(row))
+        rows = span.rows
         for i, u in enumerate(rows):
             for v in rows[i:]:
-                if self.reduce(vec_hadamard(u, v)):
+                if span.reduce(vec_hadamard(u, v)):
                     return False
         return True
 
@@ -184,6 +218,18 @@ class EchelonBasis:
         self.pivot_of_row.append(pivot)
         self.row_of_pivot[pivot] = new_index
         return True
+
+    @classmethod
+    def _from_integer(cls, mode: ScalarMode, span: _IntEchelon) -> "EchelonBasis":
+        """The unit-pivot basis of an integer echelon: each row divided by
+        its pivot entry; same pivots, same order."""
+        basis = cls(mode)
+        for row, pivot in zip(span.rows, span.pivot_of_row):
+            lead = row[pivot]
+            basis.rows.append({k: Fraction(c, lead) for k, c in row.items()})
+        basis.pivot_of_row = span.pivot_of_row
+        basis.row_of_pivot = span.row_of_pivot
+        return basis
 
     def canonical_rows(self) -> tuple:
         """Unique reduced row echelon form of the span, leftmost pivots.
@@ -318,11 +364,17 @@ def close(
     since ``vec_product`` has no poles.  When the check fails (eta1
     degenerates the closure), or a generator coefficient involves eta, the
     Q(eta) worklist runs.  Zero coefficients are dropped from the
-    generators, which must stay nonzero.
+    generators, which must stay nonzero.  In evaluated mode the generators
+    are evaluated at eta0 first; a pole there raises UnsafeEtaError.
     """
     gen_list = [{k: v for k, v in g.items() if v} for g in gens]
     if roles is None:
         roles = ["custom"] * len(gen_list)
+    if not mode.is_symbolic:
+        try:
+            gen_list = [evaluate_vec(g, mode.eta0) for g in gen_list]
+        except PoleError as exc:
+            raise UnsafeEtaError(f"generator with a pole: {exc}") from exc
     if any(not g for g in gen_list):
         raise ValueError("generators must be nonzero")
     generators = list(zip(gen_list, roles))
@@ -345,25 +397,32 @@ def _close_over_qeta(sp: FischerSpace, gens: Sequence[Vec]) -> Subalgebra:
 def _worklist(
     sp: FischerSpace, vecs: Sequence[Vec], mode: ScalarMode
 ) -> tuple[EchelonBasis, int]:
-    """Closed echelon basis of the vectors and the number of products taken."""
-    basis = EchelonBasis(mode)
-    half = mode.half_eta()
+    """Closed echelon basis of the vectors and the number of products taken.
+
+    Symbolic mode runs over Q(eta); evaluated mode over Z, on rational
+    vectors, returning the unit-pivot basis over Q (module docstring)."""
+    if mode.is_symbolic:
+        basis = EchelonBasis(mode)
+    else:
+        basis = _IntEchelon()
+        vecs = [primitive_int_vec(g) for g in vecs]
+    weights = mode.product_weights()
     for g in vecs:
         basis.insert(g)
     products = 0
     cursor = 0
-    try:
-        while cursor < len(basis.rows):
-            new_row = basis.rows[cursor]
-            limit = len(basis.rows)
-            for j in range(limit):
-                prod = vec_product(sp, new_row, basis.rows[j], half)
-                products += 1
-                if prod:
-                    basis.insert(prod)
-            cursor += 1
-    except PoleError as exc:
-        raise UnsafeEtaError(f"pole during evaluated-mode closure: {exc}") from exc
+    while cursor < len(basis.rows):
+        # rows are updated in place, so later products see new_row reduced
+        new_row = basis.rows[cursor]
+        limit = len(basis.rows)
+        for j in range(limit):
+            prod = vec_product(sp, new_row, basis.rows[j], *weights)
+            products += 1
+            if prod:
+                basis.insert(prod)
+        cursor += 1
+    if not mode.is_symbolic:
+        basis = EchelonBasis._from_integer(mode, basis)
     return basis, products
 
 
@@ -436,20 +495,8 @@ def consistency_check(
             " pass allow_unsafe to compare anyway"
         )
     sym = close(sp, gens, ScalarMode.symbolic())
-    ev_gens = [evaluate_vec(g, eta0) for g in gens]
-    ev = close(sp, ev_gens, ev_mode)
+    ev = close(sp, gens, ev_mode)
     return sym.dimension == ev.dimension
-
-
-def evaluate_vec(vec: Vec, eta0) -> Vec:
-    """Evaluate a symbolic or polynomial vector at eta = eta0."""
-    eta0 = Fraction(eta0)
-    out: Vec = {}
-    for k, v in vec.items():
-        val = as_eta_scalar(v).evaluate(eta0)
-        if val:
-            out[k] = val
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +557,13 @@ def specialized_dimension(subalgebra: Subalgebra, eta0) -> int:
 def _walk_at(
     sp: FischerSpace, gens: Sequence[dict[int, EtaPoly]], modes: Sequence[ScalarMode]
 ) -> list[int]:
-    """Ranks at each evaluated mode of the product tree of the generators."""
-    bases = [EchelonBasis(m) for m in modes]
-    halves = [m.half_eta() for m in modes]
+    """Ranks at each evaluated mode of the product tree of the generators.
+
+    Runs over Z: at each point a node is kept as a primitive integer
+    multiple of its value, and products are scaled products, so whether a
+    node grows an echelon, and hence every rank, is unchanged."""
+    bases = [_IntEchelon() for _ in modes]
+    weights = [m.product_weights() for m in modes]
     worklist: list[tuple[Vec, ...]] = []
 
     def offer(node: tuple[Vec, ...]) -> None:
@@ -521,11 +572,14 @@ def _walk_at(
             worklist.append(node)
 
     for g in gens:
-        offer(tuple(evaluate_vec(g, m.eta0) for m in modes))
+        offer(tuple(primitive_int_vec(evaluate_vec(g, m.eta0)) for m in modes))
     # the worklist grows while it is walked; the product is commutative, so
     # each unordered pair is taken once, when its later node is the left one
     for i, left in enumerate(worklist):
         for right in worklist[: i + 1]:
-            offer(tuple(vec_product(sp, a, b, h) for a, b, h in zip(left, right, halves)))
-    return [basis.dimension for basis in bases]
+            offer(tuple(
+                _make_primitive(vec_product(sp, a, b, *w))
+                for a, b, w in zip(left, right, weights)
+            ))
+    return [len(basis.rows) for basis in bases]
 

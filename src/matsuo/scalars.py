@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import lcm as _int_lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Rational = Fraction
@@ -498,7 +499,7 @@ class EtaScalar:
             raise ValueError(f"{self} is not a rational constant")
         if self.num.is_zero():
             return Fraction(0)
-        return self.num.coeffs[0] / self.den.coeffs[0]
+        return self.num.coeffs[0]  # a constant monic denominator is 1
 
     def __eq__(self, other) -> bool:
         other = _as_scalar(other)
@@ -650,6 +651,37 @@ def rational_vec(vec: dict) -> Optional[dict]:
         if c:
             out[k] = c
     return out
+
+
+def evaluate_vec(vec: dict, eta0: ScalarLike) -> dict:
+    """A sparse vector's value at eta = eta0 over Q, zeros dropped; rational
+    coefficients are taken as they are.  PoleError at a pole."""
+    eta0 = Fraction(eta0)
+    out = {}
+    for k, v in vec.items():
+        c = rational_value(v)
+        if c is None:
+            c = as_eta_scalar(v).evaluate(eta0)
+        if c:
+            out[k] = Fraction(c)
+    return out
+
+
+def primitive_int_vec(vec: dict) -> dict:
+    """A sparse vector with rational coefficients, scaled to integers whose
+    gcd is 1 (signs kept; zeros dropped).  ValueError when a coefficient
+    involves eta."""
+    out = {}
+    for k, v in vec.items():
+        c = rational_value(v)
+        if c is None:
+            raise ValueError(f"coefficient {v} involves eta")
+        if c:
+            out[k] = c
+    den = _int_lcm(*(c.denominator for c in out.values()))
+    ints = {k: c.numerator * (den // c.denominator) for k, c in out.items()}
+    g = _int_gcd(*ints.values())
+    return {k: c // g for k, c in ints.items()}
 
 
 def is_linear_in_eta(v: ScalarLike) -> bool:

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from matsuo.algebra import (
     AlgebraVector,
     SpectrumNotRationalError,
+    _int_matrix_rank,
+    _krylov_annihilator,
+    _powers,
     adjacency_minimal_polynomial,
     adjacency_spectrum,
     axis_product,
@@ -78,6 +81,18 @@ class TestProducts:
         c = sp.point_of_label("b(5,6)")
         lhs = vec_product(sp, {a: ONE, b: ONE}, {c: ONE}, HALF)
         assert lhs == {}
+
+    @pytest.mark.parametrize("eta0", [2, Fraction(1, 3), Fraction(-5, 2)])
+    def test_scaled_integer_product(self, eta0):
+        # half_eta = n and diagonal = 2d give 2d times the product at n/d
+        sp = build_named_space("W3A", 3)
+        rng = random.Random(13)
+        n, d = eta0.numerator, eta0.denominator
+        for _ in range(25):
+            u, v = ({p: rng.randint(-3, 3) or 1 for p in rng.sample(range(len(sp.points)), 3)}
+                    for _ in range(2))
+            exact = vec_product(sp, u, v, Fraction(eta0) / 2)
+            assert vec_product(sp, u, v, n, 2 * d) == {k: 2 * d * c for k, c in exact.items()}
 
     def test_commutativity_randomized(self):
         sp = build_named_space("W3A", 3)
@@ -313,6 +328,20 @@ class TestGram:
         # det [[eta, 1], [1, eta]] = eta^2 - 1
         m = [[[0, 1], [1]], [[1], [0, 1]]]
         assert bareiss_det_int_poly(m) == [-1, 0, 1]
+
+    def test_krylov_annihilator_is_minimal(self):
+        # monic, annihilates the seed, and its degree is the Krylov rank
+        for family, n in [("A", 4), ("W3A", 4), ("W2D", 3), ("Wr3x3", 2), ("Wr3p2", 2)]:
+            sp = build_named_space(family, n)
+            nbrs = [[q for q, r in enumerate(row) if r >= 0] for row in sp.third]
+            seed = [int(q == 0) for q in range(len(nbrs))]
+            ann = _krylov_annihilator(nbrs, seed)
+            deg = len(ann) - 1
+            assert ann[-1] == 1
+            krylov = [v for _, v in zip(range(deg + 1), _powers(nbrs, seed))]
+            combo = [sum(c * vec[i] for c, vec in zip(ann, krylov)) for i in range(len(nbrs))]
+            assert not any(combo), family
+            assert _int_matrix_rank(krylov[:deg]) == deg, family
 
     def test_minimal_polynomial_annihilates(self):
         # the disconnected spaces have one orbit per component

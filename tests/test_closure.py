@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from matsuo import closure
-from matsuo.algebra import vec_product
+from matsuo.algebra import vec_hadamard, vec_product
 from matsuo.classify import enumerate_configs
 from matsuo.closure import (
     EchelonBasis,
@@ -24,7 +24,7 @@ from matsuo.closure import (
 )
 from matsuo.fischer import build_named_space
 from matsuo.flips import FLIP_FAMILIES, flip_subalgebra, standard_flip
-from matsuo.scalars import EtaPoly, EtaScalar
+from matsuo.scalars import ETA, EtaPoly, EtaScalar
 
 SYM = ScalarMode.symbolic()
 ONE = SYM.one()
@@ -131,6 +131,24 @@ class TestClose:
         assert alg.basis.canonical_rows() == close(sp, [{1: coef}], mode).basis.canonical_rows()
         with pytest.raises(ValueError, match="generators must be nonzero"):
             close(sp, [{0: zero}], mode)
+
+    def test_evaluated_generators_take_eta0(self):
+        sp = build_named_space("W3A", 3)
+        mode = ScalarMode.evaluated(7)
+        alg = close(sp, [{0: ETA - 7, 4: ONE}], mode)
+        assert alg.generators == [({4: Fraction(1)}, "custom")]
+        assert alg.dimension == 1
+        assert alg.basis.rows == close(sp, [{4: 1}], mode).basis.rows
+
+    def test_evaluated_generator_pole_is_unsafe(self):
+        sp = build_named_space("W3A", 3)
+        with pytest.raises(UnsafeEtaError, match="pole"):
+            close(sp, [{0: ONE / (ETA - 7)}], ScalarMode.evaluated(7))
+
+    def test_evaluated_generator_vanishing_at_eta0_rejected(self):
+        sp = build_named_space("W3A", 3)
+        with pytest.raises(ValueError, match="generators must be nonzero"):
+            close(sp, [{0: ETA - 7}, {4: ONE}], ScalarMode.evaluated(7))
 
     def test_line_spans_three_dims(self):
         sp = line_space()
@@ -301,10 +319,18 @@ def wr3x3_flip():
 
 
 class TestSpecializedDimension:
-    @pytest.mark.parametrize("eta0", [2, 5])
+    @pytest.mark.parametrize("eta0", [2, 5, Fraction(1, 3), Fraction(-5, 2)])
     def test_matches_reference_on_w3a3(self, eta0):
         sp = build_named_space("W3A", 3)
         alg = close(sp, [{0: ONE}, {4: ONE}, {7: ONE}], SYM)
+        expected = reference_specialized_dimension(alg, eta0)
+        assert specialized_dimension(alg, eta0) == expected
+
+    @pytest.mark.parametrize("eta0", [Fraction(1, 3), Fraction(-5, 2), Fraction(3, 2)])
+    def test_matches_reference_with_eta_coefficients(self, eta0):
+        sp = build_named_space("W3A", 3)
+        gens = [{0: ONE, 4: ETA}, {7: EtaScalar(1, 2) - ETA}]
+        alg = close(sp, gens, SYM)
         expected = reference_specialized_dimension(alg, eta0)
         assert specialized_dimension(alg, eta0) == expected
 
@@ -448,3 +474,73 @@ class TestCertifiedClosure:
         sp = wr3x3_flip.space
         assert consistency_check(sp, gens, 7)
         assert consistency_check(sp, gens, 2, allow_unsafe=True) is False
+
+
+def reference_worklist(sp, gens, mode):
+    """close()'s worklist over Q through the public EchelonBasis.insert and
+    vec_product, step for step as perfbench's replay_close: the Fraction
+    oracle of the integer closure."""
+    basis = EchelonBasis(mode)
+    half = mode.half_eta()
+    for g in gens:
+        basis.insert(dict(g))
+    products = 0
+    cursor = 0
+    while cursor < len(basis.rows):
+        new_row = basis.rows[cursor]
+        for j in range(len(basis.rows)):
+            prod = vec_product(sp, new_row, basis.rows[j], half)
+            products += 1
+            if prod:
+                basis.insert(prod)
+        cursor += 1
+    return basis, products
+
+
+def assert_matches_fraction_worklist(alg):
+    """An evaluated closure equals the Fraction worklist of its generators:
+    rows (values and key order), pivots in order, product count, and the
+    Hadamard check."""
+    gens = [g for g, _ in alg.generators]
+    basis, products = reference_worklist(alg.space, gens, alg.mode)
+    assert [list(r.items()) for r in alg.basis.rows] == [list(r.items()) for r in basis.rows]
+    assert all(type(v) is Fraction for row in alg.basis.rows for v in row.values())
+    assert alg.basis.pivot_of_row == basis.pivot_of_row
+    assert alg.basis.row_of_pivot == basis.row_of_pivot
+    assert alg.products_computed == products
+    rows = basis.rows
+    closed = all(
+        not basis.reduce(vec_hadamard(u, v)) for i, u in enumerate(rows) for v in rows[i:]
+    )
+    assert alg.basis.is_hadamard_closed() == closed
+
+
+class TestIntegerClosure:
+    # Wr3p2's Fraction worklist takes seconds; the benchmark's closure replays
+    # check closures of its size (dimension 90) against the same public calls
+    @pytest.mark.parametrize("eta0", [2, 7])
+    @pytest.mark.parametrize("family", [f for f in FLIP_FAMILIES if f != "Wr3p2"])
+    def test_flip_closures_match_fraction_worklist(self, family, eta0):
+        tau = standard_flip(family, 2)
+        alg = flip_subalgebra(tau.space, tau, ScalarMode.evaluated(eta0))
+        assert_matches_fraction_worklist(alg)
+
+    def test_w3a4_configurations_match_fraction_worklist(self):
+        sp = build_named_space("W3A", 4)
+        mode = ScalarMode.evaluated(7)
+        configs = list(enumerate_configs(sp, first_point=0))
+        for cfg in configs[::10]:
+            assert_matches_fraction_worklist(close(sp, cfg.generators(mode), mode))
+
+    @pytest.mark.parametrize("eta0", [Fraction(1, 3), Fraction(-5, 2)])
+    @pytest.mark.parametrize("family,n", [("W3A", 4), ("WrA4", 2)])
+    def test_fractional_generators_match_fraction_worklist(self, family, n, eta0):
+        sp = build_named_space(family, n)
+        rng = random.Random(11)
+        coefs = [Fraction(2, 3), Fraction(-5, 7), Fraction(3, 2), Fraction(-1, 4), 5]
+        for _ in range(4):
+            gens = [
+                {rng.randrange(len(sp.points)): rng.choice(coefs) for _ in range(2)}
+                for _ in range(2)
+            ]
+            assert_matches_fraction_worklist(close(sp, gens, ScalarMode.evaluated(eta0)))

@@ -1,5 +1,6 @@
 """Field arithmetic over Q(eta): examples, canonical forms, root finding."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,13 @@ from matsuo.scalars import (
     EtaScalar,
     PoleError,
     as_eta_scalar,
+    evaluate_vec,
     field_op,
     format_scalar,
     is_linear_in_eta,
     parse_scalar,
     poly_gcd,
+    primitive_int_vec,
     rational_roots,
     rational_value,
     rational_vec,
@@ -208,6 +211,38 @@ class TestCoefficientTypes:
         assert rational_vec(vec) == {1: 2, 2: Fraction(1, 3)}
         assert rational_vec({0: 1, 1: ETA}) is None
         assert rational_vec({}) == {}
+
+    def test_primitive_int_vec(self):
+        vec = {0: Fraction(2, 3), 1: Fraction(-4, 9), 2: 0, 3: EtaScalar(1, 3), 4: poly(-1)}
+        got = primitive_int_vec(vec)
+        assert got == {0: 6, 1: -4, 3: 3, 4: -9}
+        assert all(type(c) is int for c in got.values())
+        assert primitive_int_vec({0: 4, 1: -6}) == {0: 2, 1: -3}
+        assert primitive_int_vec({5: Fraction(-7, 2)}) == {5: -1}
+        assert primitive_int_vec({0: EtaScalar.zero()}) == {}
+        with pytest.raises(ValueError, match="involves eta"):
+            primitive_int_vec({0: 1, 1: ETA})
+
+    @given(st.dictionaries(
+        st.integers(0, 9), st.fractions(min_value=-5, max_value=5, max_denominator=12), max_size=6
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_primitive_int_vec_is_a_positive_multiple(self, vec):
+        ints = primitive_int_vec(vec)
+        nonzero = {k: v for k, v in vec.items() if v}
+        assert ints.keys() == nonzero.keys()
+        if nonzero:
+            assert math.gcd(*ints.values()) == 1
+            ratios = {Fraction(c) / nonzero[k] for k, c in ints.items()}
+            assert len(ratios) == 1 and ratios.pop() > 0
+
+    def test_evaluate_vec(self):
+        vec = {0: ETA, 1: EtaScalar(1, 2), 2: Fraction(3), 3: 4, 4: ETA - 2, 5: poly(1, 1)}
+        got = evaluate_vec(vec, 2)
+        assert got == {0: 2, 1: Fraction(1, 2), 2: 3, 3: 4, 5: 3}
+        assert all(type(c) is Fraction for c in got.values())
+        with pytest.raises(PoleError):
+            evaluate_vec({0: EtaScalar.one() / (ETA - 2)}, 2)
 
     def test_is_linear_in_eta(self):
         for v in (0, Fraction(2, 3), EtaScalar.zero(), ETA + 1, HALF_ETA, poly(1, 2)):
