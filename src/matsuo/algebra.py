@@ -385,48 +385,23 @@ def adjacency_spectrum(sp: FischerSpace) -> Optional[dict[Fraction, int]]:
     return spectrum
 
 
-def _int_matrix_rank(rows: list[list[int]]) -> int:
-    """Exact rank of an integer matrix by fraction-free elimination."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(row, nrows):
-            if m[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, nrows):
-            factor = m[r][col]
-            # rows with a zero factor still need the pivot scaling to keep
-            # the fraction-free divisibility invariant
-            for cc in range(col, ncols):
-                m[r][cc] = (m[r][cc] * pv - factor * m[row][cc]) // prev
-        prev = pv
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+def _shifted_adjacency_rank(sp: FischerSpace, diagonal: int, off: int) -> int:
+    """Rank over Z of diagonal*I + off*A, for A the collinearity adjacency
+    matrix, by inserting its sparse rows into an integer echelon.  A zero
+    diagonal entry is left out, since a stored zero could become a pivot."""
+    span = _IntEchelon()
+    for i, nbrs in enumerate(adjacency_rows(sp)):
+        row = dict.fromkeys(nbrs, off)
+        if diagonal:
+            row[i] = diagonal
+        span.insert(row)
+    return len(span.rows)
 
 
 def eigenvalue_multiplicity(sp: FischerSpace, lam: Fraction) -> int:
-    """dim ker(A - lam I) for the collinearity adjacency matrix, exactly."""
-    n = len(sp.points)
-    p, q = lam.numerator, lam.denominator
-    rows = []
-    for i, row in enumerate(sp.third):
-        out = [q if r >= 0 else 0 for r in row]
-        out[i] -= p
-        rows.append(out)
-    return n - _int_matrix_rank(rows)
+    """dim ker(A - lam I) for the collinearity adjacency matrix, exactly:
+    the corank of q A - p I at lam = p/q."""
+    return len(sp.points) - _shifted_adjacency_rank(sp, -lam.numerator, lam.denominator)
 
 
 # -- fraction-free Bareiss determinant over Z[eta] ---------------------------
@@ -624,11 +599,4 @@ def radical_dim(sp: FischerSpace, eta0) -> int:
     eta0 = Fraction(eta0)
     if eta0 in (Fraction(0), Fraction(1)):
         raise ValueError("eta = 0 and eta = 1 are outside the parameter domain")
-    p, q = eta0.numerator, eta0.denominator
-    n = len(sp.points)
-    rows = []
-    for i, row in enumerate(sp.third):
-        out = [p if r >= 0 else 0 for r in row]
-        out[i] = 2 * q
-        rows.append(out)
-    return n - _int_matrix_rank(rows)
+    return len(sp.points) - _shifted_adjacency_rank(sp, 2 * eta0.denominator, eta0.numerator)

@@ -126,6 +126,8 @@ def enumerate_configs(
                     yield TypeDConfig(a, bc, de)
         return
     count, seed = sampling
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
     rng = random.Random(seed)
     pairs = orthogonal_pairs(sp)
     if not pairs:

@@ -184,7 +184,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "classify":
             sp = parse_space_spec(args.ambient)
             mode = _parse_mode(args.mode) if args.mode else None
-            sampling = (args.sample, args.seed) if args.sample else None
+            sampling = (args.sample, args.seed) if args.sample is not None else None
             report = classify(
                 sp,
                 mode=mode,

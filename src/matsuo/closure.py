@@ -11,18 +11,19 @@ to primitive integer vectors, and the product is scaled by 2d to the integer
 2d*H(u,v) + n*L(u,v), with H the coordinatewise (Hadamard) part and L the
 line terms; scaling changes no span.  Each echelon row is then a positive
 multiple of the unit-pivot row over Q, so pivots, row order and product
-count are those over Q, and the returned basis divides each row by its
-pivot entry.  The Hadamard certificate and the specialize-last walk run
-over Z the same way.
+count are those over Q.  ``_unit_pivot_basis`` divides each integer row by
+its pivot entry, once, when the closure is returned.  The specialize-last
+walk runs over Z the same way.
 
 A symbolic closure of generators with rational coefficients is certified
-instead of run over Q(eta): the worklist runs over Q at eta1 = 7, and if the
-resulting span E is closed under the coordinatewise (Hadamard) product, E
-tensored with Q(eta) is the symbolic closure (the proof is in ``close``).
-eta1 need not be safe for the space, because ``vec_product`` has no poles.
-The Q(eta) worklist still runs when a generator coefficient involves eta
-(``scalars.rational_vec`` decides), or when the check fails at eta1.  Pivots
-are chosen in one place, ``EchelonBasis.insert``.
+instead of run over Q(eta): the integer worklist runs at eta1 = 7, and if
+the resulting span E is closed under the coordinatewise (Hadamard) product,
+checked on the integer rows, E tensored with Q(eta) is the symbolic closure
+(the proof is in ``close``); its unit-pivot rows become EtaScalar
+constants.  eta1 need not be safe for the space, because ``vec_product`` has
+no poles.  The Q(eta) worklist still runs when a generator coefficient
+involves eta (``scalars.rational_vec`` decides), or when the check fails at
+eta1.  Pivots are chosen in one place, ``EchelonBasis.insert``.
 """
 
 from __future__ import annotations
@@ -183,22 +184,6 @@ class EchelonBasis:
     def contains(self, vec: Vec) -> bool:
         return not self.reduce(vec)
 
-    def is_hadamard_closed(self) -> bool:
-        """Whether the coordinatewise product of any two rows lies in the span.
-
-        Rational rows only.  Runs over Z, on the rows scaled to primitive
-        integer vectors: scaling rows changes neither the span nor whether
-        a product lies in it."""
-        span = _IntEchelon()
-        for row in self.rows:
-            span.insert(primitive_int_vec(row))
-        rows = span.rows
-        for i, u in enumerate(rows):
-            for v in rows[i:]:
-                if span.reduce(vec_hadamard(u, v)):
-                    return False
-        return True
-
     def insert(self, vec: Vec) -> bool:
         """Reduce and insert; True when the span grew."""
         rem = self.reduce(vec)
@@ -219,29 +204,53 @@ class EchelonBasis:
         self.row_of_pivot[pivot] = new_index
         return True
 
-    @classmethod
-    def _from_integer(cls, mode: ScalarMode, span: _IntEchelon) -> "EchelonBasis":
-        """The unit-pivot basis of an integer echelon: each row divided by
-        its pivot entry; same pivots, same order."""
-        basis = cls(mode)
-        for row, pivot in zip(span.rows, span.pivot_of_row):
-            lead = row[pivot]
-            basis.rows.append({k: Fraction(c, lead) for k, c in row.items()})
-        basis.pivot_of_row = span.pivot_of_row
-        basis.row_of_pivot = span.row_of_pivot
-        return basis
-
     def canonical_rows(self) -> tuple:
         """Unique reduced row echelon form of the span, leftmost pivots.
 
-        Independent of insertion order and of the pivot choice;
-        suitable for exact basis comparisons.
+        Independent of insertion order and of the pivot choice; suitable
+        for exact basis comparisons.  ``insert`` keeps two facts true: each
+        row's leftmost entry is its unit pivot (a new row starts at its
+        pivot p, and subtracting it changes only rows nonzero at p, at
+        columns from p on, right of their own pivots), and every pivot
+        column is zero in the other rows.  So the rows sorted by pivot
+        already are that form.
         """
-        canon = EchelonBasis(self.mode)
-        for row in self.rows:
-            canon.insert(row)
-        order = sorted(range(len(canon)), key=canon.pivot_of_row.__getitem__)
-        return tuple(tuple(sorted(canon.rows[r].items())) for r in order)
+        order = sorted(range(len(self.rows)), key=self.pivot_of_row.__getitem__)
+        return tuple(tuple(sorted(self.rows[r].items())) for r in order)
+
+
+def _unit_pivot_basis(span: _IntEchelon, mode: ScalarMode) -> EchelonBasis:
+    """The unit-pivot basis over Q of an integer echelon: each row divided by
+    its pivot entry; same pivots, same order.  Entries are Fractions when
+    the mode is evaluated and EtaScalar constants when symbolic; each
+    distinct (entry, pivot entry) pair is divided once and its value shared,
+    as scalars are immutable."""
+    lift = EtaScalar if mode.is_symbolic else Fraction
+    basis = EchelonBasis(mode)
+    values: dict = {}
+    for row, pivot in zip(span.rows, span.pivot_of_row):
+        lead = row[pivot]
+        unit = {}
+        for k, c in row.items():
+            v = values.get((c, lead))
+            if v is None:
+                v = values[c, lead] = lift(Fraction(c, lead))
+            unit[k] = v
+        basis.rows.append(unit)
+    basis.pivot_of_row = span.pivot_of_row
+    basis.row_of_pivot = span.row_of_pivot
+    return basis
+
+
+def _is_hadamard_closed(span: _IntEchelon) -> bool:
+    """Whether the coordinatewise product of any two rows lies in the span;
+    scaling rows changes neither the span nor the answer."""
+    rows = span.rows
+    for i, u in enumerate(rows):
+        for v in rows[i:]:
+            if span.reduce(vec_hadamard(u, v)):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +390,12 @@ def close(
     if mode.is_symbolic:
         lowered = [rational_vec(g) for g in gen_list]
         if all(g is not None for g in lowered):
-            basis, products = _worklist(sp, lowered, ScalarMode.evaluated(DEFAULT_SEARCH_ETA))
-            if basis.is_hadamard_closed():
-                return Subalgebra(sp, mode, generators, _lift_basis(basis), products)
-    return Subalgebra(sp, mode, generators, *_worklist(sp, gen_list, mode))
+            span, products = _worklist(sp, lowered, ScalarMode.evaluated(DEFAULT_SEARCH_ETA))
+            if _is_hadamard_closed(span):
+                return Subalgebra(sp, mode, generators, _unit_pivot_basis(span, mode), products)
+        return Subalgebra(sp, mode, generators, *_worklist(sp, gen_list, mode))
+    span, products = _worklist(sp, gen_list, mode)
+    return Subalgebra(sp, mode, generators, _unit_pivot_basis(span, mode), products)
 
 
 def _close_over_qeta(sp: FischerSpace, gens: Sequence[Vec]) -> Subalgebra:
@@ -396,11 +407,12 @@ def _close_over_qeta(sp: FischerSpace, gens: Sequence[Vec]) -> Subalgebra:
 
 def _worklist(
     sp: FischerSpace, vecs: Sequence[Vec], mode: ScalarMode
-) -> tuple[EchelonBasis, int]:
+) -> tuple[EchelonBasis | _IntEchelon, int]:
     """Closed echelon basis of the vectors and the number of products taken.
 
-    Symbolic mode runs over Q(eta); evaluated mode over Z, on rational
-    vectors, returning the unit-pivot basis over Q (module docstring)."""
+    Symbolic mode runs over Q(eta) and returns an EchelonBasis; evaluated
+    mode runs over Z, on rational vectors, and returns the _IntEchelon
+    (module docstring)."""
     if mode.is_symbolic:
         basis = EchelonBasis(mode)
     else:
@@ -421,23 +433,7 @@ def _worklist(
             if prod:
                 basis.insert(prod)
         cursor += 1
-    if not mode.is_symbolic:
-        basis = EchelonBasis._from_integer(mode, basis)
     return basis, products
-
-
-def _lift_basis(basis: EchelonBasis) -> EchelonBasis:
-    """The basis over Q(eta), in place: same rows and pivots, each distinct
-    value one shared EtaScalar constant (the values are immutable)."""
-    constants: dict = {}
-    for row in basis.rows:
-        for k, v in row.items():
-            c = constants.get(v)
-            if c is None:
-                c = constants[v] = EtaScalar(v)
-            row[k] = c
-    basis.mode = ScalarMode.symbolic()
-    return basis
 
 
 def reclose(subalgebra: Subalgebra) -> Subalgebra:

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import Vec, vec_product
-from .axial import check_primitive
 from .closure import ScalarMode, Subalgebra, close, specialized_dimension
 from .fischer import FischerSpace, build_named_space, is_space_automorphism, make_point
 from .groups import automorphism_by_images
@@ -219,7 +218,6 @@ def flip_report(
     family: str,
     k: int,
     etas: Sequence = (),
-    check_doubles_primitive: bool = False,
 ) -> dict:
     """Counts, fixed dimension, and flip dimensions per requested mode.
 
@@ -265,14 +263,4 @@ def flip_report(
                 f" rank {spec_dim}"
             )
         report["flip_dims_at"][str(eta0)] = ev.dimension
-    if check_doubles_primitive:
-        fixed = close(
-            sp,
-            fixed_subalgebra_basis(sp, tau),
-            ScalarMode.symbolic(),
-        )
-        one = ScalarMode.symbolic().one()
-        report["doubles_primitive_in_fixed"] = all(
-            check_primitive(fixed, orbit_vector(pair, one)) for pair in dec.doubles
-        )
     return report

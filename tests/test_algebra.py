@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from matsuo.algebra import (
     AlgebraVector,
     SpectrumNotRationalError,
-    _int_matrix_rank,
     _krylov_annihilator,
     _powers,
     adjacency_minimal_polynomial,
@@ -29,6 +28,8 @@ from matsuo.algebra import (
 from matsuo.closure import ScalarMode
 from matsuo.fischer import build_named_space
 from matsuo.scalars import EtaPoly, EtaScalar, square_free_part
+
+from oracles import int_matrix_rank
 
 SYM = ScalarMode.symbolic()
 ONE = SYM.one()
@@ -341,7 +342,7 @@ class TestGram:
             krylov = [v for _, v in zip(range(deg + 1), _powers(nbrs, seed))]
             combo = [sum(c * vec[i] for c, vec in zip(ann, krylov)) for i in range(len(nbrs))]
             assert not any(combo), family
-            assert _int_matrix_rank(krylov[:deg]) == deg, family
+            assert int_matrix_rank(krylov[:deg]) == deg, family
 
     def test_minimal_polynomial_annihilates(self):
         # the disconnected spaces have one orbit per component
@@ -422,6 +423,27 @@ class TestRadical:
         while probe in cv.roots:
             probe += 1
         assert radical_dim(sp, probe) == 0
+
+    @pytest.mark.parametrize("family,n", [
+        ("A", 3), ("A", 4), ("A", 5), ("W3A", 4), ("WrA4", 2), ("Wr3x3", 4),
+    ])
+    def test_ranks_match_dense_oracle(self, family, n):
+        # WrA4:2 has eigenvalue 0 with multiplicity 9: a zero diagonal
+        sp = build_named_space(family, n)
+        npts = len(sp.points)
+
+        def dense_corank(diagonal, off):
+            return npts - int_matrix_rank([
+                [diagonal if i == j else (off if r >= 0 else 0) for j, r in enumerate(row)]
+                for i, row in enumerate(sp.third)
+            ])
+
+        for lam in {*adjacency_spectrum(sp), Fraction(0)}:
+            expected = dense_corank(-lam.numerator, lam.denominator)
+            assert eigenvalue_multiplicity(sp, lam) == expected, lam
+        for eta0 in (Fraction(2), Fraction(1, 3), Fraction(-1), Fraction(5)):
+            expected = dense_corank(2 * eta0.denominator, eta0.numerator)
+            assert radical_dim(sp, eta0) == expected, eta0
 
     def test_multiplicity_matches_radical(self):
         sp = build_named_space("A", 3)

@@ -24,7 +24,7 @@ from matsuo.axial import (
     permutation_matrix_on,
     tau_composition_identity,
 )
-from matsuo.algebra import _int_matrix_rank, frobenius_value, vec_product, vec_scale, vec_sub
+from matsuo.algebra import frobenius_value, vec_product, vec_scale, vec_sub
 from matsuo.classify import enumerate_configs
 from matsuo.closure import (
     EchelonBasis,
@@ -43,6 +43,8 @@ from matsuo.flips import (
     standard_flip,
 )
 from matsuo.scalars import EtaScalar
+
+from oracles import int_matrix_rank, reinserted_rows
 
 SYM = ScalarMode.symbolic()
 ONE = SYM.one()
@@ -108,6 +110,14 @@ def assert_eigenbases(alg, x, spectrum):
     return dec
 
 
+def assert_canonical_images(alg, x, spectrum):
+    """The reversed-column image spans behind eigen_decompose's parts have
+    the canonical rows of re-insertion."""
+    for k in range(len(spectrum)):
+        image, _ = axial._image(alg, x, spectrum[:k] + spectrum[k + 1:])
+        assert image.canonical_rows() == reinserted_rows(image)
+
+
 class TestEigenDecompose:
     def test_line_multiplicities(self):
         alg = line_algebra()
@@ -122,15 +132,19 @@ class TestEigenDecompose:
     def test_single_axes_are_jordan(self):
         for family, n in [("A", 4), ("W2A", 3), ("W3A", 3), ("WrA4", 2)]:
             sp = build_named_space(family, n)
-            assert_eigenbases(full_algebra(sp), {0: ONE}, jordan_law(SYM).eigenvalues)
+            alg, spectrum = full_algebra(sp), jordan_law(SYM).eigenvalues
+            assert_eigenbases(alg, {0: ONE}, spectrum)
+            assert_canonical_images(alg, {0: ONE}, spectrum)
 
     def test_double_axis_monster_spectrum(self):
         sp = build_named_space("A", 4)
         for mode in (SYM, ScalarMode.evaluated(5)):
             one = mode.one()
             x = {sp.point_of_label("b(1,2)"): one, sp.point_of_label("b(3,4)"): one}
-            dec = assert_eigenbases(full_algebra(sp, mode), x, monster_law(mode).eigenvalues)
+            alg, spectrum = full_algebra(sp, mode), monster_law(mode).eigenvalues
+            dec = assert_eigenbases(alg, x, spectrum)
             assert dec.dims == (2, 1, 1, 2)
+            assert_canonical_images(alg, x, spectrum)
 
     @pytest.mark.parametrize("family", ["W2A", "W3A", "W2D"])
     def test_flip_double_eigenbases(self, family):
@@ -457,7 +471,7 @@ def shifted_adjoint_rank(alg, x) -> int:
         coords = alg.coordinates(vec_sub(image, row))
         scale = math.lcm(*(c.denominator for c in coords))
         columns.append([int(c * scale) for c in coords])
-    return _int_matrix_rank(columns)
+    return int_matrix_rank(columns)
 
 
 class TestPrimitivity:

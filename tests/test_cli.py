@@ -122,6 +122,15 @@ def test_classify_sampled(capsys):
     assert sum(b["examined"] for b in data["buckets"]) == 10
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_classify_sample_below_one_refused(capsys, count):
+    code = main(["classify", "--ambient", "A:5", "--sample", count])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "sample count must be at least 1" in captured.err
+
+
 @pytest.mark.parametrize("workers", ["abc", "0", "-2"])
 def test_bad_worker_count_refused(capsys, monkeypatch, workers):
     monkeypatch.setenv("MATSUO_WORKERS", workers)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from matsuo import closure
-from matsuo.algebra import vec_hadamard, vec_product
+from matsuo.algebra import _IntEchelon, vec_hadamard, vec_product
 from matsuo.classify import enumerate_configs
 from matsuo.closure import (
     EchelonBasis,
@@ -25,6 +25,8 @@ from matsuo.closure import (
 from matsuo.fischer import build_named_space
 from matsuo.flips import FLIP_FAMILIES, flip_subalgebra, standard_flip
 from matsuo.scalars import ETA, EtaPoly, EtaScalar
+
+from oracles import reinserted_rows
 
 SYM = ScalarMode.symbolic()
 ONE = SYM.one()
@@ -84,23 +86,31 @@ class TestEchelonBasis:
         assert basis.coordinates({2: ONE}) is None
 
     def test_canonical_rows_order_independent(self):
+        # over Q(eta) and over Q, against re-insertion into a fresh basis;
+        # the last vector is the sum of the first, second and fourth
         rng = random.Random(3)
-        vecs = [
-            {0: ONE, 1: ONE},
-            {1: ONE, 2: ONE + ONE},
-            {0: ONE, 2: ONE},
-        ]
-        reference = None
-        for _ in range(6):
-            shuffled = vecs[:]
-            rng.shuffle(shuffled)
-            basis = EchelonBasis(SYM)
-            for v in shuffled:
-                basis.insert(dict(v))
-            canon = basis.canonical_rows()
-            if reference is None:
-                reference = canon
-            assert canon == reference
+        for mode in (SYM, ScalarMode.evaluated(Fraction(1, 3))):
+            one, eta = mode.one(), mode.eta()
+            vecs = [
+                {0: one, 3: one, 5: eta},
+                {1: one, 3: -one, 6: one},
+                {0: one, 1: one, 5: one},
+                {2: one + one, 4: eta, 6: -one},
+                {0: one, 1: one, 2: one + one, 4: eta, 5: eta},
+            ]
+            reference = None
+            for _ in range(6):
+                shuffled = vecs[:]
+                rng.shuffle(shuffled)
+                basis = EchelonBasis(mode)
+                for v in shuffled:
+                    basis.insert(dict(v))
+                canon = basis.canonical_rows()
+                assert canon == reinserted_rows(basis)
+                if reference is None:
+                    reference = canon
+                assert canon == reference
+            assert len(reference) == 4
 
 
 class TestClose:
@@ -399,6 +409,7 @@ def assert_matches_oracle(alg):
     gens = [g for g, _ in alg.generators]
     oracle = _close_over_qeta(alg.space, gens)
     assert alg.dimension == oracle.dimension
+    assert alg.basis.canonical_rows() == reinserted_rows(alg.basis)
     assert as_fractions(alg.basis.canonical_rows()) == as_fractions(
         oracle.basis.canonical_rows()
     )
@@ -443,10 +454,12 @@ class TestCertifiedClosure:
         tau = standard_flip(family, 2)
         ev = flip_subalgebra(tau.space, tau, ScalarMode.evaluated(2))
         assert ev.dimension == dim
-        assert not ev.basis.is_hadamard_closed()
+        span, _ = closure._worklist(tau.space, [g for g, _ in ev.generators], ev.mode)
+        assert len(span.rows) == dim
+        assert not closure._is_hadamard_closed(span)
 
     def test_failing_check_falls_back_to_oracle(self, worklist_modes, monkeypatch):
-        monkeypatch.setattr(EchelonBasis, "is_hadamard_closed", lambda self: False)
+        monkeypatch.setattr(closure, "_is_hadamard_closed", lambda span: False)
         sp = build_named_space("W3A", 3)
         gens = [{0: ONE}, {4: ONE}, {7: ONE}]
         alg = close(sp, gens, SYM)
@@ -499,10 +512,11 @@ def reference_worklist(sp, gens, mode):
 
 def assert_matches_fraction_worklist(alg):
     """An evaluated closure equals the Fraction worklist of its generators:
-    rows (values and key order), pivots in order, product count, and the
-    Hadamard check."""
+    rows (values and key order), pivots in order, product count, canonical
+    rows, and the Hadamard check on the integer rows."""
     gens = [g for g, _ in alg.generators]
     basis, products = reference_worklist(alg.space, gens, alg.mode)
+    assert alg.basis.canonical_rows() == reinserted_rows(alg.basis)
     assert [list(r.items()) for r in alg.basis.rows] == [list(r.items()) for r in basis.rows]
     assert all(type(v) is Fraction for row in alg.basis.rows for v in row.values())
     assert alg.basis.pivot_of_row == basis.pivot_of_row
@@ -512,7 +526,8 @@ def assert_matches_fraction_worklist(alg):
     closed = all(
         not basis.reduce(vec_hadamard(u, v)) for i, u in enumerate(rows) for v in rows[i:]
     )
-    assert alg.basis.is_hadamard_closed() == closed
+    span, _ = closure._worklist(alg.space, gens, alg.mode)
+    assert closure._is_hadamard_closed(span) == closed
 
 
 class TestIntegerClosure:
@@ -531,6 +546,23 @@ class TestIntegerClosure:
         configs = list(enumerate_configs(sp, first_point=0))
         for cfg in configs[::10]:
             assert_matches_fraction_worklist(close(sp, cfg.generators(mode), mode))
+
+    @pytest.mark.parametrize("eta0", [Fraction(1, 3), Fraction(-5, 2)])
+    def test_rows_are_divided_by_their_pivot_entries(self, eta0):
+        # on the line {a, b, c}, v = a + b - eta c has v*v = (1 + eta) v, so
+        # it spans its closure, and its integer row has pivot entry den(eta0)
+        alg = close(line_space(), [{0: ONE, 1: ONE, 2: -ETA}], ScalarMode.evaluated(eta0))
+        assert alg.basis.rows == [{0: 1, 1: 1, 2: -eta0}]
+        assert_matches_fraction_worklist(alg)
+
+    def test_symbolic_rows_are_shared_constants(self):
+        span = _IntEchelon()
+        span.insert({0: 3, 1: 3, 2: -1})
+        basis = closure._unit_pivot_basis(span, SYM)
+        assert basis.rows == [{0: ONE, 1: ONE, 2: EtaScalar(-1, 3)}]
+        assert all(type(v) is EtaScalar for v in basis.rows[0].values())
+        assert basis.rows[0][0] is basis.rows[0][1]
+        assert basis.pivot_of_row == [0] and basis.canonical_rows() == reinserted_rows(basis)
 
     @pytest.mark.parametrize("eta0", [Fraction(1, 3), Fraction(-5, 2)])
     @pytest.mark.parametrize("family,n", [("W3A", 4), ("WrA4", 2)])

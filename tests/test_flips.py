@@ -237,7 +237,3 @@ class TestFlipReport:
         assert rep["flip_dim_symbolic"] == 30
         assert rep["flip_dims_at"] == {"2": 29}
         assert "extras_note" in rep
-
-    def test_doubles_primitive_flag(self):
-        rep = flip_report("W2A", 2, check_doubles_primitive=True)
-        assert rep["doubles_primitive_in_fixed"] is True
