@@ -12,6 +12,11 @@ of b -> x*b - b.  A product of eigenvectors obeys a fusion cell iff prod
 over allowed nu of (ad_x - nu) kills it, and its component on part k is its
 image under P_k; the Miyamoto involution is I - 2 * P_odd for the eta part.
 
+In evaluated mode at eta0 = n/d, every function first takes the axis at
+eta0, and primitivity is an integer rank: the basis rows scaled to primitive
+integer rows form an integer echelon as they stand, and the images, scaled
+by 2d and the axis's denominators, are integer vectors (``check_primitive``).
+
 Over Q(eta) with a rational axis, rational basis rows and eigenvalues of
 degree <= 1 in eta (``scalars.rational_vec`` and ``is_linear_in_eta``
 decide), every cell check is a vector of polynomials in eta of
@@ -29,14 +34,17 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
-from .algebra import Vec, vec_add_scaled, vec_product, vec_scale
-from .closure import EchelonBasis, ScalarMode, Subalgebra
+from .algebra import Vec, _IntEchelon, vec_add_scaled, vec_product, vec_scale
+from .closure import EchelonBasis, ScalarMode, Subalgebra, UnsafeEtaError
 from .fischer import FischerSpace, verified_reflection
 from .scalars import (
     HALF_ETA,
     EtaScalar,
+    PoleError,
     as_eta_scalar,
+    evaluate_vec,
     is_linear_in_eta,
+    primitive_int_vec,
     rational_value,
     rational_vec,
 )
@@ -126,6 +134,18 @@ def odd_part_index(law: FusionLaw) -> int:
 # adjoints and eigenspaces
 # ---------------------------------------------------------------------------
 
+def _axis_in_mode(algebra: Subalgebra, x: Vec) -> Vec:
+    """The axis over the algebra's scalars: its value at eta0 in evaluated
+    mode, where a pole raises UnsafeEtaError as for the generators of
+    ``close``; x itself in symbolic mode."""
+    if algebra.mode.is_symbolic:
+        return x
+    try:
+        return evaluate_vec(x, algebra.mode.eta0)
+    except PoleError as exc:
+        raise UnsafeEtaError(f"axis with a pole: {exc}") from exc
+
+
 def _ad_poly(sp: FischerSpace, x: Vec, w: Vec, roots: Iterable, half) -> Vec:
     """prod over nu in roots of (ad_x - nu), applied to w."""
     for nu in roots:
@@ -202,6 +222,7 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
     Raises when the image dimensions do not sum to the dimension of the
     subalgebra; the message gives the kernel dimensions of ad_x - lambda.
     """
+    x = _axis_in_mode(algebra, x)
     if vec_product(algebra.space, x, x, algebra.mode.half_eta()) != x:
         raise ValueError("axis must be an idempotent")
     spectrum = tuple(spectrum)
@@ -311,6 +332,7 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
     point fails, or the inputs do not qualify, the pairs are checked over
     Q(eta), which alone reports violations.
     """
+    x = _axis_in_mode(algebra, x)
     dec = eigen_decompose(algebra, x, law.eigenvalues)
     lowered = _rational_inputs(algebra, x, law)
     if lowered is not None and _cells_vanish_at_points(dec, law, *lowered):
@@ -396,9 +418,37 @@ def _cells_vanish_at_points(
 
 def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
     """True iff the 1-eigenspace of ad_x inside the subalgebra is a line,
-    i.e. b -> x*b - b has rank d - 1 on the basis rows."""
-    span, _ = _image(algebra, x, (algebra.mode.one(),))
-    return algebra.dimension - len(span) == 1
+    i.e. b -> x*b - b has rank d - 1 on the basis rows.
+
+    In evaluated mode, at eta0 = n/d, the rank is taken over Z.  The
+    unit-pivot basis rows, scaled to primitive integer rows, keep their
+    pivots and stay zero at the other rows' pivots, so they form an integer
+    echelon as they stand.  With L the lcm of the axis's denominators and
+    xL = L*x, ``vec_product(xL, b, n, 2d) - 2dL*b`` is 2dL*(x*b - b): an
+    integer vector with the span of x*b - b.
+    """
+    x = _axis_in_mode(algebra, x)
+    mode = algebra.mode
+    if mode.is_symbolic:
+        span, _ = _image(algebra, x, (mode.one(),))
+        return algebra.dimension - len(span) == 1
+    if algebra.coordinates(x) is None:
+        raise ValueError("the axis does not lie in the subalgebra")
+    basis = _IntEchelon()
+    basis.rows = [primitive_int_vec(row) for row in algebra.basis.rows]
+    basis.pivot_of_row = algebra.basis.pivot_of_row
+    basis.row_of_pivot = algebra.basis.row_of_pivot
+    n, two_d = mode.product_weights()
+    lcm = math.lcm(*[c.denominator for c in x.values()])  # a list: see primitive_int_vec
+    x_lcm = {k: c.numerator * (lcm // c.denominator) for k, c in x.items()}
+    span = _IntEchelon()
+    for row in basis.rows:
+        image = vec_product(algebra.space, x_lcm, row, n, two_d)
+        vec_add_scaled(image, row, -two_d * lcm)
+        if basis.reduce(image):
+            raise ValueError("adjoint image left the subalgebra; not closed")
+        span.insert(image)
+    return algebra.dimension - len(span.rows) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +544,7 @@ def miyamoto_algebra_map(algebra: Subalgebra, x: Vec, law: FusionLaw) -> Miyamot
     Column c holds the coordinates of b_c - 2 * P_odd(b_c) for the basis
     row b_c and the Lagrange projection P_odd onto the odd part.
     """
+    x = _axis_in_mode(algebra, x)
     if not check_fusion(algebra, x, law).passed:
         raise ValueError("fusion law fails; no Miyamoto involution")
     sp = algebra.space

@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="type-D configuration census")
     p_classify.add_argument("--ambient", required=True, help="FAMILY:n")
     p_classify.add_argument("--sample", type=int, help="sampled configurations")
-    p_classify.add_argument("--seed", type=int, default=0)
+    p_classify.add_argument("--seed", type=int, help="sampling seed; needs --sample (default 0)")
     p_classify.add_argument("--mode", help="symbolic or a rational eta; default eta=7")
     p_classify.add_argument("--no-recertify", action="store_true")
     p_classify.add_argument("--csv", action="store_true", help="emit flattened CSV")
@@ -182,9 +182,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
 
         if args.command == "classify":
+            if args.sample is None and args.seed is not None:
+                raise ValueError("--seed needs --sample")
             sp = parse_space_spec(args.ambient)
             mode = _parse_mode(args.mode) if args.mode else None
-            sampling = (args.sample, args.seed) if args.sample is not None else None
+            sampling = (args.sample, args.seed or 0) if args.sample is not None else None
             report = classify(
                 sp,
                 mode=mode,

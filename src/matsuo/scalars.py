@@ -678,7 +678,9 @@ def primitive_int_vec(vec: dict) -> dict:
             raise ValueError(f"coefficient {v} involves eta")
         if c:
             out[k] = c
-    den = _int_lcm(*(c.denominator for c in out.values()))
+    # a list, not a generator: a tuple built from a generator is resized,
+    # and each one freed is parked on the free list of its final size
+    den = _int_lcm(*[c.denominator for c in out.values()])
     ints = {k: c.numerator * (den // c.denominator) for k, c in out.items()}
     g = _int_gcd(*ints.values())
     return {k: c // g for k, c in ints.items()}

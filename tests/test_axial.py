@@ -171,27 +171,31 @@ class TestEigenDecompose:
                 eigen_decompose(alg, {0: ONE}, spectrum)
 
     def test_axis_outside_the_subalgebra(self):
-        alg = close(build_named_space("A", 3), [{0: ONE}], SYM)
-        for call in (
-            lambda: eigen_decompose(alg, {1: ONE}, jordan_law(SYM).eigenvalues),
-            lambda: check_primitive(alg, {1: ONE}),
-        ):
-            with pytest.raises(ValueError, match="does not lie in the subalgebra"):
-                call()
+        for mode in (SYM, EV7):
+            alg = close(build_named_space("A", 3), [{0: mode.one()}], mode)
+            x = {1: mode.one()}
+            for call in (
+                lambda: eigen_decompose(alg, x, jordan_law(mode).eigenvalues),
+                lambda: check_primitive(alg, x),
+            ):
+                with pytest.raises(ValueError, match="does not lie in the subalgebra"):
+                    call()
 
     def test_subalgebra_not_closed(self):
         # span(b0, b1) in the line algebra: b0 * b1 has a b2 component
         sp = build_named_space("A", 3)
-        basis = EchelonBasis(SYM)
-        basis.insert({0: ONE})
-        basis.insert({1: ONE})
-        alg = Subalgebra(sp, SYM, [], basis)
-        for call in (
-            lambda: eigen_decompose(alg, {0: ONE}, jordan_law(SYM).eigenvalues),
-            lambda: check_primitive(alg, {0: ONE}),
-        ):
-            with pytest.raises(ValueError, match="not closed"):
-                call()
+        for mode in (SYM, EV7):
+            basis = EchelonBasis(mode)
+            basis.insert({0: mode.one()})
+            basis.insert({1: mode.one()})
+            alg = Subalgebra(sp, mode, [], basis)
+            x = {0: mode.one()}
+            for call in (
+                lambda: eigen_decompose(alg, x, jordan_law(mode).eigenvalues),
+                lambda: check_primitive(alg, x),
+            ):
+                with pytest.raises(ValueError, match="not closed"):
+                    call()
 
 
 def tightened(law, cell, allowed):
@@ -476,26 +480,40 @@ def shifted_adjoint_rank(alg, x) -> int:
 
 class TestPrimitivity:
     def test_matches_shifted_adjoint_rank(self):
-        # the generators of the 45 A:5 configurations, and the doubles of
-        # the W2A, W3A and W2D k = 2 fixed subalgebras, all at eta = 7
-        cases = []
+        # the generators of the 45 A:5 configurations, the doubles of the
+        # W2A, W3A and W2D k = 2 fixed subalgebras, and two idempotents with
+        # fractional coefficients in the closure of a line {a, b, c} and a
+        # point p orthogonal to it: u - a, primitive, and u - a + p, not,
+        # with u = (a + b + c) / (1 + eta) the identity of the line; at
+        # eta0 = n/d with d = 1, d > 1 and n < 0
         sp = build_named_space("A", 5)
-        for cfg in enumerate_configs(sp, first_point=0):
-            gens = cfg.generators(EV7)
-            cases.append((close(sp, gens, EV7), gens))
-        for family in ("W2A", "W3A", "W2D"):
-            tau = standard_flip(family, 2)
-            fixed = close(tau.space, fixed_subalgebra_basis(tau.space, tau, EV7), EV7)
-            doubles = classify_orbits(tau.space, tau).doubles
-            cases.append((fixed, [orbit_vector(pair, EV7.one()) for pair in doubles]))
-        assert len(cases) == 48
-        verdicts = set()
-        for alg, axes in cases:
-            for x in axes:
-                expected = alg.dimension - shifted_adjoint_rank(alg, x) == 1
-                assert check_primitive(alg, x) == expected
-                verdicts.add(expected)
-        assert verdicts == {True, False}
+        a, b, c, p = map(sp.point_of_label, ("b(1,2)", "b(1,3)", "b(2,3)", "b(4,5)"))
+        for eta0 in (Fraction(7), Fraction(1, 3), Fraction(-5, 2)):
+            mode = ScalarMode.evaluated(eta0)
+            cases = []
+            for cfg in enumerate_configs(sp, first_point=0):
+                gens = cfg.generators(mode)
+                cases.append((close(sp, gens, mode), gens))
+            for family in ("W2A", "W3A", "W2D"):
+                tau = standard_flip(family, 2)
+                fixed = close(tau.space, fixed_subalgebra_basis(tau.space, tau, mode), mode)
+                doubles = classify_orbits(tau.space, tau).doubles
+                cases.append((fixed, [orbit_vector(pair, mode.one()) for pair in doubles]))
+            line_and_point = close(sp, [{q: mode.one()} for q in (a, b, c, p)], mode)
+            third = 1 / (1 + eta0)
+            u_minus_a = {a: third - 1, b: third, c: third}
+            u_minus_a_plus_p = {**u_minus_a, p: mode.one()}
+            cases.append((line_and_point, [u_minus_a, u_minus_a_plus_p]))
+            assert len(cases) == 49
+            verdicts = set()
+            for alg, axes in cases:
+                for x in axes:
+                    expected = alg.dimension - shifted_adjoint_rank(alg, x) == 1
+                    assert check_primitive(alg, x) == expected
+                    verdicts.add(expected)
+            assert verdicts == {True, False}
+            assert check_primitive(line_and_point, u_minus_a)
+            assert not check_primitive(line_and_point, u_minus_a_plus_p)
 
     def test_single_axis_in_own_closure(self):
         sp = build_named_space("A", 3)
@@ -516,6 +534,37 @@ class TestPrimitivity:
         dec = classify_orbits(sp, tau)
         for pair in dec.doubles:
             assert check_primitive(fixed, orbit_vector(pair, ONE))
+
+
+class TestEvaluatedAxis:
+    """Evaluated-mode axial functions take the axis at eta0."""
+
+    def test_axis_with_eta_coefficients(self):
+        alg = close(build_named_space("A", 4), [{0: ONE}, {1: ONE}], EV7)
+        law = jordan_law(EV7)
+        e0 = {0: EV7.one()}
+        x = {0: EtaScalar.eta() - 6}  # e0 at eta = 7
+        assert check_primitive(alg, x)
+        assert eigen_decompose(alg, x, law.eigenvalues).parts == (
+            eigen_decompose(alg, e0, law.eigenvalues).parts
+        )
+        assert check_fusion(alg, x, law).passed
+        assert miyamoto_algebra_map(alg, x, law).matrix == (
+            miyamoto_algebra_map(alg, e0, law).matrix
+        )
+
+    def test_axis_with_a_pole_refused(self):
+        alg = close(build_named_space("A", 4), [{0: ONE}, {1: ONE}], EV7)
+        law = jordan_law(EV7)
+        x = {0: 1 / (EtaScalar.eta() - 7)}
+        for call in (
+            lambda: check_primitive(alg, x),
+            lambda: eigen_decompose(alg, x, law.eigenvalues),
+            lambda: check_fusion(alg, x, law),
+            lambda: miyamoto_algebra_map(alg, x, law),
+        ):
+            with pytest.raises(UnsafeEtaError, match="pole"):
+                call()
 
 
 class TestMiyamotoPointMap:

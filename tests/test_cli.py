@@ -131,6 +131,17 @@ def test_classify_sample_below_one_refused(capsys, count):
     assert "sample count must be at least 1" in captured.err
 
 
+def test_classify_seed_needs_sample(capsys):
+    code = main(["classify", "--ambient", "A:5", "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--seed needs --sample" in captured.err
+    code, data = run_cli(capsys, "classify", "--ambient", "A:5", "--sample", "2", "--no-recertify")
+    assert code == 0
+    assert data["seed"] == 0
+
+
 @pytest.mark.parametrize("workers", ["abc", "0", "-2"])
 def test_bad_worker_count_refused(capsys, monkeypatch, workers):
     monkeypatch.setenv("MATSUO_WORKERS", workers)
