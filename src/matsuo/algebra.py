@@ -15,7 +15,7 @@ from itertools import islice
 from math import comb, gcd
 from typing import Iterator, Optional, Sequence
 
-from .fischer import FischerSpace, point_orbits
+from .fischer import FischerSpace, cached_on_space, point_orbits
 from .scalars import (
     HALF_ETA,
     EtaPoly,
@@ -23,6 +23,7 @@ from .scalars import (
     _int_mul,
     _int_trim,
     as_eta_scalar,
+    poly_lcm,
     rational_roots,
 )
 
@@ -320,34 +321,25 @@ def _krylov_annihilator(nbrs: list[list[int]], seed: list[int]) -> list[Fraction
             return [Fraction(row.get(n + j, 0), row[n + k]) for j in range(k + 1)]
 
 
-def _poly_lcm_monic(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    from .scalars import poly_lcm
-
-    res = poly_lcm(EtaPoly(a), EtaPoly(b)).monic()
-    return list(res.coeffs)
-
-
+@cached_on_space
 def adjacency_minimal_polynomial(sp: FischerSpace) -> EtaPoly:
     """Exact monic minimal polynomial of the collinearity adjacency matrix.
 
     The lcm of the Krylov annihilators of one unit vector per point orbit.
     The orbits come from verified automorphisms g, which commute with A, so
     e_{g r} has the annihilator of e_r; the unit vectors span the space.
+    Cached on the space.
     """
-    cached = getattr(sp, "_minpoly_cache", None)
-    if cached is not None:
-        return cached
     nbrs = adjacency_rows(sp)
-    minpoly: list[Fraction] = [Fraction(1)]
+    minpoly = EtaPoly.one()
     for orbit in point_orbits(sp):
         seed = [int(q == orbit[0]) for q in range(len(nbrs))]
-        ann = _krylov_annihilator(nbrs, seed)
-        minpoly = _poly_lcm_monic(minpoly, ann)
-    result = EtaPoly(minpoly)
-    sp._minpoly_cache = result  # type: ignore[attr-defined]
-    return result
+        ann = EtaPoly(_krylov_annihilator(nbrs, seed))
+        minpoly = poly_lcm(minpoly, ann).monic()
+    return minpoly
 
 
+@cached_on_space
 def adjacency_spectrum(sp: FischerSpace) -> Optional[dict[Fraction, int]]:
     """Eigenvalue multiplicities {lam: m} of the collinearity adjacency
     matrix A, or None when an eigenvalue is irrational.
@@ -359,8 +351,6 @@ def adjacency_spectrum(sp: FischerSpace) -> Optional[dict[Fraction, int]]:
     permute the diagonal of A^j within each orbit.  Raises RuntimeError
     unless every m_l is a positive integer.  Cached on the space.
     """
-    if hasattr(sp, "_spectrum_cache"):
-        return sp._spectrum_cache
     m = adjacency_minimal_polynomial(sp)
     roots = sorted(rational_roots(m))
     spectrum: Optional[dict[Fraction, int]] = None
@@ -381,7 +371,6 @@ def adjacency_spectrum(sp: FischerSpace) -> Optional[dict[Fraction, int]]:
                     f"eigenvalue {lam} of {sp.describe()} got multiplicity {mult}"
                 )
             spectrum[lam] = int(mult)
-    sp._spectrum_cache = spectrum  # type: ignore[attr-defined]
     return spectrum
 
 
@@ -504,16 +493,14 @@ def _det_via_spectrum(sp: FischerSpace) -> EtaPoly:
     return EtaPoly(det)
 
 
+@cached_on_space
 def gram_det(sp: FischerSpace) -> EtaPoly:
     """Cleared Gram determinant det(2I + eta*A), content-normalized.
 
     Spectral route whenever the adjacency spectrum is rational; direct
     fraction-free elimination otherwise, on spaces of at most
-    BAREISS_MAX_POINTS points.
+    BAREISS_MAX_POINTS points.  Cached on the space.
     """
-    cached = getattr(sp, "_gram_det_cache", None)
-    if cached is not None:
-        return cached
     n = len(sp.points)
     if adjacency_spectrum(sp) is None and n <= BAREISS_MAX_POINTS:
         matrix = []
@@ -524,9 +511,7 @@ def gram_det(sp: FischerSpace) -> EtaPoly:
         det = EtaPoly(bareiss_det_int_poly(matrix))
     else:
         det = _det_via_spectrum(sp)
-    det = det.primitive() if det.leading > 0 else -det.primitive()
-    sp._gram_det_cache = det  # type: ignore[attr-defined]
-    return det
+    return det.primitive() if det.leading > 0 else -det.primitive()
 
 
 def gram(sp: FischerSpace) -> GramData:
@@ -565,15 +550,13 @@ def _certificate_from_minpoly(m: EtaPoly) -> EtaPoly:
     return prim
 
 
+@cached_on_space
 def critical_values(sp: FischerSpace) -> CriticalValues:
     """Values of eta where the Gram matrix of the form degenerates.
 
     eta = 0, 1 are outside the parameter domain and reported separately when
-    they happen to be determinant roots.
+    they happen to be determinant roots.  Cached on the space.
     """
-    cached = getattr(sp, "_critical_cache", None)
-    if cached is not None:
-        return cached
     m = adjacency_minimal_polynomial(sp)
     cert = _certificate_from_minpoly(m)
     all_roots = {Fraction(-2, 1) / lam for lam in rational_roots(m) if lam != 0}
@@ -585,9 +568,7 @@ def critical_values(sp: FischerSpace) -> CriticalValues:
     else:
         zero_mult = eigenvalue_multiplicity(sp, Fraction(0)) if m.evaluate(0) == 0 else 0
     det_degree = len(sp.points) - zero_mult
-    result = CriticalValues(sp, roots, excluded, cert, det_degree)
-    sp._critical_cache = result  # type: ignore[attr-defined]
-    return result
+    return CriticalValues(sp, roots, excluded, cert, det_degree)
 
 
 def radical_dim(sp: FischerSpace, eta0) -> int:

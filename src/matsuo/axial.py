@@ -35,14 +35,12 @@ from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .algebra import Vec, _IntEchelon, vec_add_scaled, vec_product, vec_scale
-from .closure import EchelonBasis, ScalarMode, Subalgebra, UnsafeEtaError
+from .closure import EchelonBasis, ScalarMode, Subalgebra
 from .fischer import FischerSpace, verified_reflection
 from .scalars import (
     HALF_ETA,
     EtaScalar,
-    PoleError,
     as_eta_scalar,
-    evaluate_vec,
     is_linear_in_eta,
     primitive_int_vec,
     rational_value,
@@ -134,18 +132,6 @@ def odd_part_index(law: FusionLaw) -> int:
 # adjoints and eigenspaces
 # ---------------------------------------------------------------------------
 
-def _axis_in_mode(algebra: Subalgebra, x: Vec) -> Vec:
-    """The axis over the algebra's scalars: its value at eta0 in evaluated
-    mode, where a pole raises UnsafeEtaError as for the generators of
-    ``close``; x itself in symbolic mode."""
-    if algebra.mode.is_symbolic:
-        return x
-    try:
-        return evaluate_vec(x, algebra.mode.eta0)
-    except PoleError as exc:
-        raise UnsafeEtaError(f"axis with a pole: {exc}") from exc
-
-
 def _ad_poly(sp: FischerSpace, x: Vec, w: Vec, roots: Iterable, half) -> Vec:
     """prod over nu in roots of (ad_x - nu), applied to w."""
     for nu in roots:
@@ -222,7 +208,7 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
     Raises when the image dimensions do not sum to the dimension of the
     subalgebra; the message gives the kernel dimensions of ad_x - lambda.
     """
-    x = _axis_in_mode(algebra, x)
+    x = algebra.mode.vector(x, "axis")
     if vec_product(algebra.space, x, x, algebra.mode.half_eta()) != x:
         raise ValueError("axis must be an idempotent")
     spectrum = tuple(spectrum)
@@ -332,7 +318,7 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
     point fails, or the inputs do not qualify, the pairs are checked over
     Q(eta), which alone reports violations.
     """
-    x = _axis_in_mode(algebra, x)
+    x = algebra.mode.vector(x, "axis")
     dec = eigen_decompose(algebra, x, law.eigenvalues)
     lowered = _rational_inputs(algebra, x, law)
     if lowered is not None and _cells_vanish_at_points(dec, law, *lowered):
@@ -427,7 +413,7 @@ def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
     xL = L*x, ``vec_product(xL, b, n, 2d) - 2dL*b`` is 2dL*(x*b - b): an
     integer vector with the span of x*b - b.
     """
-    x = _axis_in_mode(algebra, x)
+    x = algebra.mode.vector(x, "axis")
     mode = algebra.mode
     if mode.is_symbolic:
         span, _ = _image(algebra, x, (mode.one(),))
@@ -455,14 +441,8 @@ def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
 # Miyamoto maps
 # ---------------------------------------------------------------------------
 
-def miyamoto_point_map(sp: FischerSpace, p: int) -> tuple[int, ...]:
-    """Point permutation of the Miyamoto involution of a single axis.
-
-    Fixes p and everything non-collinear with p; on each line through p it
-    swaps the other two points.  Raises ValueError unless it is a space
-    automorphism.
-    """
-    return verified_reflection(sp, p)
+# the point permutation of the Miyamoto involution of a single axis p
+miyamoto_point_map = verified_reflection
 
 
 def permutation_matrix_on(algebra: Subalgebra, perm: Sequence[int]) -> list[list]:
@@ -544,7 +524,7 @@ def miyamoto_algebra_map(algebra: Subalgebra, x: Vec, law: FusionLaw) -> Miyamot
     Column c holds the coordinates of b_c - 2 * P_odd(b_c) for the basis
     row b_c and the Lagrange projection P_odd onto the odd part.
     """
-    x = _axis_in_mode(algebra, x)
+    x = algebra.mode.vector(x, "axis")
     if not check_fusion(algebra, x, law).passed:
         raise ValueError("fusion law fails; no Miyamoto involution")
     sp = algebra.space

@@ -13,12 +13,20 @@ import json
 import os
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import Vec
 from .axial import check_primitive
 from .closure import DEFAULT_SEARCH_ETA, ScalarMode, close, is_direct_sum
-from .fischer import Diagram, FischerSpace, canonical_diagram, diagram_of, point_orbits
+from .fischer import (
+    Diagram,
+    FischerSpace,
+    canonical_diagram,
+    components,
+    diagram_of,
+    point_orbits,
+)
 
 FULL_ENUMERATION_LIMIT = 40
 
@@ -65,28 +73,9 @@ class TypeDConfig:
         """Generator groups induced by the connected components of the
         diagram: generators whose supports touch fall in the same part."""
         supports = [(self.a,), self.bc, self.de]
-        adjacency = [[False] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if any(sp.collinear(p, q) for p in supports[i] for q in supports[j]):
-                    adjacency[i][j] = adjacency[j][i] = True
-        part_of = [-1, -1, -1]
-        parts: list[list[int]] = []
-        for i in range(3):
-            if part_of[i] >= 0:
-                continue
-            comp = [i]
-            part_of[i] = len(parts)
-            stack = [i]
-            while stack:
-                v = stack.pop()
-                for w in range(3):
-                    if adjacency[v][w] and part_of[w] < 0:
-                        part_of[w] = len(parts)
-                        comp.append(w)
-                        stack.append(w)
-            parts.append(sorted(comp))
-        return parts
+        return components(3, lambda i, j: any(
+            sp.collinear(p, q) for p in supports[i] for q in supports[j]
+        ))
 
 
 def orthogonal_pairs(sp: FischerSpace) -> list[tuple[int, int]]:
@@ -267,7 +256,6 @@ def classify(
     sp: FischerSpace,
     mode: Optional[ScalarMode] = None,
     sampling: Optional[tuple[int, int]] = None,
-    use_transitivity: bool = True,
     recertify_symbolic: bool = True,
 ) -> ClassificationReport:
     """Bucket configurations by canonical diagram and record dimensions.
@@ -289,7 +277,7 @@ def classify(
     if not mode.is_safe_for(sp):
         raise ValueError(f"search mode {mode.describe()} is unsafe for this space")
     first_point: Optional[int] = None
-    if use_transitivity and sampling is None and len(point_orbits(sp)) == 1:
+    if sampling is None and len(point_orbits(sp)) == 1:
         first_point = 0
     configs = list(
         enumerate_configs(sp, sampling=sampling, first_point=first_point)
@@ -299,7 +287,7 @@ def classify(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            evals = list(pool.map(_evaluate_for_pool, [(sp, c, mode) for c in configs]))
+            evals = list(pool.map(evaluate_config, repeat(sp), configs, repeat(mode)))
     else:
         evals = [evaluate_config(sp, c, mode) for c in configs]
     samples: dict[tuple[int, int], TypeDConfig] = {}  # (code, dim) -> first config
@@ -340,11 +328,6 @@ def classify(
                 bucket["classification"] = "unclassified_d8_d9_candidate"
     seed = sampling[1] if sampling else None
     return ClassificationReport(sp, mode, seed, first_point is not None, buckets)
-
-
-def _evaluate_for_pool(args):
-    sp, cfg, mode = args
-    return evaluate_config(sp, cfg, mode)
 
 
 def disconnected_configs_are_direct_sums(

@@ -41,12 +41,15 @@ def _parse_generators(sp: FischerSpace, text: str, mode: ScalarMode) -> list[dic
 
 
 def _emit(data, out: Optional[str]) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True)
+    """Write a report to the file out, or to stdout: text as it is, anything
+    else as indented JSON and a newline."""
+    if not isinstance(data, str):
+        data = json.dumps(data, indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(data)
     else:
-        print(text)
+        sys.stdout.write(data)
 
 
 def _space_stats(sp: FischerSpace) -> dict:
@@ -164,7 +167,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "fusion":
             sp = parse_space_spec(args.ambient)
             mode = _parse_mode(args.mode)
-            axis = _parse_generators(sp, args.axis, mode)[0]
+            axes = _parse_generators(sp, args.axis, mode)
+            if len(axes) > 1:
+                raise ValueError(
+                    f"--axis takes one vector, got {len(axes)}; write a double axis"
+                    " as one sum, e.g. b(1,2)+b(3,4)"
+                )
+            axis = axes[0]
             if args.gens:
                 gens = _parse_generators(sp, args.gens, mode)
             else:
@@ -193,15 +202,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 sampling=sampling,
                 recertify_symbolic=not args.no_recertify,
             )
-            if args.csv:
-                text = report.csv()
-                if args.out:
-                    with open(args.out, "w", encoding="utf-8") as fh:
-                        fh.write(text)
-                else:
-                    print(text, end="")
-            else:
-                _emit(report.export(), args.out)
+            _emit(report.csv() if args.csv else report.export(), args.out)
             return 0
     except (ValueError, KeyError, ZeroDivisionError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -112,6 +112,17 @@ class ScalarMode:
             return HALF_ETA, 1
         return self.eta0.numerator, 2 * self.eta0.denominator
 
+    def vector(self, vec: Vec, role: str) -> Vec:
+        """vec over this mode's scalars: vec itself when symbolic, its value
+        at eta0 when evaluated, where a pole raises UnsafeEtaError naming
+        the vector's role ("generator" or "axis")."""
+        if self.is_symbolic:
+            return vec
+        try:
+            return evaluate_vec(vec, self.eta0)
+        except PoleError as exc:
+            raise UnsafeEtaError(f"{role} with a pole: {exc}") from exc
+
     def is_safe_for(self, sp: FischerSpace) -> bool:
         """Safe evaluated mode: away from 1/2, 2, -1 and the rational
         critical values of the ambient space.  Symbolic mode is always safe."""
@@ -376,14 +387,11 @@ def close(
     generators, which must stay nonzero.  In evaluated mode the generators
     are evaluated at eta0 first; a pole there raises UnsafeEtaError.
     """
-    gen_list = [{k: v for k, v in g.items() if v} for g in gens]
+    gen_list = [
+        mode.vector({k: v for k, v in g.items() if v}, "generator") for g in gens
+    ]
     if roles is None:
         roles = ["custom"] * len(gen_list)
-    if not mode.is_symbolic:
-        try:
-            gen_list = [evaluate_vec(g, mode.eta0) for g in gen_list]
-        except PoleError as exc:
-            raise UnsafeEtaError(f"generator with a pole: {exc}") from exc
     if any(not g for g in gen_list):
         raise ValueError("generators must be nonzero")
     generators = list(zip(gen_list, roles))
@@ -567,15 +575,16 @@ def _walk_at(
         if any(grew):
             worklist.append(node)
 
+    # nodes are built from lists, not generators: see scalars.primitive_int_vec
     for g in gens:
-        offer(tuple(primitive_int_vec(evaluate_vec(g, m.eta0)) for m in modes))
+        offer(tuple([primitive_int_vec(evaluate_vec(g, m.eta0)) for m in modes]))
     # the worklist grows while it is walked; the product is commutative, so
     # each unordered pair is taken once, when its later node is the left one
     for i, left in enumerate(worklist):
         for right in worklist[: i + 1]:
-            offer(tuple(
+            offer(tuple([
                 _make_primitive(vec_product(sp, a, b, *w))
                 for a, b, w in zip(left, right, weights)
-            ))
+            ]))
     return [len(basis.rows) for basis in bases]
 

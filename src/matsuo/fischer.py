@@ -11,6 +11,7 @@ per-pair oracle `third_point_by_conjugation`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -121,6 +122,26 @@ def elem_to_point(group: FiniteGroup, e: WElem) -> Optional[Point]:
 # the space
 # ---------------------------------------------------------------------------
 
+def components(n: int, adjacent: Callable[[int, int], bool]) -> list[list[int]]:
+    """Connected components of the graph on 0..n-1 whose edges are the pairs
+    v, w with adjacent(v, w), which must be symmetric.  Each component is
+    sorted, and they come in the order of their least vertex."""
+    seen = [False] * n
+    comps = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp = [root]
+        for v in comp:  # grows while iterating: a breadth-first search
+            for w in range(n):
+                if not seen[w] and adjacent(v, w):
+                    seen[w] = True
+                    comp.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
 def _check_lines(third: Sequence[Sequence[int]]) -> None:
     """Raise unless every entry r = third[p][q] >= 0 has third[q][p] = r and
     third[p][r] = q, i.e. the table is a symmetric set of lines."""
@@ -133,10 +154,12 @@ def _check_lines(third: Sequence[Sequence[int]]) -> None:
 
 
 class FischerSpace:
-    """Indexed point set with the third-point map and line list.
+    """Indexed point set with the third-point map and line list: the Fischer
+    space of Wr(T, n), with |T| * n(n-1)/2 points.
 
     Point order is lexicographic by (i, j, t-index), which fixes the basis
-    order of the Matsuo algebra and every export.
+    order of the Matsuo algebra and every export.  Data derived from the
+    space is kept in ``derived`` by ``cached_on_space``.
     """
 
     def __init__(
@@ -156,6 +179,7 @@ class FischerSpace:
         self.base = base
         self.n = n
         self.family = family
+        self.derived: dict = {}
         self.points: tuple[Point, ...] = tuple(
             Point(i, j, t)
             for i in range(1, n + 1)
@@ -260,21 +284,7 @@ class FischerSpace:
         return partners // 2
 
     def is_connected(self) -> bool:
-        npts = len(self.points)
-        if npts == 0:
-            return True
-        seen = [False] * npts
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            p = stack.pop()
-            for q, r in enumerate(self.third[p]):
-                if r >= 0 and not seen[q]:
-                    seen[q] = True
-                    count += 1
-                    stack.append(q)
-        return count == npts
+        return len(components(len(self.points), self.collinear)) == 1
 
     def point_of_label(self, label: str) -> int:
         try:
@@ -300,10 +310,21 @@ class FischerSpace:
         }
 
 
-def build_wreath_space(base: FiniteGroup, n: int, family: Optional[str] = None,
-                       labeler: Optional[Callable[[Point], str]] = None) -> FischerSpace:
-    """Fischer space of Wr(T, n); |T| * n(n-1)/2 points."""
-    return FischerSpace(base, n, family=family, labeler=labeler)
+build_wreath_space = FischerSpace
+
+
+def cached_on_space(build: Callable[[FischerSpace], object]):
+    """build(sp), computed once per space and kept in ``sp.derived`` under
+    build's name; a build that raises stores nothing."""
+    name = build.__name__
+
+    @functools.wraps(build)
+    def cached(sp: FischerSpace):
+        if name not in sp.derived:
+            sp.derived[name] = build(sp)
+        return sp.derived[name]
+
+    return cached
 
 
 def third_point(sp: FischerSpace, p: Point, q: Point) -> Optional[Point]:
@@ -380,7 +401,7 @@ def build_named_space(family: str, n: int) -> FischerSpace:
             return f"{letter[:-1]}({p.j},{p.i})"
         return f"{letter}({p.i},{p.j})"
 
-    sp = build_wreath_space(base, n, family=family, labeler=labeler if letters else None)
+    sp = FischerSpace(base, n, family=family, labeler=labeler if letters else None)
     if family == "W3D":
         # Accept the alternative name g(j,i) for the point labelled d(i,j).
         for k, lab in enumerate(sp.labels):
@@ -430,6 +451,7 @@ def verified_reflection(sp: FischerSpace, c: int) -> tuple[int, ...]:
     return perm
 
 
+@cached_on_space
 def point_orbits(sp: FischerSpace) -> tuple[tuple[int, ...], ...]:
     """Point orbits under a group generated by verified reflections.
 
@@ -441,9 +463,6 @@ def point_orbits(sp: FischerSpace) -> tuple[tuple[int, ...], ...]:
     Every generator passes is_space_automorphism, hence commutes with the
     collinearity adjacency matrix.  Cached on the space.
     """
-    cached = getattr(sp, "_orbit_cache", None)
-    if cached is not None:
-        return cached
     third = sp.third
     npts = len(sp.points)
     orbit_of = [-1] * npts
@@ -474,8 +493,7 @@ def point_orbits(sp: FischerSpace) -> tuple[tuple[int, ...], ...]:
                 raise ValueError(f"reflection of point {third[p][x]} does not swap {p} and {x}")
             gens.append(g)
         orbits.append(tuple(sorted(orbit)))
-    sp._orbit_cache = tuple(orbits)  # type: ignore[attr-defined]
-    return sp._orbit_cache
+    return tuple(orbits)
 
 
 @dataclass(frozen=True)
@@ -507,15 +525,7 @@ class Diagram:
         return [(v, w) for v in range(5) for w in range(v + 1, 5) if self.adjacency[v][w]]
 
     def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in range(5):
-                if self.adjacency[v][w] and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == 5
+        return len(components(5, lambda v, w: self.adjacency[v][w])) == 1
 
 
 def diagram_of(sp: FischerSpace, a: int, bc: tuple[int, int], de: tuple[int, int]) -> Diagram:
@@ -529,10 +539,11 @@ def diagram_of(sp: FischerSpace, a: int, bc: tuple[int, int], de: tuple[int, int
         raise InvalidConfigurationError("pair (b, c) must be non-collinear")
     if sp.collinear(d, e):
         raise InvalidConfigurationError("pair (d, e) must be non-collinear")
-    adj = tuple(
-        tuple(v != w and sp.collinear(support[v], support[w]) for w in range(5))
+    # from lists, not generators: see scalars.primitive_int_vec
+    adj = tuple([
+        tuple([v != w and sp.collinear(support[v], support[w]) for w in range(5)])
         for v in range(5)
-    )
+    ])
     return Diagram(adj)
 
 

@@ -110,8 +110,7 @@ def validate_orders(group: FiniteGroup) -> bool:
     return all(group.element_order(x) <= 3 for x in range(group.order))
 
 
-def element_order(group: FiniteGroup, x: int) -> int:
-    return group.element_order(x)
+element_order = FiniteGroup.element_order
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,7 @@ class EtaPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "EtaPoly":
-        return EtaPoly._raw(tuple(-c for c in self.coeffs))
+        return EtaPoly._raw(tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other) -> "EtaPoly":
         other = _as_poly(other)
@@ -458,8 +458,8 @@ class EtaScalar:
             lead = dp.leading
             if lead != 1:
                 inv = Fraction(1) / lead
-                np = EtaPoly._raw(tuple(c * inv for c in np.coeffs))
-                dp = EtaPoly._raw(tuple(c * inv for c in dp.coeffs))
+                np = EtaPoly._raw(tuple([c * inv for c in np.coeffs]))
+                dp = EtaPoly._raw(tuple([c * inv for c in dp.coeffs]))
         object.__setattr__(self, "num", np)
         object.__setattr__(self, "den", dp)
 
@@ -671,13 +671,9 @@ def primitive_int_vec(vec: dict) -> dict:
     """A sparse vector with rational coefficients, scaled to integers whose
     gcd is 1 (signs kept; zeros dropped).  ValueError when a coefficient
     involves eta."""
-    out = {}
-    for k, v in vec.items():
-        c = rational_value(v)
-        if c is None:
-            raise ValueError(f"coefficient {v} involves eta")
-        if c:
-            out[k] = c
+    out = rational_vec(vec)
+    if out is None:
+        raise ValueError("a coefficient involves eta")
     # a list, not a generator: a tuple built from a generator is resized,
     # and each one freed is parked on the free list of its final size
     den = _int_lcm(*[c.denominator for c in out.values()])

@@ -1,6 +1,8 @@
 """Slow, independent references shared by several test modules."""
 
+from matsuo.classify import TypeDConfig
 from matsuo.closure import EchelonBasis
+from matsuo.fischer import FischerSpace
 
 
 def int_matrix_rank(rows: list[list[int]]) -> int:
@@ -45,3 +47,31 @@ def reinserted_rows(basis: EchelonBasis) -> tuple:
         canon.insert(row)
     order = sorted(range(len(canon)), key=canon.pivot_of_row.__getitem__)
     return tuple(tuple(sorted(canon.rows[r].items())) for r in order)
+
+
+def generator_partition(sp: FischerSpace, cfg: TypeDConfig) -> list[list[int]]:
+    """Generator groups of a configuration by a search on its own 3 x 3
+    adjacency: the reference for ``TypeDConfig.generator_partition``."""
+    supports = [(cfg.a,), cfg.bc, cfg.de]
+    adjacency = [[False] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if any(sp.collinear(p, q) for p in supports[i] for q in supports[j]):
+                adjacency[i][j] = adjacency[j][i] = True
+    part_of = [-1, -1, -1]
+    parts: list[list[int]] = []
+    for i in range(3):
+        if part_of[i] >= 0:
+            continue
+        comp = [i]
+        part_of[i] = len(parts)
+        stack = [i]
+        while stack:
+            v = stack.pop()
+            for w in range(3):
+                if adjacency[v][w] and part_of[w] < 0:
+                    part_of[w] = len(parts)
+                    comp.append(w)
+                    stack.append(w)
+        parts.append(sorted(comp))
+    return parts

@@ -1,6 +1,7 @@
 """Type-D configuration enumeration and the classification census."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from matsuo.classify import (
 from matsuo.cli import main as cli_main
 from matsuo.closure import ScalarMode
 from matsuo.fischer import build_named_space, canonical_diagram
+from oracles import generator_partition
 
 EV7 = ScalarMode.evaluated(7)
 
@@ -134,6 +136,20 @@ class TestClassify:
         assert disconnected, "expected disconnected configurations in W3A:4"
         assert disconnected_configs_are_direct_sums(sp, EV7, disconnected)
 
+    def test_generator_partition_matches_oracle(self):
+        # every configuration of A:5, and with the first point fixed of W3A:4
+        # and of W2A:5 and W2D:4, where the generators split three ways
+        shapes = set()
+        for family, n, first_point in (
+            ("A", 5, None), ("W3A", 4, 0), ("W2A", 5, 0), ("W2D", 4, 0)
+        ):
+            sp = build_named_space(family, n)
+            for cfg in enumerate_configs(sp, first_point=first_point):
+                parts = cfg.generator_partition(sp)
+                assert parts == generator_partition(sp, cfg), cfg
+                shapes.add(str(parts))
+        assert shapes == {"[[0, 1, 2]]", "[[0], [1, 2]]", "[[0, 1], [2]]", "[[0], [1], [2]]"}
+
     def test_ambient_automorphism_soundness(self):
         from matsuo.axial import miyamoto_point_map
 
@@ -160,10 +176,21 @@ class TestClassify:
         sp = build_named_space("A", 5)
         n = len(sp.points)
         fixed = classify(sp)
-        full = classify(sp, use_transitivity=False, recertify_symbolic=False)
-        assert fixed.first_point_fixed and not full.first_point_fixed
-        assert fixed.buckets.keys() == full.buckets.keys()
-        for code, bucket in full.buckets.items():
+        assert fixed.first_point_fixed
+        # the full sweep, bucketed as classify buckets it
+        full: dict = {}
+        for cfg in enumerate_configs(sp):
+            data = evaluate_config(sp, cfg, fixed.mode)
+            bucket = full.setdefault(
+                canonical_diagram(cfg.diagram(sp)),
+                {"examined": 0, "dims": Counter(), "primitive_dims": Counter()},
+            )
+            bucket["examined"] += 1
+            bucket["dims"][data["dim"]] += 1
+            if data["primitive"]:
+                bucket["primitive_dims"][data["dim"]] += 1
+        assert fixed.buckets.keys() == full.keys()
+        for code, bucket in full.items():
             assert bucket["examined"] == n * fixed.buckets[code]["examined"]
             for key in ("dims", "primitive_dims"):
                 expected = {dim: n * c for dim, c in fixed.buckets[code][key].items()}

@@ -93,6 +93,15 @@ def test_fusion_monster_at_half_refused(capsys):
     assert "outside {0, 1, 1/2}" in capsys.readouterr().err
 
 
+def test_fusion_axis_takes_one_vector(capsys):
+    # "b(1,2);b(3,4)" is two single axes, not the double axis b(1,2)+b(3,4)
+    code = main(["fusion", "--ambient", "A:4", "--axis", "b(1,2);b(3,4)", "--law", "M"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--axis takes one vector, got 2" in captured.err
+
+
 def test_flip_report(capsys):
     code, data = run_cli(capsys, "flip", "--family", "W3A", "--k", "2")
     assert code == 0
@@ -170,3 +179,13 @@ def test_out_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert json.loads(out.read_text())["rational_roots"] == ["-1", "2"]
+
+
+def test_classify_csv_out_file(tmp_path, capsys):
+    argv = ["classify", "--ambient", "A:5", "--no-recertify", "--csv"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "census.csv"
+    assert main(["--out", str(out), *argv]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed.startswith("diagram_code,") and out.read_text() == printed

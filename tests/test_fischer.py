@@ -12,6 +12,7 @@ from matsuo.fischer import (
     build_named_space,
     build_wreath_space,
     canonical_diagram,
+    components,
     diagram_of,
     is_space_automorphism,
     make_point,
@@ -190,6 +191,29 @@ def test_connectivity():
     assert build_named_space("WrA4", 2).is_connected()
     # two disjoint lines: the S3-case space at n = 2
     assert not build_named_space("W3D", 2).is_connected()
+    # two points and no lines
+    assert not build_named_space("W2A", 2).is_connected()
+
+
+class TestComponents:
+    @staticmethod
+    def graph(edges):
+        return lambda v, w: (v, w) in edges or (w, v) in edges
+
+    def test_empty_graph(self):
+        assert components(0, self.graph(set())) == []
+
+    def test_isolated_vertices(self):
+        assert components(3, self.graph(set())) == [[0], [1], [2]]
+
+    def test_path(self):
+        # 3 - 0 - 4 - 1 - 2, met from the root 0 out of vertex order
+        path = self.graph({(3, 0), (0, 4), (4, 1), (1, 2)})
+        assert components(5, path) == [[0, 1, 2, 3, 4]]
+
+    def test_components_ordered_by_least_vertex(self):
+        graph = self.graph({(0, 4), (1, 3), (3, 5)})
+        assert components(7, graph) == [[0, 4], [1, 3, 5], [2], [6]]
 
 
 def test_lazy_line_streaming():
@@ -258,11 +282,11 @@ class TestAutomorphismCheck:
 
 class TestPointOrbits:
     def test_transitive_on_connected_named_spaces(self):
-        # every named space up to 162 points: one orbit exactly when connected
+        # every named space under 200 points: one orbit exactly when connected
         for family in NAMED_FAMILIES:
             order = len(build_named_space(family, 3).points) // 3
             n = 3 if family == "A" else 2
-            while order * n * (n - 1) // 2 <= 162:
+            while order * n * (n - 1) // 2 < 200:
                 sp = build_named_space(family, n)
                 single = point_orbits(sp) == (tuple(range(len(sp.points))),)
                 assert single == sp.is_connected(), (family, n)
@@ -294,7 +318,7 @@ class TestPointOrbits:
             point_orbits(sp)
         with pytest.raises(ValueError, match="automorphism check"):
             adjacency_spectrum(sp)
-        assert not hasattr(sp, "_orbit_cache")
+        assert not sp.derived
         # the identity is an automorphism, but it moves no point into the orbit
         monkeypatch.setattr(
             fischer_mod, "reflection_map", lambda space, c: tuple(range(len(space.points)))
