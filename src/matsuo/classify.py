@@ -9,7 +9,6 @@ re-certified symbolically on one representative configuration.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 from dataclasses import dataclass
@@ -222,8 +221,8 @@ class ClassificationReport:
                             "dim": dim,
                             "count": b["dims"][dim],
                             "primitive_count": b["primitive_dims"].get(dim, 0),
-                            "sample_config": b["samples"][dim],
-                            "symbolic_certified": b["certified"].get(dim, False),
+                            "sample_config": _config_json(self.space, b["samples"][dim]),
+                            "symbolic_certified": b["certified"][dim],
                         }
                         for dim in sorted(b["dims"])
                     ],
@@ -236,9 +235,6 @@ class ClassificationReport:
             "first_point_fixed": self.first_point_fixed,
             "buckets": bucket_list,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.export(), indent=2, sort_keys=True)
 
     def csv(self) -> str:
         lines = ["diagram_code,connected,classification,dim,count,primitive_count"]
@@ -256,7 +252,6 @@ def classify(
     sp: FischerSpace,
     mode: Optional[ScalarMode] = None,
     sampling: Optional[tuple[int, int]] = None,
-    recertify_symbolic: bool = True,
 ) -> ClassificationReport:
     """Bucket configurations by canonical diagram and record dimensions.
 
@@ -269,12 +264,11 @@ def classify(
     workers = worker_count()
     if mode is None:
         eta = DEFAULT_SEARCH_ETA
-        candidate = ScalarMode.evaluated(eta)
-        while not candidate.is_safe_for(sp):
+        mode = ScalarMode.evaluated(eta)
+        while not mode.is_safe_for(sp):
             eta += 1
-            candidate = ScalarMode.evaluated(eta)
-        mode = candidate
-    if not mode.is_safe_for(sp):
+            mode = ScalarMode.evaluated(eta)
+    elif not mode.is_safe_for(sp):
         raise ValueError(f"search mode {mode.describe()} is unsafe for this space")
     first_point: Optional[int] = None
     if sampling is None and len(point_orbits(sp)) == 1:
@@ -290,7 +284,6 @@ def classify(
             evals = list(pool.map(evaluate_config, repeat(sp), configs, repeat(mode)))
     else:
         evals = [evaluate_config(sp, c, mode) for c in configs]
-    samples: dict[tuple[int, int], TypeDConfig] = {}  # (code, dim) -> first config
     for cfg, data in zip(configs, evals):
         diagram = cfg.diagram(sp)
         code = canonical_diagram(diagram)
@@ -309,15 +302,12 @@ def classify(
         bucket["dims"][dim] = bucket["dims"].get(dim, 0) + 1
         if data["primitive"]:
             bucket["primitive_dims"][dim] = bucket["primitive_dims"].get(dim, 0) + 1
-        if dim not in bucket["samples"]:
-            bucket["samples"][dim] = _config_json(sp, cfg)
-            samples[code, dim] = cfg
-    if recertify_symbolic:
-        sym_mode = ScalarMode.symbolic()
-        for (code, dim), cfg in samples.items():
-            sym = close(sp, cfg.generators(sym_mode), sym_mode)
-            buckets[code]["certified"][dim] = sym.dimension == dim
+        bucket["samples"].setdefault(dim, cfg)
+    sym_mode = ScalarMode.symbolic()
     for bucket in buckets.values():
+        for dim, cfg in bucket["samples"].items():
+            sym = close(sp, cfg.generators(sym_mode), sym_mode)
+            bucket["certified"][dim] = sym.dimension == dim
         if not bucket["connected"]:
             bucket["classification"] = "disconnected"
         else:

@@ -118,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--sample", type=int, help="sampled configurations")
     p_classify.add_argument("--seed", type=int, help="sampling seed; needs --sample (default 0)")
     p_classify.add_argument("--mode", help="symbolic or a rational eta; default eta=7")
-    p_classify.add_argument("--no-recertify", action="store_true")
     p_classify.add_argument("--csv", action="store_true", help="emit flattened CSV")
     return parser
 
@@ -196,12 +195,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sp = parse_space_spec(args.ambient)
             mode = _parse_mode(args.mode) if args.mode else None
             sampling = (args.sample, args.seed or 0) if args.sample is not None else None
-            report = classify(
-                sp,
-                mode=mode,
-                sampling=sampling,
-                recertify_symbolic=not args.no_recertify,
-            )
+            report = classify(sp, mode=mode, sampling=sampling)
             _emit(report.csv() if args.csv else report.export(), args.out)
             return 0
     except (ValueError, KeyError, ZeroDivisionError, RuntimeError) as exc:

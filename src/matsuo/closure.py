@@ -28,7 +28,7 @@ eta1.  Pivots are chosen in one place, ``EchelonBasis.insert``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from typing import Iterable, Optional, Sequence
@@ -277,9 +277,6 @@ class Subalgebra:
     generators: list[tuple[Vec, str]]
     basis: EchelonBasis
     products_computed: int = 0
-    _structure: Optional[list[list[Optional[dict[int, object]]]]] = field(
-        default=None, repr=False
-    )
 
     @property
     def dimension(self) -> int:
@@ -300,9 +297,8 @@ class Subalgebra:
 
     def structure_constants(self) -> list[list[dict[int, object]]]:
         """Sparse tensor: entry [i][j] maps basis index k to the coefficient
-        of basis_k in basis_i * basis_j.  Computed lazily, symmetric."""
-        if self._structure is not None:
-            return self._structure  # type: ignore[return-value]
+        of basis_k in basis_i * basis_j; symmetric.  ValueError when a
+        product leaves the span."""
         d = self.dimension
         half = self.mode.half_eta()
         tensor: list[list[dict[int, object]]] = [[None] * d for _ in range(d)]  # type: ignore[list-item]
@@ -315,16 +311,13 @@ class Subalgebra:
                 entry = {k: c for k, c in enumerate(coords) if c}
                 tensor[i][j] = entry
                 tensor[j][i] = entry
-        self._structure = tensor
         return tensor
 
     def is_closed(self) -> bool:
-        half = self.mode.half_eta()
-        for i in range(self.dimension):
-            for j in range(i, self.dimension):
-                prod = vec_product(self.space, self.basis.rows[i], self.basis.rows[j], half)
-                if self.basis.reduce(prod):
-                    return False
+        try:
+            self.structure_constants()
+        except ValueError:
+            return False
         return True
 
     def export(self, include_structure: bool = False) -> dict:

@@ -530,15 +530,9 @@ class Diagram:
 
 def diagram_of(sp: FischerSpace, a: int, bc: tuple[int, int], de: tuple[int, int]) -> Diagram:
     """Diagram on the support of a type-D generating configuration."""
-    b, c = bc
-    d, e = de
-    support = (a, b, c, d, e)
+    support = (a, *bc, *de)
     if len(set(support)) != 5:
         raise InvalidConfigurationError("support points must be distinct")
-    if sp.collinear(b, c):
-        raise InvalidConfigurationError("pair (b, c) must be non-collinear")
-    if sp.collinear(d, e):
-        raise InvalidConfigurationError("pair (d, e) must be non-collinear")
     # from lists, not generators: see scalars.primitive_int_vec
     adj = tuple([
         tuple([v != w and sp.collinear(support[v], support[w]) for w in range(5)])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import Vec, vec_product
+from .algebra import Vec
 from .closure import ScalarMode, Subalgebra, close, specialized_dimension
 from .fischer import FischerSpace, build_named_space, is_space_automorphism, make_point
 from .groups import automorphism_by_images
@@ -168,35 +168,6 @@ def fixed_subalgebra_basis(
     dec = classify_orbits(sp, tau)
     one = mode.one()
     return [orbit_vector(orbit, one) for orbit in dec.orbits()]
-
-
-def fixed_span_is_closed(sp: FischerSpace, dec: OrbitDecomposition, mode: ScalarMode) -> bool:
-    """Products of orbit vectors stay in the orbit-vector span.
-
-    A vector lies in the span iff its coefficients are constant along every
-    orbit, which is checked directly on each pairwise product.
-    """
-    orbit_of = {}
-    orbits = dec.orbits()
-    for oi, orbit in enumerate(orbits):
-        for p in orbit:
-            orbit_of[p] = oi
-    one = mode.one()
-    half = mode.half_eta()
-    vectors = [orbit_vector(o, one) for o in orbits]
-    for i in range(len(vectors)):
-        for j in range(i, len(vectors)):
-            prod = vec_product(sp, vectors[i], vectors[j], half)
-            by_orbit: dict[int, list] = {}
-            for p, c in prod.items():
-                by_orbit.setdefault(orbit_of[p], []).append((p, c))
-            for oi, entries in by_orbit.items():
-                if len(entries) != len(orbits[oi]):
-                    return False
-                vals = {str(c) for _, c in entries}
-                if len(vals) != 1:
-                    return False
-    return True
 
 
 def flip_subalgebra(sp: FischerSpace, tau: FlipInvolution, mode: ScalarMode) -> Subalgebra:

@@ -307,13 +307,6 @@ def load_cayley_table(text: str, name: str = "custom") -> FiniteGroup:
     return FiniteGroup(name, labels, table)
 
 
-def dump_cayley_table(group: FiniteGroup) -> str:
-    lines = [f"order {group.order}", " ".join(group.labels)]
-    for row in group.table:
-        lines.append(" ".join(group.labels[x] for x in row))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # automorphisms
 # ---------------------------------------------------------------------------
@@ -355,10 +348,6 @@ class GroupAutomorphism:
     def is_involution(self) -> bool:
         n = self.group.order
         return all(self.image[self.image[x]] == x for x in range(n))
-
-
-def identity_automorphism(group: FiniteGroup) -> GroupAutomorphism:
-    return GroupAutomorphism(group, tuple(range(group.order)))
 
 
 def automorphism_by_images(group: FiniteGroup, images: dict[str, str]) -> GroupAutomorphism:

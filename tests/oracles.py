@@ -3,6 +3,7 @@
 from matsuo.classify import TypeDConfig
 from matsuo.closure import EchelonBasis
 from matsuo.fischer import FischerSpace
+from matsuo.groups import FiniteGroup, GroupAutomorphism
 
 
 def int_matrix_rank(rows: list[list[int]]) -> int:
@@ -75,3 +76,15 @@ def generator_partition(sp: FischerSpace, cfg: TypeDConfig) -> list[list[int]]:
                     stack.append(w)
         parts.append(sorted(comp))
     return parts
+
+
+def dump_cayley_table(group: FiniteGroup) -> str:
+    """A group's table in the text format ``load_cayley_table`` reads."""
+    lines = [f"order {group.order}", " ".join(group.labels)]
+    for row in group.table:
+        lines.append(" ".join(group.labels[x] for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def identity_automorphism(group: FiniteGroup) -> GroupAutomorphism:
+    return GroupAutomorphism(group, tuple(range(group.order)))

@@ -112,11 +112,12 @@ class TestClassify:
 
     def test_symbolic_recertification(self, w3a4_report):
         for b in w3a4_report.buckets.values():
+            assert set(b["certified"]) == set(b["dims"])
             assert all(b["certified"].values())
 
     def test_deterministic_reports(self):
         sp = build_named_space("WrA4", 2)
-        assert classify(sp).to_json() == classify(sp).to_json()
+        assert classify(sp).export() == classify(sp).export()
 
     def test_export_schema(self, w3a4_report):
         data = w3a4_report.export()
@@ -129,12 +130,18 @@ class TestClassify:
         assert w3a4_report.csv().startswith("diagram_code,")
 
     def test_disconnected_configs_split(self):
-        sp = build_named_space("W3A", 4)
-        disconnected = [
-            c for c in enumerate_configs(sp) if not c.diagram(sp).is_connected()
-        ]
-        assert disconnected, "expected disconnected configurations in W3A:4"
-        assert disconnected_configs_are_direct_sums(sp, EV7, disconnected)
+        # W3A:4's disconnected configurations keep their generators in one
+        # part; in W2A:5 and W2D:4 some split, so is_direct_sum is reached
+        for family, n, first_point in (("W3A", 4, None), ("W2A", 5, 0), ("W2D", 4, 0)):
+            sp = build_named_space(family, n)
+            disconnected = [
+                c for c in enumerate_configs(sp, first_point=first_point)
+                if not c.diagram(sp).is_connected()
+            ]
+            assert disconnected, f"expected disconnected configurations in {family}:{n}"
+            assert disconnected_configs_are_direct_sums(sp, EV7, disconnected)
+            if family != "W3A":
+                assert any(len(c.generator_partition(sp)) > 1 for c in disconnected)
 
     def test_generator_partition_matches_oracle(self):
         # every configuration of A:5, and with the first point fixed of W3A:4

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from matsuo.cli import main
+from matsuo.closure import ScalarMode, close
+from matsuo.fischer import build_named_space
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +46,36 @@ def test_close_line(capsys):
     )
     assert code == 0
     assert data["dimension"] == 3
+
+
+@pytest.mark.parametrize(
+    "arg,mode", [("symbolic", ScalarMode.symbolic()), ("7", ScalarMode.evaluated(7))]
+)
+def test_close_structure(capsys, arg, mode):
+    argv = ["--ambient", "W3A:3", "--gens", "b(1,2);c(1,3)", "--mode", arg]
+    code, data = run_cli(capsys, "close", *argv, "--structure")
+    assert code == 0
+    sp = build_named_space("W3A", 3)
+    alg = close(sp, [{sp.point_of_label(p): mode.one()} for p in ("b(1,2)", "c(1,3)")], mode)
+    d = alg.dimension
+    table = data["structure"]
+    assert data["dimension"] == d and len(table) == d
+    assert all(len(row) == d for row in table)
+    assert all(table[i][j] == table[j][i] for i in range(d) for j in range(d))
+    tensor = alg.structure_constants()
+    assert table == [
+        [{str(k): str(c) for k, c in cell.items()} for cell in row] for row in tensor
+    ]
+    csv_cells = {}
+    for line in alg.multiplication_table_csv().splitlines()[1:]:
+        i, j, expansion = line.split(",", 2)
+        csv_cells[int(i), int(j)] = expansion.strip('"')
+    assert csv_cells == {
+        (i, j): " + ".join(
+            f"({c})*r{k}" for k, c in sorted((int(k), c) for k, c in table[i][j].items())
+        ) or "0"
+        for i in range(d) for j in range(d)
+    }
 
 
 def test_close_unsafe_eta_refused(capsys):
@@ -125,7 +157,7 @@ def test_classify_small(capsys):
 def test_classify_sampled(capsys):
     code, data = run_cli(
         capsys, "classify", "--ambient", "Wr3x3:4",
-        "--sample", "10", "--seed", "3", "--no-recertify",
+        "--sample", "10", "--seed", "3",
     )
     assert code == 0
     assert sum(b["examined"] for b in data["buckets"]) == 10
@@ -146,7 +178,7 @@ def test_classify_seed_needs_sample(capsys):
     assert code == 2
     assert captured.out == ""
     assert "--seed needs --sample" in captured.err
-    code, data = run_cli(capsys, "classify", "--ambient", "A:5", "--sample", "2", "--no-recertify")
+    code, data = run_cli(capsys, "classify", "--ambient", "A:5", "--sample", "2")
     assert code == 0
     assert data["seed"] == 0
 
@@ -182,7 +214,7 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_classify_csv_out_file(tmp_path, capsys):
-    argv = ["classify", "--ambient", "A:5", "--no-recertify", "--csv"]
+    argv = ["classify", "--ambient", "A:5", "--csv"]
     assert main(argv) == 0
     printed = capsys.readouterr().out
     out = tmp_path / "census.csv"

@@ -247,6 +247,17 @@ class TestStructureConstants:
         assert csv.splitlines()[0] == "row,col,expansion"
         assert '"(1)*r0"' in csv
 
+    @pytest.mark.parametrize("mode", [SYM, ScalarMode.evaluated(7)])
+    def test_span_not_closed(self, mode):
+        # span(b0, b1) in the line algebra: b0 * b1 has a b2 component
+        basis = EchelonBasis(mode)
+        basis.insert({0: mode.one()})
+        basis.insert({1: mode.one()})
+        alg = Subalgebra(line_space(), mode, [], basis)
+        assert not alg.is_closed()
+        with pytest.raises(ValueError, match="not closed"):
+            alg.structure_constants()
+
 
 class TestDirectSums:
     def test_disjoint_supports(self):

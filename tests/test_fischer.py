@@ -21,7 +21,8 @@ from matsuo.fischer import (
     third_point,
     third_point_by_conjugation,
 )
-from matsuo.groups import builtin_group, dump_cayley_table, load_cayley_table
+from matsuo.groups import builtin_group, load_cayley_table
+from oracles import dump_cayley_table
 
 SMALL_SPACES = [
     ("A", 4), ("A", 5), ("W2A", 3), ("W2A", 4), ("W3A", 3), ("W3A", 4),

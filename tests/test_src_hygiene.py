@@ -1,0 +1,108 @@
+"""Nothing in the engine is kept alive by nothing.
+
+A module-level import that its module never reads, or a private function or
+class that nothing in the package calls, is code left behind when a decision
+moved elsewhere (an import of ``vec_product`` outlived the only function in
+flips.py that multiplied).  These tests read src/matsuo with ``ast``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import matsuo
+
+PACKAGE = Path(matsuo.__file__).parent
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the Q(eta) closure oracle: private, and called by the tests only
+TEST_ONLY = frozenset({"_close_over_qeta"})
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    """Names a module reads: each Name node, and each name inside a quoted
+    annotation."""
+    names = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    for annotation in filter(None, annotations):
+        for part in ast.walk(annotation):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                names |= read_names(ast.parse(part.value, mode="eval"))
+    return names
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, bound name) of each module-level import the module never reads."""
+    tree = ast.parse(source)
+    used = read_names(tree)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append((node.lineno, bound))
+    return unused
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of each private function or class that no module of
+    the package names: no Name, attribute or import of it."""
+    defined = []
+    referenced = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((module, node.name))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return [
+        (module, name) for module, name in defined
+        if name not in referenced and name not in TEST_ONLY
+    ]
+
+
+def test_detector_finds_leftovers():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os.path\n"
+        "from .algebra import Vec, vec_product\n"
+        "def _used(v: 'Vec') -> str:\n"
+        "    return os.path.sep\n"
+        "def _dead():\n"
+        "    pass\n"
+        "class _Dead:\n"
+        "    def __init__(self):\n"
+        "        self._helper = _used\n"
+        "    def _unread(self):\n"
+        "        pass\n"
+    )
+    assert unused_imports(source) == [(2, "json"), (4, "vec_product")]
+    assert unreferenced_private({"m.py": source}) == [
+        ("m.py", "_dead"), ("m.py", "_Dead"), ("m.py", "_unread")
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_no_unreferenced_private_helpers():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private(sources) == []
