@@ -520,9 +520,11 @@ def gram(sp: FischerSpace) -> GramData:
 
 @dataclass
 class CriticalValues:
-    """Rational critical values plus the square-free certificate polynomial."""
+    """Rational critical values plus the square-free certificate polynomial.
+    ``space`` is the space's description: the value is cached on the space,
+    and holding the space itself would make a reference cycle."""
 
-    space: FischerSpace
+    space: str
     roots: frozenset[Fraction]
     excluded: frozenset[Fraction]  # members of {0, 1} that are determinant roots
     certificate: EtaPoly
@@ -530,7 +532,7 @@ class CriticalValues:
 
     def report(self) -> dict:
         return {
-            "space": self.space.describe(),
+            "space": self.space,
             "det_degree": self.det_degree,
             "rational_roots": [str(r) for r in sorted(self.roots)],
             "excluded_parameter_values": [str(r) for r in sorted(self.excluded)],
@@ -568,7 +570,7 @@ def critical_values(sp: FischerSpace) -> CriticalValues:
     else:
         zero_mult = eigenvalue_multiplicity(sp, Fraction(0)) if m.evaluate(0) == 0 else 0
     det_degree = len(sp.points) - zero_mult
-    return CriticalValues(sp, roots, excluded, cert, det_degree)
+    return CriticalValues(sp.describe(), roots, excluded, cert, det_degree)
 
 
 def radical_dim(sp: FischerSpace, eta0) -> int:

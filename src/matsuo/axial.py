@@ -17,35 +17,25 @@ eta0, and primitivity is an integer rank: the basis rows scaled to primitive
 integer rows form an integer echelon as they stand, and the images, scaled
 by 2d and the axis's denominators, are integer vectors (``check_primitive``).
 
-Over Q(eta) with a rational axis, rational basis rows and eigenvalues of
-degree <= 1 in eta (``scalars.rational_vec`` and ``is_linear_in_eta``
-decide), every cell check is a vector of polynomials in eta of
-bounded degree, so a passing law is certified by integer arithmetic at a
-few even values of eta (see ``check_fusion``); violations are always found
-and reported over Q(eta).
+In the whole Matsuo algebra a point obeys the Jordan law and a sum of two
+orthogonal points the Monster law, so ``check_fusion`` passes such an axis
+under its law in any closed subalgebra by restriction; every other axis or
+law is checked pair by pair over the eigenvectors, which alone reports
+violations.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import Vec, _IntEchelon, vec_add_scaled, vec_product, vec_scale
 from .closure import EchelonBasis, ScalarMode, Subalgebra
 from .fischer import FischerSpace, verified_reflection
-from .scalars import (
-    HALF_ETA,
-    EtaScalar,
-    as_eta_scalar,
-    is_linear_in_eta,
-    primitive_int_vec,
-    rational_value,
-    rational_vec,
-)
+from .scalars import HALF_ETA, EtaScalar, primitive_int_vec
 
 
 class AdjointNotDiagonalizableError(ValueError):
@@ -150,29 +140,25 @@ def _project(sp: FischerSpace, x: Vec, w: Vec, values: tuple, k: int, half) -> V
     return vec_scale(_ad_poly(sp, x, w, others, half), scale)
 
 
-def _image(algebra: Subalgebra, x: Vec, roots: Sequence) -> tuple[EchelonBasis, list[int]]:
-    """Span of prod over nu in roots of (ad_x - nu) on the subalgebra, and
-    the basis rows whose images grew it.
+def _image(algebra: Subalgebra, x: Vec, roots: Sequence) -> EchelonBasis:
+    """Span of prod over nu in roots of (ad_x - nu) on the subalgebra.
 
     Each image enters as its coordinates on the subalgebra basis with the
     index reversed (c -> d - 1 - c).  EchelonBasis keeps leftmost pivots and
     fully reduced rows, so back in the basis order its rows are the unique
-    reduced basis of the span with rightmost pivots.  The images of the
-    recorded rows are independent and span it too.
+    reduced basis of the span with rightmost pivots.
     """
     if algebra.coordinates(x) is None:
         raise ValueError("the axis does not lie in the subalgebra")
     half = algebra.mode.half_eta()
     last = algebra.dimension - 1
     span = EchelonBasis(algebra.mode)
-    sources = []
-    for a, row in enumerate(algebra.basis.rows):
+    for row in algebra.basis.rows:
         coords = algebra.coordinates(_ad_poly(algebra.space, x, row, roots, half))
         if coords is None:
             raise ValueError("adjoint image left the subalgebra; not closed")
-        if span.insert({last - c: v for c, v in enumerate(coords) if v}):
-            sources.append(a)
-    return span, sources
+        span.insert({last - c: v for c, v in enumerate(coords) if v})
+    return span
 
 
 @dataclass
@@ -183,8 +169,6 @@ class EigenDecomposition:
     axis: Vec
     eigenvalues: tuple
     parts: list[list[list]]  # per eigenvalue: list of coordinate vectors
-    # per eigenvalue: basis rows b_a whose images N_k(b_a) span the part
-    sources: list[list[int]]
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -202,8 +186,7 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
     spectrum: otherwise the nonzero image of prod over lambda of
     (ad_x - lambda) lies in every image.  Each image is then an eigenspace,
     given by its unit-free-variable kernel basis (rightmost pivots), sorted
-    by free column; ``sources[k]`` lists the basis rows b_a whose images
-    N_k(b_a) form another basis of it.
+    by free column.
 
     Raises when the image dimensions do not sum to the dimension of the
     subalgebra; the message gives the kernel dimensions of ad_x - lambda.
@@ -215,13 +198,11 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
     if len(spectrum) < 2 or len(set(spectrum)) < len(spectrum):
         raise ValueError("the spectrum needs two or more distinct values")
     d = algebra.dimension
-    images, sources = [], []
-    for k in range(len(spectrum)):
-        image, rows = _image(algebra, x, spectrum[:k] + spectrum[k + 1:])
-        images.append(image)
-        sources.append(rows)
+    images = [
+        _image(algebra, x, spectrum[:k] + spectrum[k + 1:]) for k in range(len(spectrum))
+    ]
     if sum(map(len, images)) != d:
-        dims = tuple(d - len(_image(algebra, x, (lam,))[0]) for lam in spectrum)
+        dims = tuple(d - len(_image(algebra, x, (lam,))) for lam in spectrum)
         raise AdjointNotDiagonalizableError(
             f"eigenspace dimensions {dims} sum to"
             f" {sum(dims)}, expected {d}; not an axis for this spectrum"
@@ -237,7 +218,7 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
                 vec[d - 1 - c] = v
             part.append(vec)
         parts.append(part)
-    return EigenDecomposition(algebra, x, spectrum, parts, sources)
+    return EigenDecomposition(algebra, x, spectrum, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -302,26 +283,12 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
     (an empty cell asks for zero).  A failing pair gives one violation per
     disallowed part on which the product has a nonzero component.
 
-    In symbolic mode with a rational axis, rational basis rows and
-    eigenvalues of degree <= 1 in eta, a passing law is certified at integer
-    points first.  The images N_k(b_a) of the source rows of part k span it
-    (``eigen_decompose``), so by bilinearity every pair passes iff, for all
-    sources a of part lam and b of part mu, Q = N_lam(b_a) * N_mu(b_b) lies
-    in the subalgebra and prod over allowed nu of (ad_x - nu) kills it.  With
-    m eigenvalues, N_k has m - 1 factors of degree 1 in eta and the product
-    adds one, so the cell image of Q is a vector of polynomials in eta of
-    degree at most D = 2(m - 1) + 1 + the largest cell (10 for M, 7 for J);
-    the residual of Q modulo the rational unit-pivot rows is one of no
-    larger degree.  Both vanish identically iff they vanish at D + 1 points;
-    at eta = 2, 4, ..., 2(D + 1) eta/2 is an integer and nothing divides, so
-    the arithmetic stays in integers wherever the rows are integral.  If a
-    point fails, or the inputs do not qualify, the pairs are checked over
-    Q(eta), which alone reports violations.
+    A point under J and a double axis under M pass without the pair loop,
+    by restriction from the whole Matsuo algebra (``_holds_by_restriction``).
     """
     x = algebra.mode.vector(x, "axis")
     dec = eigen_decompose(algebra, x, law.eigenvalues)
-    lowered = _rational_inputs(algebra, x, law)
-    if lowered is not None and _cells_vanish_at_points(dec, law, *lowered):
+    if _holds_by_restriction(algebra, x, law):
         return FusionReport(law, dec, [])
     sp = algebra.space
     half = algebra.mode.half_eta()
@@ -355,51 +322,28 @@ def _pair_products(sp: FischerSpace, parts: Sequence[Sequence[Vec]], half):
                     yield li, mi, a, b, vec_product(sp, u, mpart[b], half)
 
 
-def _rational_inputs(
-    algebra: Subalgebra, x: Vec, law: FusionLaw
-) -> Optional[tuple[EchelonBasis, Vec]]:
-    """The subalgebra basis and the axis with rational coefficients, when
-    the point certificate of ``check_fusion`` applies; else None."""
-    if not algebra.mode.is_symbolic or not all(map(is_linear_in_eta, law.eigenvalues)):
-        return None
-    vecs = []
-    for vec in (x, *algebra.basis.rows):
-        lowered = rational_vec(vec)
-        if lowered is None:
-            return None
-        vecs.append(lowered)
-    # same pivots; constant rows reduce a vector evaluated at any eta
-    basis = copy.copy(algebra.basis)
-    basis.rows = vecs[1:]
-    return basis, vecs[0]
+def _holds_by_restriction(algebra: Subalgebra, x: Vec, law: FusionLaw) -> bool:
+    """True when x obeys the law in the whole Matsuo algebra A and the
+    subalgebra B is closed; then x obeys it in B.
 
-
-def _certificate_points(law: FusionLaw) -> range:
-    """D + 1 even values of eta, with D = 2(m - 1) + 1 + the largest cell
-    bounding the eta-degree of every cell identity (see ``check_fusion``)."""
-    degree = 2 * (len(law.eigenvalues) - 1) + 1 + max(map(len, law.table.values()))
-    return range(2, 2 * (degree + 2), 2)
-
-
-def _cells_vanish_at_points(
-    dec: EigenDecomposition, law: FusionLaw, basis: EchelonBasis, x: Vec
-) -> bool:
-    """True iff at every certificate point each product of source images
-    lies in the span of the rational basis and its cell kills it."""
-    sp = dec.algebra.space
-    rows = basis.rows
-    for eta in _certificate_points(law):
-        half = eta // 2
-        values = [rational_value(as_eta_scalar(v).evaluate(eta)) for v in law.eigenvalues]
-        images = []
-        for k, sources in enumerate(dec.sources):
-            others = values[:k] + values[k + 1:]
-            images.append([_ad_poly(sp, x, rows[a], others, half) for a in sources])
-        for li, mi, _, _, w in _pair_products(sp, images, half):
-            roots = [values[k] for k in sorted(law.allowed(li, mi))]
-            if basis.reduce(w) or _ad_poly(sp, x, w, roots, half):
-                return False
-    return True
+    In A a point obeys J(eta) (Hall, Rehren and Shpectorov, "Primitive axial
+    algebras of Jordan type", J. Algebra 2015) and a sum of two orthogonal
+    points M(2eta, eta) (Galt, Joshi, Mamontov, Shpectorov and Staroletov,
+    "Double axes and subalgebras of Monster type in Matsuo algebras",
+    Comm. Algebra 2021), for eta outside {0, 1} (refused by ScalarMode) and,
+    for M, outside {1/2} (refused by ``monster_law``).  A closed B that
+    contains x is ad_x-invariant, so B_lambda = B meet A_lambda and B obeys
+    the law.  ``eigen_decompose`` has checked that x is an idempotent of B:
+    with one point in its support it is the point, and with two the points
+    are orthogonal with unit coefficients, so the support size is the only
+    shape test.
+    """
+    ambient = {1: jordan_law, 2: monster_law}.get(len(x))
+    try:
+        inherited = ambient is not None and law == ambient(algebra.mode)
+    except ParameterDomainError:  # no Monster law at eta = 1/2
+        return False
+    return inherited and algebra.is_closed()
 
 
 def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
@@ -416,8 +360,7 @@ def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
     x = algebra.mode.vector(x, "axis")
     mode = algebra.mode
     if mode.is_symbolic:
-        span, _ = _image(algebra, x, (mode.one(),))
-        return algebra.dimension - len(span) == 1
+        return algebra.dimension - len(_image(algebra, x, (mode.one(),))) == 1
     if algebra.coordinates(x) is None:
         raise ValueError("the axis does not lie in the subalgebra")
     basis = _IntEchelon()

@@ -295,27 +295,33 @@ class Subalgebra:
                 vec_add_scaled(out, row, c)
         return out
 
+    def _product_coordinates(self):
+        """(i, j, coordinates of basis_i * basis_j) for each i <= j.
+        ValueError when a product leaves the span."""
+        half = self.mode.half_eta()
+        rows = self.basis.rows
+        for i, u in enumerate(rows):
+            for j in range(i, len(rows)):
+                coords = self.basis.coordinates(vec_product(self.space, u, rows[j], half))
+                if coords is None:
+                    raise ValueError("basis is not closed under the product")
+                yield i, j, coords
+
     def structure_constants(self) -> list[list[dict[int, object]]]:
         """Sparse tensor: entry [i][j] maps basis index k to the coefficient
         of basis_k in basis_i * basis_j; symmetric.  ValueError when a
         product leaves the span."""
         d = self.dimension
-        half = self.mode.half_eta()
-        tensor: list[list[dict[int, object]]] = [[None] * d for _ in range(d)]  # type: ignore[list-item]
-        for i in range(d):
-            for j in range(i, d):
-                prod = vec_product(self.space, self.basis.rows[i], self.basis.rows[j], half)
-                coords = self.basis.coordinates(prod)
-                if coords is None:
-                    raise ValueError("basis is not closed under the product")
-                entry = {k: c for k, c in enumerate(coords) if c}
-                tensor[i][j] = entry
-                tensor[j][i] = entry
+        tensor: list[list[dict[int, object]]] = [[{}] * d for _ in range(d)]
+        for i, j, coords in self._product_coordinates():
+            tensor[i][j] = tensor[j][i] = {k: c for k, c in enumerate(coords) if c}
         return tensor
 
     def is_closed(self) -> bool:
+        """Whether the basis is closed under the product; no entry is kept."""
         try:
-            self.structure_constants()
+            for _ in self._product_coordinates():
+                pass
         except ValueError:
             return False
         return True
@@ -397,13 +403,6 @@ def close(
         return Subalgebra(sp, mode, generators, *_worklist(sp, gen_list, mode))
     span, products = _worklist(sp, gen_list, mode)
     return Subalgebra(sp, mode, generators, _unit_pivot_basis(span, mode), products)
-
-
-def _close_over_qeta(sp: FischerSpace, gens: Sequence[Vec]) -> Subalgebra:
-    """The Q(eta) worklist without the certificate: the fallback of close,
-    kept callable as the oracle for the certified route."""
-    mode = ScalarMode.symbolic()
-    return Subalgebra(sp, mode, [(g, "custom") for g in gens], *_worklist(sp, gens, mode))
 
 
 def _worklist(

@@ -682,12 +682,6 @@ def primitive_int_vec(vec: dict) -> dict:
     return {k: c // g for k, c in ints.items()}
 
 
-def is_linear_in_eta(v: ScalarLike) -> bool:
-    """True iff v = c0 + c1*eta with rational c0 and c1."""
-    v = as_eta_scalar(v)
-    return v.den.degree == 0 and v.num.degree <= 1
-
-
 # ---------------------------------------------------------------------------
 # text form: integer-coefficient polynomial fraction, e.g. "(eta^2 - 4)/(2)"
 # ---------------------------------------------------------------------------

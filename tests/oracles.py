@@ -1,7 +1,9 @@
 """Slow, independent references shared by several test modules."""
 
+from matsuo import closure
+from matsuo.algebra import Vec
 from matsuo.classify import TypeDConfig
-from matsuo.closure import EchelonBasis
+from matsuo.closure import EchelonBasis, ScalarMode, Subalgebra
 from matsuo.fischer import FischerSpace
 from matsuo.groups import FiniteGroup, GroupAutomorphism
 
@@ -48,6 +50,14 @@ def reinserted_rows(basis: EchelonBasis) -> tuple:
         canon.insert(row)
     order = sorted(range(len(canon)), key=canon.pivot_of_row.__getitem__)
     return tuple(tuple(sorted(canon.rows[r].items())) for r in order)
+
+
+def close_over_qeta(sp: FischerSpace, gens: list[Vec]) -> Subalgebra:
+    """The Q(eta) worklist of ``close`` without its certificate: the
+    reference for the certified route."""
+    mode = ScalarMode.symbolic()
+    span, products = closure._worklist(sp, gens, mode)
+    return Subalgebra(sp, mode, [(g, "custom") for g in gens], span, products)
 
 
 def generator_partition(sp: FischerSpace, cfg: TypeDConfig) -> list[list[int]]:

@@ -272,12 +272,22 @@ def test_criterion_8_classification_census():
         summaries.append(
             (family, n, sum(b["examined"] for b in rep.buckets.values()))
         )
+    # (a) again where generators do split: W2D:4 with the first point fixed
+    # (no disconnected configuration of W3A:4 or WrA4:2 splits)
+    sp = build_named_space("W2D", 4)
+    disconnected = [
+        c for c in enumerate_configs(sp, first_point=0) if not c.diagram(sp).is_connected()
+    ]
+    split = sum(len(c.generator_partition(sp)) > 1 for c in disconnected)
+    assert split > 0
+    assert disconnected_configs_are_direct_sums(sp, ScalarMode.evaluated(7), disconnected)
     # (c) dimension 9 is realized in a connected bucket
     rep = classify(build_named_space("W3A", 4))
     assert any(
         b["connected"] and 9 in b["primitive_dims"] for b in rep.buckets.values()
     )
-    report(8, f"census over {summaries}: disconnected => direct sum, connected"
+    report(8, f"census over {summaries}: disconnected => direct sum ({split} of"
+              f" {len(disconnected)} W2D:4 configurations split), connected"
               " primitive dims classified or flagged, dimension 9 realized")
 
 

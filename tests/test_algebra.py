@@ -1,6 +1,8 @@
 """Matsuo products, the Frobenius form, Gram data, critical values."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -386,6 +388,19 @@ class TestCriticalValues:
         cv = critical_values(sp)
         assert Fraction(1) in cv.excluded
         assert Fraction(1) not in cv.roots
+
+    def test_space_is_freed_without_a_collection(self):
+        # the cached value names the space instead of holding it, so no
+        # reference cycle keeps a space alive after its critical values
+        gc.disable()
+        try:
+            sp = build_named_space("W3A", 3)
+            critical_values(sp)
+            freed = weakref.ref(sp)
+            del sp
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_report_schema(self):
         rep = critical_values(build_named_space("A", 3)).report()

@@ -12,7 +12,6 @@ from matsuo.axial import (
     FusionLaw,
     ParameterDomainError,
     _ad_poly,
-    _certificate_points,
     check_fusion,
     check_primitive,
     eigen_decompose,
@@ -31,10 +30,14 @@ from matsuo.closure import (
     ScalarMode,
     Subalgebra,
     UnsafeEtaError,
-    _close_over_qeta,
     close,
 )
-from matsuo.fischer import build_named_space, is_space_automorphism
+from matsuo.fischer import (
+    NAMED_FAMILIES,
+    build_named_space,
+    is_space_automorphism,
+    point_orbits,
+)
 from matsuo.flips import (
     classify_orbits,
     fixed_subalgebra_basis,
@@ -44,7 +47,7 @@ from matsuo.flips import (
 )
 from matsuo.scalars import EtaScalar
 
-from oracles import int_matrix_rank, reinserted_rows
+from oracles import close_over_qeta, int_matrix_rank, reinserted_rows
 
 SYM = ScalarMode.symbolic()
 ONE = SYM.one()
@@ -114,7 +117,7 @@ def assert_canonical_images(alg, x, spectrum):
     """The reversed-column image spans behind eigen_decompose's parts have
     the canonical rows of re-insertion."""
     for k in range(len(spectrum)):
-        image, _ = axial._image(alg, x, spectrum[:k] + spectrum[k + 1:])
+        image = axial._image(alg, x, spectrum[:k] + spectrum[k + 1:])
         assert image.canonical_rows() == reinserted_rows(image)
 
 
@@ -259,10 +262,10 @@ class TestFusion:
 
 
 @pytest.fixture
-def point_check(monkeypatch):
-    """Spy on the integer-point certificate: the list of its verdicts, one
-    per call, and a switch that forces it to report failure."""
-    real = axial._cells_vanish_at_points
+def restriction(monkeypatch):
+    """Spy on the restriction route of check_fusion: the list of its
+    verdicts, one per call, and a switch that forces it to say no."""
+    real = axial._holds_by_restriction
     verdicts = []
 
     def spy(*args):
@@ -271,17 +274,17 @@ def point_check(monkeypatch):
 
     spy.forced_off = False
     spy.verdicts = verdicts
-    monkeypatch.setattr(axial, "_cells_vanish_at_points", spy)
+    monkeypatch.setattr(axial, "_holds_by_restriction", spy)
     return spy
 
 
-def exact_report(point_check, alg, x, law):
-    """check_fusion with the point certificate forced off: the Q(eta) loop."""
-    point_check.forced_off = True
+def exact_report(restriction, alg, x, law):
+    """check_fusion with the restriction route forced off: the pair loop."""
+    restriction.forced_off = True
     try:
         return check_fusion(alg, x, law)
     finally:
-        point_check.forced_off = False
+        restriction.forced_off = False
 
 
 def violation_keys(report):
@@ -291,13 +294,59 @@ def violation_keys(report):
     ]
 
 
+def orbit_axes(sp):
+    """One point per point orbit, and the pairs of that point with its
+    first orthogonal point, where there is one."""
+    points, pairs = [], []
+    for orbit in point_orbits(sp):
+        p = orbit[0]
+        points.append(p)
+        q = next((q for q in range(len(sp.points)) if q != p and not sp.collinear(p, q)), None)
+        if q is not None:
+            pairs.append((p, q))
+    return points, pairs
+
+
+def small_spaces(limit):
+    """(family, n) of every named space with at most limit points; the
+    point count grows with n."""
+    for family in NAMED_FAMILIES:
+        n = 3 if family == "A" else 2
+        while len(build_named_space(family, n).points) <= limit:
+            yield family, n
+            n += 1
+
+
+SMALL_SPACES = list(small_spaces(20))
+SMALL_SPACES_WITH_PAIRS = [s for s in SMALL_SPACES if orbit_axes(build_named_space(*s))[1]]
+
+
+def assert_ambient_law(restriction, sp, supports, law_of):
+    """In the full algebra, symbolically and at eta = 7, the sum of the
+    points of each support passes its law by restriction and by the pair
+    loop alike."""
+    for mode in (SYM, EV7):
+        alg = full_algebra(sp, mode)
+        law = law_of(mode)
+        for support in supports:
+            x = {p: mode.one() for p in support}
+            fast = check_fusion(alg, x, law)
+            assert restriction.verdicts[-1] is True
+            exact = exact_report(restriction, alg, x, law)
+            assert fast.passed and exact.passed, (sp.describe(), mode, support)
+            assert fast.decomposition.parts == exact.decomposition.parts
+            assert fast.export() == exact.export()
+
+
 class TestFusionPointCertificate:
-    """The certificate at integer points against the pair loop over Q(eta)."""
+    """The restriction route of check_fusion against the pair loop over
+    Q(eta) and at eta = 7 (the class keeps the name of the integer-point
+    certificate that the route replaced, so its test ids stay)."""
 
     @pytest.mark.parametrize(
         "family,limit", [("W2A", None), ("W3A", None), ("W2D", 2), ("Wr3x3", 1)]
     )
-    def test_passing_doubles_match_exact_loop(self, family, limit, point_check):
+    def test_passing_doubles_match_exact_loop(self, family, limit, restriction):
         # every double of W2A and W3A, the first of W2D and of Wr3x3 (the
         # benchmark's algebra), whose Q(eta) loops take seconds per double
         tau = standard_flip(family, 2)
@@ -308,27 +357,28 @@ class TestFusionPointCertificate:
         for pair in doubles:
             x = orbit_vector(pair, ONE)
             fast = check_fusion(alg, x, law)
-            assert point_check.verdicts[-1] is True
-            exact = exact_report(point_check, alg, x, law)
+            assert restriction.verdicts[-1] is True
+            exact = exact_report(restriction, alg, x, law)
             assert fast.passed and exact.passed
             assert fast.decomposition.dims == exact.decomposition.dims
             assert fast.decomposition.parts == exact.decomposition.parts
             assert fast.export() == exact.export()
 
-    @pytest.mark.parametrize("family,n", [("A", 4), ("W3A", 3)])
-    def test_passing_single_axes_match_exact_loop(self, family, n, point_check):
+    @pytest.mark.parametrize("family,n", SMALL_SPACES)
+    def test_passing_single_axes_match_exact_loop(self, family, n, restriction):
+        # the ambient Jordan law itself, checked by the pair loop
         sp = build_named_space(family, n)
-        alg = full_algebra(sp)
-        law = jordan_law(SYM)
-        for p in range(len(sp.points)):
-            fast = check_fusion(alg, {p: ONE}, law)
-            assert point_check.verdicts[-1] is True
-            exact = exact_report(point_check, alg, {p: ONE}, law)
-            assert fast.passed and exact.passed
-            assert fast.decomposition.parts == exact.decomposition.parts
-            assert fast.export() == exact.export()
+        points, _ = orbit_axes(sp)
+        assert_ambient_law(restriction, sp, [(p,) for p in points], jordan_law)
 
-    def test_tightened_laws_report_the_exact_violations(self, point_check):
+    @pytest.mark.parametrize("family,n", SMALL_SPACES_WITH_PAIRS)
+    def test_passing_ambient_doubles_match_exact_loop(self, family, n, restriction):
+        # the ambient Monster law itself, checked by the pair loop
+        sp = build_named_space(family, n)
+        _, pairs = orbit_axes(sp)
+        assert_ambient_law(restriction, sp, pairs, monster_law)
+
+    def test_tightened_laws_report_the_exact_violations(self, restriction):
         sp = build_named_space("A", 4)
         double = {sp.point_of_label("b(1,2)"): ONE, sp.point_of_label("b(3,4)"): ONE}
         tau = standard_flip("W2A", 2)
@@ -344,17 +394,18 @@ class TestFusionPointCertificate:
         ]
         for alg, x, law in cases:
             report = check_fusion(alg, x, law)
-            assert point_check.verdicts[-1] is False
-            exact = exact_report(point_check, alg, x, law)
+            assert restriction.verdicts[-1] is False
+            exact = exact_report(restriction, alg, x, law)
             assert not report.passed
             assert violation_keys(report) == violation_keys(exact)
             assert report.export() == exact.export()
 
-    def test_cell_vanishing_at_the_first_points_is_caught(self, point_check):
+    def test_cell_vanishing_at_the_first_points_is_caught(self, restriction):
         # spurious eigenvalues nu_i = eta + 1 - 2i (i = 2..5) have empty
         # eigenspaces; allowed in the eta * eta cell next to 0, they make its
         # polynomial on the line algebra eta (2 - eta) prod (2i - eta) times
-        # the axis, zero at eta = 2, 4, ..., 10 but not identically
+        # the axis, zero at eta = 2, 4, ..., 10 but not identically.  The
+        # law is not J, so the pair loop finds the violation over Q(eta)
         law = jordan_law(SYM)
         spurious = tuple(SYM.eta() + (1 - 2 * i) for i in range(2, 6))
         table = dict(law.table)
@@ -363,16 +414,14 @@ class TestFusionPointCertificate:
             for j in range(k + 1):
                 table.setdefault((j, k), frozenset(range(7)))
         wide = FusionLaw("J+", law.eigenvalues + spurious, table)
-        points = list(_certificate_points(wide))
-        assert points[:5] == [2, 4, 6, 8, 10] and len(points) > 5
         report = check_fusion(line_algebra(), {0: ONE}, wide)
-        assert point_check.verdicts == [False]
+        assert restriction.verdicts == [False]
         assert report.decomposition.dims == (1, 1, 1, 0, 0, 0, 0)
         assert [(v.lam_index, v.mu_index, v.offending_part) for v in report.violations] == [
             (2, 2, 0)
         ]
 
-    def test_product_leaving_the_subalgebra(self, point_check):
+    def test_product_leaving_the_subalgebra(self, restriction):
         # the 1- and eta-eigenspaces of b(1,2) + b(3,4) in the full A:4
         # algebra: a rational, ad_x-invariant span that is not closed, since
         # (b(1,3) - b(2,4))^2 = b(1,3) + b(2,4)
@@ -390,79 +439,51 @@ class TestFusionPointCertificate:
         alg = Subalgebra(sp, SYM, [], basis)
         with pytest.raises(ValueError, match="left the subalgebra"):
             check_fusion(alg, x, monster_law(SYM))
-        assert point_check.verdicts == [False]
+        assert restriction.verdicts == [False]
 
-    def test_certificate_points(self):
-        # D + 1 points for the degree bound D = 2(m - 1) + 1 + largest cell
-        assert list(_certificate_points(monster_law(SYM))) == list(range(2, 23, 2))
-        assert list(_certificate_points(jordan_law(SYM))) == list(range(2, 17, 2))
-
-    def test_degree_bound_holds_symbolically(self):
-        # over Q(eta), the product of two source images and its cell image
-        # are polynomial vectors within the bound D, also for the tightened
-        # laws where the cell image is not zero; on the line algebra under
-        # J with (2,2) -> {1} it has degree D, so D points would not do
+    def test_skipped_without_rational_inputs(self, restriction):
         sp = build_named_space("A", 4)
-        double = {sp.point_of_label("b(1,2)"): ONE, sp.point_of_label("b(3,4)"): ONE}
-        tau = standard_flip("W2A", 2)
-        flip_double = orbit_vector(classify_orbits(tau.space, tau).doubles[0], ONE)
-        cases = [
-            (full_algebra(sp), double, monster_law(SYM)),
-            (full_algebra(sp), double, tightened(monster_law(SYM), (3, 3), {2})),
-            (flip_subalgebra(tau.space, tau, SYM), flip_double, monster_law(SYM)),
-            (line_algebra(), {0: ONE}, tightened(jordan_law(SYM), (2, 2), {1})),
-        ]
-        tops = []
-        for alg, x, law in cases:
-            bound = len(_certificate_points(law)) - 1
-            values = law.eigenvalues
-            dec = eigen_decompose(alg, x, values)
-            half = SYM.half_eta()
-            images = [
-                [
-                    _ad_poly(alg.space, x, alg.basis.rows[a], values[:k] + values[k + 1:], half)
-                    for a in sources
-                ]
-                for k, sources in enumerate(dec.sources)
-            ]
-            top = 0
-            for li in range(len(values)):
-                for mi in range(li, len(values)):
-                    roots = [values[k] for k in sorted(law.allowed(li, mi))]
-                    for u in images[li]:
-                        for v in images[mi]:
-                            w = vec_product(alg.space, u, v, half)
-                            for vec in (w, _ad_poly(alg.space, x, w, roots, half)):
-                                for c in vec.values():
-                                    assert c.den.degree == 0
-                                    top = max(top, c.num.degree)
-            assert 0 < top <= bound
-            tops.append((top, bound))
-        assert tops[-1] == (6, 6)
-
-    def test_skipped_without_rational_inputs(self, point_check):
-        sp = build_named_space("A", 4)
-        # evaluated mode
+        # evaluated mode: a double under M, by restriction
         alg = full_algebra(sp, EV7)
         one = EV7.one()
         x = {sp.point_of_label("b(1,2)"): one, sp.point_of_label("b(3,4)"): one}
         assert check_fusion(alg, x, monster_law(EV7)).passed
         # an axis with an eta coefficient: the identity (a + b + c)/(1 + eta)
-        # of the line algebra, all of which is its 1-eigenspace
+        # of the line algebra, all of which is its 1-eigenspace; three
+        # points, so the pair loop
         unit = EtaScalar.one() / (ONE + SYM.eta())
         report = check_fusion(line_algebra(), {0: unit, 1: unit, 2: unit}, jordan_law(SYM))
         assert report.passed and report.decomposition.dims == (3, 0, 0)
         # a Q(eta) closure whose rows involve eta: the idempotent
         # (a + b - eta c)/(1 + eta) on the line b(1,2), b(1,3), b(2,3) of A:5,
-        # next to the orthogonal point b(4,5)
+        # next to the orthogonal point b(4,5), which passes J by restriction
         sp5 = build_named_space("A", 5)
         a, b, c, p = (sp5.point_of_label(s) for s in ("b(1,2)", "b(1,3)", "b(2,3)", "b(4,5)"))
         e = {a: unit, b: unit, c: -SYM.eta() * unit}
-        alg5 = _close_over_qeta(sp5, [e, {p: ONE}])
+        alg5 = close_over_qeta(sp5, [e, {p: ONE}])
         assert alg5.dimension == 2
         assert not all(v.is_rational() for row in alg5.basis.rows for v in row.values())
         assert check_fusion(alg5, {p: ONE}, jordan_law(SYM)).passed
-        assert point_check.verdicts == []
+        assert restriction.verdicts == [True, False, True]
+
+    def test_point_under_monster_law_takes_the_pair_loop(self, restriction):
+        # a point obeys M too (its 2eta part is empty), but M is not the
+        # point's ambient law, so the rule does not apply
+        sp = build_named_space("A", 4)
+        report = check_fusion(full_algebra(sp), {0: ONE}, monster_law(SYM))
+        assert restriction.verdicts == [False]
+        assert report.passed
+        assert report.decomposition.dims == (1, 3, 0, 2)
+
+    def test_double_under_jordan_law_at_one_half(self, restriction):
+        # at eta = 1/2, where 2eta = 1, a double axis obeys J; M does not
+        # exist there, so the rule says no and the pair loop decides
+        mode = ScalarMode.evaluated(Fraction(1, 2))
+        sp = build_named_space("A", 4)
+        x = {sp.point_of_label("b(1,2)"): mode.one(), sp.point_of_label("b(3,4)"): mode.one()}
+        report = check_fusion(full_algebra(sp, mode), x, jordan_law(mode))
+        assert restriction.verdicts == [False]
+        assert report.passed and report.decomposition.dims == (3, 1, 2)
 
 
 def shifted_adjoint_rank(alg, x) -> int:

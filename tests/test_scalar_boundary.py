@@ -1,9 +1,9 @@
 """Coefficient types are asked about in scalars.py only.
 
 The engine modules reach a coefficient's kind through the helpers of
-scalars.py (``as_eta_scalar``, ``rational_value``, ``rational_vec``,
-``is_linear_in_eta``) and through ``ScalarMode``; an ``isinstance`` test
-naming a scalar type anywhere else is a second place making that decision.
+scalars.py (``as_eta_scalar``, ``rational_value``, ``rational_vec``) and
+through ``ScalarMode``; an ``isinstance`` test naming a scalar type anywhere
+else is a second place making that decision.
 """
 
 import ast

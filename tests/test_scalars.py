@@ -17,7 +17,6 @@ from matsuo.scalars import (
     evaluate_vec,
     field_op,
     format_scalar,
-    is_linear_in_eta,
     parse_scalar,
     poly_gcd,
     primitive_int_vec,
@@ -243,12 +242,6 @@ class TestCoefficientTypes:
         assert all(type(c) is Fraction for c in got.values())
         with pytest.raises(PoleError):
             evaluate_vec({0: EtaScalar.one() / (ETA - 2)}, 2)
-
-    def test_is_linear_in_eta(self):
-        for v in (0, Fraction(2, 3), EtaScalar.zero(), ETA + 1, HALF_ETA, poly(1, 2)):
-            assert is_linear_in_eta(v), v
-        for v in (ETA * ETA, poly(0, 0, 1), EtaScalar(1, poly(1, 1))):
-            assert not is_linear_in_eta(v), v
 
 
 class TestFieldAxioms:

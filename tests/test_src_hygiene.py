@@ -15,8 +15,6 @@ import matsuo
 
 PACKAGE = Path(matsuo.__file__).parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-# the Q(eta) closure oracle: private, and called by the tests only
-TEST_ONLY = frozenset({"_close_over_qeta"})
 
 
 def read_names(tree: ast.AST) -> set[str]:
@@ -70,10 +68,7 @@ def unreferenced_private(sources: dict[str, str]) -> list[tuple[str, str]]:
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
-    return [
-        (module, name) for module, name in defined
-        if name not in referenced and name not in TEST_ONLY
-    ]
+    return [(module, name) for module, name in defined if name not in referenced]
 
 
 def test_detector_finds_leftovers():
