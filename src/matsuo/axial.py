@@ -10,7 +10,7 @@ projection P_k = prod over mu != lambda_k of (ad_x - mu) / (lambda_k - mu),
 echelonized in coordinates on the subalgebra basis; primitivity is the rank
 of b -> x*b - b.  A product of eigenvectors obeys a fusion cell iff prod
 over allowed nu of (ad_x - nu) kills it, and its component on part k is its
-image under P_k; the Miyamoto involution is I - 2 * P_odd for the eta part.
+image under P_k.
 
 In evaluated mode at eta0 = n/d, every function first takes the axis at
 eta0, and primitivity is an integer rank: the basis rows scaled to primitive
@@ -18,10 +18,11 @@ integer rows form an integer echelon as they stand, and the images, scaled
 by 2d and the axis's denominators, are integer vectors (``check_primitive``).
 
 In the whole Matsuo algebra a point obeys the Jordan law and a sum of two
-orthogonal points the Monster law, so ``check_fusion`` passes such an axis
-under its law in any closed subalgebra by restriction; every other axis or
-law is checked pair by pair over the eigenvectors, which alone reports
-violations.
+orthogonal points the Monster law; in a closed subalgebra such an axis
+passes by restriction, and its Miyamoto involution composes its points'
+reflections.  Every other axis or law is checked pair by pair over the
+eigenvectors, which alone reports violations, and its Miyamoto involution
+is I - 2 * P_odd for the eta part.
 """
 
 from __future__ import annotations
@@ -111,11 +112,6 @@ def law_by_name(name: str, mode: ScalarMode) -> FusionLaw:
     if name == "M":
         return monster_law(mode)
     raise ValueError(f"unknown fusion law {name!r}; choose J or M")
-
-
-# even/odd grading: the eta eigenspace is the odd part for both laws
-def odd_part_index(law: FusionLaw) -> int:
-    return len(law.eigenvalues) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -326,24 +322,25 @@ def _holds_by_restriction(algebra: Subalgebra, x: Vec, law: FusionLaw) -> bool:
     """True when x obeys the law in the whole Matsuo algebra A and the
     subalgebra B is closed; then x obeys it in B.
 
-    In A a point obeys J(eta) (Hall, Rehren and Shpectorov, "Primitive axial
-    algebras of Jordan type", J. Algebra 2015) and a sum of two orthogonal
-    points M(2eta, eta) (Galt, Joshi, Mamontov, Shpectorov and Staroletov,
-    "Double axes and subalgebras of Monster type in Matsuo algebras",
-    Comm. Algebra 2021), for eta outside {0, 1} (refused by ScalarMode) and,
-    for M, outside {1/2} (refused by ``monster_law``).  A closed B that
-    contains x is ad_x-invariant, so B_lambda = B meet A_lambda and B obeys
-    the law.  ``eigen_decompose`` has checked that x is an idempotent of B:
-    with one point in its support it is the point, and with two the points
-    are orthogonal with unit coefficients, so the support size is the only
-    shape test.
+    In A a point obeys J(eta) (Hall, Rehren and Shpectorov, J. Algebra 2015)
+    and a sum of two orthogonal points M(2eta, eta) (Galt, Joshi, Mamontov,
+    Shpectorov and Staroletov, Comm. Algebra 2021), for eta outside {0, 1}
+    (refused by ScalarMode) and, for M, outside {1/2} (refused by
+    ``monster_law``).  A closed B that contains x is ad_x-invariant, so
+    B_lambda = B meet A_lambda and B obeys the law.  An idempotent with one
+    point in its support is the point, and with two the points are
+    orthogonal with unit coefficients, so beside membership and idempotency
+    the support size is the only shape test.
     """
     ambient = {1: jordan_law, 2: monster_law}.get(len(x))
+    if ambient is None or not algebra.contains(x):
+        return False
     try:
-        inherited = ambient is not None and law == ambient(algebra.mode)
+        inherited = law == ambient(algebra.mode)
     except ParameterDomainError:  # no Monster law at eta = 1/2
         return False
-    return inherited and algebra.is_closed()
+    half = algebra.mode.half_eta()
+    return inherited and vec_product(algebra.space, x, x, half) == x and algebra.is_closed()
 
 
 def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
@@ -391,15 +388,13 @@ miyamoto_point_map = verified_reflection
 def permutation_matrix_on(algebra: Subalgebra, perm: Sequence[int]) -> list[list]:
     """Matrix of the permutation-induced linear map restricted to a
     subalgebra; requires invariance."""
-    d = algebra.dimension
     cols = []
     for row in algebra.basis.rows:
-        image = {perm[k]: v for k, v in row.items()}
-        coords = algebra.coordinates(image)
+        coords = algebra.coordinates({perm[k]: v for k, v in row.items()})
         if coords is None:
             raise ValueError("subalgebra is not invariant under the permutation")
         cols.append(coords)
-    return [[cols[c][r] for c in range(d)] for r in range(d)]
+    return [list(r) for r in zip(*cols)]
 
 
 @dataclass
@@ -410,13 +405,9 @@ class MiyamotoMap:
     matrix: list[list]
 
     def apply_coords(self, coords: Sequence) -> list:
-        out = [self.algebra.mode.zero()] * len(coords)
-        for c, x in enumerate(coords):
-            if x:
-                for r, row in enumerate(self.matrix):
-                    if row[c]:
-                        out[r] = out[r] + row[c] * x
-        return out
+        terms = [(c, x) for c, x in enumerate(coords) if x]
+        zero = self.algebra.mode.zero()
+        return [sum((row[c] * x for c, x in terms if row[c]), zero) for row in self.matrix]
 
     def apply_vec(self, vec: Vec) -> Vec:
         coords = self.algebra.coordinates(vec)
@@ -425,63 +416,66 @@ class MiyamotoMap:
         return self.algebra.row_vector(self.apply_coords(coords))
 
     def is_involution(self) -> bool:
-        d = self.algebra.dimension
-        mode = self.algebra.mode
-        one, zero = mode.one(), mode.zero()
-        for c in range(d):
-            col = [self.matrix[r][c] for r in range(d)]
-            image = self.apply_coords(col)
-            for r in range(d):
-                want = one if r == c else zero
-                if image[r] != want:
-                    return False
-        return True
+        one, zero = self.algebra.mode.one(), self.algebra.mode.zero()
+        return all(
+            self.apply_coords(col) == [one if r == c else zero for r in range(len(col))]
+            for c, col in enumerate(zip(*self.matrix))
+        )
 
     def preserves_products(self) -> bool:
+        """Whether the map preserves each b_i * b_j; ValueError when the
+        basis is not closed."""
         alg = self.algebra
         half = alg.mode.half_eta()
-        d = alg.dimension
-        images = [
-            alg.row_vector([self.matrix[r][c] for r in range(d)]) for c in range(d)
-        ]
-        for i in range(d):
-            for j in range(i, d):
-                lhs = vec_product(
-                    alg.space,
-                    alg.basis.rows[i],
-                    alg.basis.rows[j],
-                    half,
-                )
-                lhs_coords = alg.coordinates(lhs)
-                mapped = self.apply_coords(lhs_coords)
-                rhs = vec_product(alg.space, images[i], images[j], half)
-                rhs_coords = alg.coordinates(rhs)
-                if rhs_coords is None or mapped != rhs_coords:
-                    return False
+        images = [alg.row_vector(col) for col in zip(*self.matrix)]
+        for i, j, coords in alg._product_coordinates():
+            image: Vec = {}
+            for k, c in enumerate(coords):
+                if c:
+                    vec_add_scaled(image, images[k], c)
+            if vec_product(alg.space, images[i], images[j], half) != image:
+                return False
         return True
 
 
 def miyamoto_algebra_map(algebra: Subalgebra, x: Vec, law: FusionLaw) -> MiyamotoMap:
     """Identity on the even part, negation on the odd (eta) part.
 
-    Column c holds the coordinates of b_c - 2 * P_odd(b_c) for the basis
-    row b_c and the Lagrange projection P_odd onto the odd part.
+    An axis that ``_holds_by_restriction`` passes (a point under J, Hall,
+    Rehren and Shpectorov 2015; a double axis under M, Galt et al. 2021)
+    has in the whole algebra A the involution that composes its points'
+    reflections; B_lambda = B meet A_lambda, so that permutation preserves
+    B (``permutation_matrix_on`` checks it) and restricts to the map.  Any
+    other axis or law is checked first, and column c is b_c - 2 P_odd(b_c).
+    Either map is checked to be an involutive automorphism.
     """
     x = algebra.mode.vector(x, "axis")
-    if not check_fusion(algebra, x, law).passed:
+    if _holds_by_restriction(algebra, x, law):
+        matrix = permutation_matrix_on(algebra, _composed_reflections(algebra.space, x))
+    elif check_fusion(algebra, x, law).passed:
+        sp, half = algebra.space, algebra.mode.half_eta()
+        odd = len(law.eigenvalues) - 1  # the eta part, last in both laws
+        columns = []
+        for row in algebra.basis.rows:
+            image = dict(row)
+            vec_add_scaled(image, _project(sp, x, row, law.eigenvalues, odd, half), -2)
+            columns.append(algebra.coordinates(image))
+        matrix = [list(r) for r in zip(*columns)]
+    else:
         raise ValueError("fusion law fails; no Miyamoto involution")
-    sp = algebra.space
-    half = algebra.mode.half_eta()
-    odd = odd_part_index(law)
-    columns = []
-    for row in algebra.basis.rows:
-        image = dict(row)
-        vec_add_scaled(image, _project(sp, x, row, law.eigenvalues, odd, half), -2)
-        columns.append(algebra.coordinates(image))
-    result = MiyamotoMap(algebra, [list(r) for r in zip(*columns)])
+    result = MiyamotoMap(algebra, matrix)
     if not result.is_involution() or not result.preserves_products():
         raise ValueError("constructed Miyamoto map is not an algebra involution")
     return result
+
+
+def _composed_reflections(sp: FischerSpace, support: Iterable[int]) -> tuple[int, ...]:
+    """The reflections of the points of support, composed in their order."""
+    perm = tuple(range(len(sp.points)))
+    for p in support:
+        reflection = miyamoto_point_map(sp, p)
+        perm = tuple(reflection[q] for q in perm)
+    return perm
 
 
 def tau_composition_identity(sp: FischerSpace, a: int, b: int) -> bool:
@@ -494,9 +488,7 @@ def tau_composition_identity(sp: FischerSpace, a: int, b: int) -> bool:
     """
     if sp.collinear(a, b) or a == b:
         raise ValueError("double axis needs two distinct orthogonal points")
-    pa = miyamoto_point_map(sp, a)
-    pb = miyamoto_point_map(sp, b)
-    perm = tuple(pb[pa[q]] for q in range(len(sp.points)))
+    perm = _composed_reflections(sp, (a, b))
     one = EtaScalar.one()
     *even, odd = monster_law(ScalarMode.symbolic()).eigenvalues
     x: Vec = {a: one, b: one}

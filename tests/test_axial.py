@@ -158,8 +158,13 @@ class TestEigenDecompose:
 
     def test_non_idempotent_rejected(self):
         alg = line_algebra()
-        with pytest.raises(ValueError):
-            eigen_decompose(alg, {0: ONE + ONE}, jordan_law(SYM).eigenvalues)
+        law = jordan_law(SYM)
+        for call in (
+            lambda: eigen_decompose(alg, {0: ONE + ONE}, law.eigenvalues),
+            lambda: miyamoto_algebra_map(alg, {0: ONE + ONE}, law),
+        ):
+            with pytest.raises(ValueError, match="axis must be an idempotent"):
+                call()
 
     def test_wrong_spectrum_detected(self):
         alg = line_algebra()
@@ -180,12 +185,14 @@ class TestEigenDecompose:
             for call in (
                 lambda: eigen_decompose(alg, x, jordan_law(mode).eigenvalues),
                 lambda: check_primitive(alg, x),
+                lambda: miyamoto_algebra_map(alg, x, jordan_law(mode)),
             ):
                 with pytest.raises(ValueError, match="does not lie in the subalgebra"):
                     call()
 
     def test_subalgebra_not_closed(self):
-        # span(b0, b1) in the line algebra: b0 * b1 has a b2 component
+        # span(b0, b1) in the line algebra: b0 * b1 has a b2 component; the
+        # identity map on it does not reach a product check
         sp = build_named_space("A", 3)
         for mode in (SYM, EV7):
             basis = EchelonBasis(mode)
@@ -193,9 +200,13 @@ class TestEigenDecompose:
             basis.insert({1: mode.one()})
             alg = Subalgebra(sp, mode, [], basis)
             x = {0: mode.one()}
+            one, zero = mode.one(), mode.zero()
+            identity = axial.MiyamotoMap(alg, [[one, zero], [zero, one]])
             for call in (
                 lambda: eigen_decompose(alg, x, jordan_law(mode).eigenvalues),
                 lambda: check_primitive(alg, x),
+                lambda: miyamoto_algebra_map(alg, x, jordan_law(mode)),
+                identity.preserves_products,
             ):
                 with pytest.raises(ValueError, match="not closed"):
                     call()
@@ -263,28 +274,53 @@ class TestFusion:
 
 @pytest.fixture
 def restriction(monkeypatch):
-    """Spy on the restriction route of check_fusion: the list of its
-    verdicts, one per call, and a switch that forces it to say no."""
+    """Spy on the restriction route of check_fusion and
+    miyamoto_algebra_map: the list of its verdicts, one per call, and
+    forced_off, the number of its next calls forced to say no."""
     real = axial._holds_by_restriction
     verdicts = []
 
     def spy(*args):
-        verdicts.append(False if spy.forced_off else real(*args))
+        verdicts.append(not spy.forced_off and real(*args))
+        spy.forced_off = max(spy.forced_off - 1, 0)
         return verdicts[-1]
 
-    spy.forced_off = False
+    spy.forced_off = 0
     spy.verdicts = verdicts
     monkeypatch.setattr(axial, "_holds_by_restriction", spy)
     return spy
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Spy on the calls that matsuo.axial makes of check_fusion and
+    eigen_decompose: their results, by name."""
+    results = {}
+    for name in ("check_fusion", "eigen_decompose"):
+        real, out = getattr(axial, name), results.setdefault(name, [])
+
+        def spy(*args, real=real, out=out):
+            out.append(real(*args))
+            return out[-1]
+
+        monkeypatch.setattr(axial, name, spy)
+    return results
+
+
+def forced_off(restriction, refusals, call, *args):
+    """call(*args) with the next refusals restriction verdicts forced to no:
+    one for check_fusion's pair loop, one for miyamoto_algebra_map's
+    projection route, two for that route with the pair loop as its guard."""
+    restriction.forced_off = refusals
+    try:
+        return call(*args)
+    finally:
+        restriction.forced_off = 0
+
+
 def exact_report(restriction, alg, x, law):
     """check_fusion with the restriction route forced off: the pair loop."""
-    restriction.forced_off = True
-    try:
-        return check_fusion(alg, x, law)
-    finally:
-        restriction.forced_off = False
+    return forced_off(restriction, 1, check_fusion, alg, x, law)
 
 
 def violation_keys(report):
@@ -321,21 +357,30 @@ SMALL_SPACES = list(small_spaces(20))
 SMALL_SPACES_WITH_PAIRS = [s for s in SMALL_SPACES if orbit_axes(build_named_space(*s))[1]]
 
 
-def assert_ambient_law(restriction, sp, supports, law_of):
-    """In the full algebra, symbolically and at eta = 7, the sum of the
-    points of each support passes its law by restriction and by the pair
-    loop alike."""
+def assert_routes_agree(restriction, calls, alg, x, law):
+    """x passes the law by restriction and by the pair loop alike, and its
+    Miyamoto map from the composed point reflections is the projection
+    route's, whose guard is that pair loop."""
+    fast = check_fusion(alg, x, law)
+    composed = miyamoto_algebra_map(alg, x, law)
+    assert restriction.verdicts[-2:] == [True, True]
+    projected = forced_off(restriction, 2, miyamoto_algebra_map, alg, x, law)
+    exact = calls["check_fusion"][-1]
+    assert restriction.verdicts[-2:] == [False, False]
+    assert fast.passed and exact.passed
+    assert fast.decomposition.parts == exact.decomposition.parts
+    assert fast.export() == exact.export()
+    assert composed.matrix == projected.matrix
+
+
+def assert_ambient_law(restriction, calls, sp, supports, law_of):
+    """assert_routes_agree in the full algebra, symbolically and at eta = 7,
+    for the sum of the points of each support."""
     for mode in (SYM, EV7):
         alg = full_algebra(sp, mode)
-        law = law_of(mode)
         for support in supports:
             x = {p: mode.one() for p in support}
-            fast = check_fusion(alg, x, law)
-            assert restriction.verdicts[-1] is True
-            exact = exact_report(restriction, alg, x, law)
-            assert fast.passed and exact.passed, (sp.describe(), mode, support)
-            assert fast.decomposition.parts == exact.decomposition.parts
-            assert fast.export() == exact.export()
+            assert_routes_agree(restriction, calls, alg, x, law_of(mode))
 
 
 class TestFusionPointCertificate:
@@ -346,37 +391,30 @@ class TestFusionPointCertificate:
     @pytest.mark.parametrize(
         "family,limit", [("W2A", None), ("W3A", None), ("W2D", 2), ("Wr3x3", 1)]
     )
-    def test_passing_doubles_match_exact_loop(self, family, limit, restriction):
-        # every double of W2A and W3A, the first of W2D and of Wr3x3 (the
-        # benchmark's algebra), whose Q(eta) loops take seconds per double
+    def test_passing_doubles_match_exact_loop(self, family, limit, restriction, calls):
+        # every double of W2A and W3A, the first two of W2D and the first of
+        # Wr3x3 (the benchmark's algebra), whose Q(eta) loops take seconds
+        # per double
         tau = standard_flip(family, 2)
         alg = flip_subalgebra(tau.space, tau, SYM)
-        law = monster_law(SYM)
         doubles = classify_orbits(tau.space, tau).doubles[:limit]
         assert doubles
         for pair in doubles:
-            x = orbit_vector(pair, ONE)
-            fast = check_fusion(alg, x, law)
-            assert restriction.verdicts[-1] is True
-            exact = exact_report(restriction, alg, x, law)
-            assert fast.passed and exact.passed
-            assert fast.decomposition.dims == exact.decomposition.dims
-            assert fast.decomposition.parts == exact.decomposition.parts
-            assert fast.export() == exact.export()
+            assert_routes_agree(restriction, calls, alg, orbit_vector(pair, ONE), monster_law(SYM))
 
     @pytest.mark.parametrize("family,n", SMALL_SPACES)
-    def test_passing_single_axes_match_exact_loop(self, family, n, restriction):
+    def test_passing_single_axes_match_exact_loop(self, family, n, restriction, calls):
         # the ambient Jordan law itself, checked by the pair loop
         sp = build_named_space(family, n)
         points, _ = orbit_axes(sp)
-        assert_ambient_law(restriction, sp, [(p,) for p in points], jordan_law)
+        assert_ambient_law(restriction, calls, sp, [(p,) for p in points], jordan_law)
 
     @pytest.mark.parametrize("family,n", SMALL_SPACES_WITH_PAIRS)
-    def test_passing_ambient_doubles_match_exact_loop(self, family, n, restriction):
+    def test_passing_ambient_doubles_match_exact_loop(self, family, n, restriction, calls):
         # the ambient Monster law itself, checked by the pair loop
         sp = build_named_space(family, n)
         _, pairs = orbit_axes(sp)
-        assert_ambient_law(restriction, sp, pairs, monster_law)
+        assert_ambient_law(restriction, calls, sp, pairs, monster_law)
 
     def test_tightened_laws_report_the_exact_violations(self, restriction):
         sp = build_named_space("A", 4)
@@ -619,27 +657,68 @@ class TestMiyamotoAlgebraMap:
         perm = miyamoto_point_map(alg.space, 0)
         assert mm.matrix == permutation_matrix_on(alg, perm)
 
-    def test_tau_of_double_is_composition_matrixwise(self):
-        # one double axis of the full A:4 algebra, then every double of the
-        # W2A and W3A k = 2 flip algebras: the projection-built map is the
-        # composed point map
-        sp = build_named_space("A", 4)
-        cases = [
-            (full_algebra(sp), [(sp.point_of_label("b(1,2)"), sp.point_of_label("b(3,4)"))])
-        ]
-        for family in ("W2A", "W3A"):
+    def test_tau_of_double_is_composition_matrixwise(self, restriction):
+        # every double of the W2A, W3A and Wr3x3 k = 2 flip algebras at
+        # eta = 7 (over Q(eta), where the projection route takes about four
+        # times as long, TestFusionPointCertificate compares the W2A and
+        # W3A doubles and the first Wr3x3 one): the composed point
+        # reflections give the projection route's matrix, whose guard passes
+        # by restriction
+        law = monster_law(EV7)
+        for family in ("W2A", "W3A", "Wr3x3"):
             tau = standard_flip(family, 2)
+            alg = flip_subalgebra(tau.space, tau, EV7)
             doubles = classify_orbits(tau.space, tau).doubles
             assert doubles
-            cases.append((flip_subalgebra(tau.space, tau, SYM), doubles))
-        for alg, doubles in cases:
-            sp = alg.space
-            for a, b in doubles:
-                mm = miyamoto_algebra_map(alg, {a: ONE, b: ONE}, monster_law(SYM))
-                pa = miyamoto_point_map(sp, a)
-                pb = miyamoto_point_map(sp, b)
-                composed = tuple(pb[pa[q]] for q in range(len(sp.points)))
-                assert mm.matrix == permutation_matrix_on(alg, composed)
+            for pair in doubles:
+                x = orbit_vector(pair, EV7.one())
+                composed = miyamoto_algebra_map(alg, x, law)
+                projected = forced_off(restriction, 1, miyamoto_algebra_map, alg, x, law)
+                assert restriction.verdicts[-3:] == [True, False, True]
+                assert composed.matrix == projected.matrix, (family, pair)
+
+    def test_route_of_the_fusion_workload(self, calls):
+        # the first double of the Wr3x3 k = 2 flip algebra under M: no
+        # fusion check and no eigenspaces
+        tau = standard_flip("Wr3x3", 2)
+        alg = flip_subalgebra(tau.space, tau, SYM)
+        x = orbit_vector(classify_orbits(tau.space, tau).doubles[0], ONE)
+        assert miyamoto_algebra_map(alg, x, monster_law(SYM)).is_involution()
+        assert calls == {"check_fusion": [], "eigen_decompose": []}
+
+    def test_point_under_monster_law_takes_the_guard(self, calls):
+        # M is not a point's ambient law: the guard runs once, and the
+        # projection gives the point's reflection all the same
+        sp = build_named_space("A", 4)
+        alg = full_algebra(sp)
+        mm = miyamoto_algebra_map(alg, {0: ONE}, monster_law(SYM))
+        assert len(calls["check_fusion"]) == 1 and calls["check_fusion"][0].passed
+        assert len(calls["eigen_decompose"]) == 1
+        assert mm.matrix == permutation_matrix_on(alg, miyamoto_point_map(sp, 0))
+
+    def test_checks_refuse_other_maps(self):
+        # on the line algebra: b0 -> -b0 is an involution but sends b0 * b0
+        # to b0, not -b0; the swap of b1 and b2 is both; doubling b0 neither
+        alg = line_algebra()
+        one, zero = ONE, SYM.zero()
+        negate = [[-one, zero, zero], [zero, one, zero], [zero, zero, one]]
+        swap = permutation_matrix_on(alg, (0, 2, 1))
+        double = [[one + one, zero, zero], [zero, one, zero], [zero, zero, one]]
+        verdicts = []
+        for matrix in (negate, swap, double):
+            mm = axial.MiyamotoMap(alg, matrix)
+            verdicts.append((mm.is_involution(), mm.preserves_products()))
+        assert verdicts == [(True, False), (True, True), (False, False)]
+
+    def test_permutation_matrix_needs_invariance(self):
+        # the closed span of point 0 of A:3, and the reflection of point 1,
+        # which sends 0 to 2
+        sp = build_named_space("A", 3)
+        alg = close(sp, [{0: ONE}], SYM)
+        perm = miyamoto_point_map(sp, 1)
+        assert perm[0] == 2
+        with pytest.raises(ValueError, match="not invariant"):
+            permutation_matrix_on(alg, perm)
 
     def test_refuses_a_failing_law(self):
         # with the eta*eta cell tightened to {2eta}, the map I - 2 P_eta of
