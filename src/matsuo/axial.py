@@ -3,19 +3,14 @@
 Single axes follow the Jordan-type law with eigenvalues (1, 0, eta); sums of
 two orthogonal axes follow the Monster-type law with eigenvalues
 (1, 0, 2*eta, eta).  The spectrum is known in advance from the law, so no
-root-finding is involved, and everything is read off polynomials in ad_x
-applied to sparse ambient vectors of a closed subalgebra; no adjoint matrix
-is formed.  The eigenspace of lambda_k is the image of the Lagrange
-projection P_k = prod over mu != lambda_k of (ad_x - mu) / (lambda_k - mu),
-echelonized in coordinates on the subalgebra basis; primitivity is the rank
-of b -> x*b - b.  A product of eigenvectors obeys a fusion cell iff prod
-over allowed nu of (ad_x - nu) kills it, and its component on part k is its
-image under P_k.
-
-In evaluated mode at eta0 = n/d, every function first takes the axis at
-eta0, and primitivity is an integer rank: the basis rows scaled to primitive
-integer rows form an integer echelon as they stand, and the images, scaled
-by 2d and the axis's denominators, are integer vectors (``check_primitive``).
+root-finding is involved.  ad_x on a closed subalgebra is formed once, as
+sparse columns: column c holds the coordinates of x*b_c on the basis.
+Every polynomial in ad_x is then read off the Krylov vectors w, A w,
+A^2 w, ... of a coordinate vector w: the Lagrange projections P_k = prod
+over mu != lambda_k of (ad_x - mu) / (lambda_k - mu), whose images are the
+eigenspaces, ad_x - 1 for symbolic primitivity, and the polynomials of the
+fusion cells.  Every entry point takes the axis through ``ScalarMode.vector``,
+and evaluated primitivity is an integer rank (``check_primitive``).
 
 In the whole Matsuo algebra a point obeys the Jordan law and a sum of two
 orthogonal points the Monster law; in a closed subalgebra such an axis
@@ -33,7 +28,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .algebra import Vec, _IntEchelon, vec_add_scaled, vec_product, vec_scale
+from .algebra import Vec, _IntEchelon, vec_add_scaled, vec_product
 from .closure import EchelonBasis, ScalarMode, Subalgebra
 from .fischer import FischerSpace, verified_reflection
 from .scalars import HALF_ETA, EtaScalar, primitive_int_vec
@@ -119,7 +114,7 @@ def law_by_name(name: str, mode: ScalarMode) -> FusionLaw:
 # ---------------------------------------------------------------------------
 
 def _ad_poly(sp: FischerSpace, x: Vec, w: Vec, roots: Iterable, half) -> Vec:
-    """prod over nu in roots of (ad_x - nu), applied to w."""
+    """prod over nu in roots of (ad_x - nu), applied to an ambient vector w."""
     for nu in roots:
         image = vec_product(sp, x, w, half)
         if nu:
@@ -128,33 +123,58 @@ def _ad_poly(sp: FischerSpace, x: Vec, w: Vec, roots: Iterable, half) -> Vec:
     return w
 
 
-def _project(sp: FischerSpace, x: Vec, w: Vec, values: tuple, k: int, half) -> Vec:
-    """Component of w on the values[k]-eigenspace of ad_x, for w in the sum
-    of the eigenspaces on values (Lagrange projection)."""
-    others = values[:k] + values[k + 1:]
-    scale = 1 / math.prod(values[k] - mu for mu in others)
-    return vec_scale(_ad_poly(sp, x, w, others, half), scale)
-
-
-def _image(algebra: Subalgebra, x: Vec, roots: Sequence) -> EchelonBasis:
-    """Span of prod over nu in roots of (ad_x - nu) on the subalgebra.
-
-    Each image enters as its coordinates on the subalgebra basis with the
-    index reversed (c -> d - 1 - c).  EchelonBasis keeps leftmost pivots and
-    fully reduced rows, so back in the basis order its rows are the unique
-    reduced basis of the span with rightmost pivots.
-    """
+def _adjoint(algebra: Subalgebra, x: Vec) -> list[Vec]:
+    """ad_x on the subalgebra basis as sparse columns: column c holds the
+    coordinates of x*b_c, one product and one reduction each."""
     if algebra.coordinates(x) is None:
         raise ValueError("the axis does not lie in the subalgebra")
     half = algebra.mode.half_eta()
-    last = algebra.dimension - 1
-    span = EchelonBasis(algebra.mode)
+    columns, shared = [], {}  # equal entries share one scalar: few are distinct
     for row in algebra.basis.rows:
-        coords = algebra.coordinates(_ad_poly(algebra.space, x, row, roots, half))
+        coords = algebra.coordinates(vec_product(algebra.space, x, row, half))
         if coords is None:
             raise ValueError("adjoint image left the subalgebra; not closed")
-        span.insert({last - c: v for c, v in enumerate(coords) if v})
-    return span
+        columns.append({i: shared.setdefault(v, v) for i, v in enumerate(coords) if v})
+    return columns
+
+
+def _poly(roots: Iterable, scale=1) -> list:
+    """Coefficients, constant term first, of scale * prod over nu in roots
+    of (t - nu)."""
+    coefs = [scale]
+    for nu in roots:
+        coefs = [a - nu * b for a, b in zip([0, *coefs], [*coefs, 0])]
+    return coefs
+
+
+def _lagrange(values: tuple, scaled: bool = True) -> list:
+    """Per value lambda, the Lagrange projection onto its eigenspace as
+    ``_poly``, or with scaled False its numerator, prod over mu != lambda of
+    (t - mu)."""
+    polys = []
+    for k, lam in enumerate(values):
+        others = values[:k] + values[k + 1:]
+        polys.append(_poly(others, 1 / math.prod(lam - mu for mu in others) if scaled else 1))
+    return polys
+
+
+def _images(adjoint: Sequence[Vec], w: Vec, polys: Sequence[list]) -> list[Vec]:
+    """Each polynomial in ad_x (coefficients as ``_poly``) applied to the
+    coordinate vector w, through the Krylov vectors w, A w, A^2 w, ..."""
+    powers = [w]
+    while len(powers) < max(map(len, polys)):
+        power: Vec = {}
+        for c, v in powers[-1].items():
+            vec_add_scaled(power, adjoint[c], v)
+        powers.append(power)
+    images = []
+    for coefs in polys:
+        image: Vec = {}
+        for a, power in zip(coefs, powers):
+            if a:
+                vec_add_scaled(image, power, a)
+        images.append(image)
+    return images
 
 
 @dataclass
@@ -165,10 +185,24 @@ class EigenDecomposition:
     axis: Vec
     eigenvalues: tuple
     parts: list[list[list]]  # per eigenvalue: list of coordinate vectors
+    adjoint: list[Vec]  # column c: the coordinates of axis * b_c
 
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.parts)
+
+
+def _spans(algebra: Subalgebra, adjoint: Sequence[Vec], polys: Sequence[list]) -> list:
+    """The span of each polynomial in ad_x on the subalgebra, its images
+    entered index-reversed (c -> d - 1 - c): back in the basis order the
+    rows are the unique reduced basis with rightmost pivots, and on flip
+    algebras they fill far less."""
+    mode, last = algebra.mode, algebra.dimension - 1
+    spans = [EchelonBasis(mode) for _ in polys]
+    for c in range(algebra.dimension):
+        for span, image in zip(spans, _images(adjoint, {c: mode.one()}, polys)):
+            span.insert({last - i: v for i, v in image.items()})
+    return spans
 
 
 def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDecomposition:
@@ -194,11 +228,10 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
     if len(spectrum) < 2 or len(set(spectrum)) < len(spectrum):
         raise ValueError("the spectrum needs two or more distinct values")
     d = algebra.dimension
-    images = [
-        _image(algebra, x, spectrum[:k] + spectrum[k + 1:]) for k in range(len(spectrum))
-    ]
+    adjoint = _adjoint(algebra, x)
+    images = _spans(algebra, adjoint, _lagrange(spectrum, False))
     if sum(map(len, images)) != d:
-        dims = tuple(d - len(_image(algebra, x, (lam,))) for lam in spectrum)
+        dims = tuple(d - len(_spans(algebra, adjoint, [_poly((lam,))])[0]) for lam in spectrum)
         raise AdjointNotDiagonalizableError(
             f"eigenspace dimensions {dims} sum to"
             f" {sum(dims)}, expected {d}; not an axis for this spectrum"
@@ -214,7 +247,7 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
                 vec[d - 1 - c] = v
             part.append(vec)
         parts.append(part)
-    return EigenDecomposition(algebra, x, spectrum, parts)
+    return EigenDecomposition(algebra, x, spectrum, parts, adjoint)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +310,8 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
     Eigenvectors are numbered in part order; each pair passes iff the
     product of (ad_x - nu) over the allowed eigenvalues nu kills its product
     (an empty cell asks for zero).  A failing pair gives one violation per
-    disallowed part on which the product has a nonzero component.
+    disallowed part on which the product has a nonzero component.  Both are
+    read off the Krylov vectors of the product's coordinates.
 
     A point under J and a double axis under M pass without the pair loop,
     by restriction from the whole Matsuo algebra (``_holds_by_restriction``).
@@ -286,24 +320,26 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
     dec = eigen_decompose(algebra, x, law.eigenvalues)
     if _holds_by_restriction(algebra, x, law):
         return FusionReport(law, dec, [])
-    sp = algebra.space
-    half = algebra.mode.half_eta()
     values = law.eigenvalues
+    projections = _lagrange(values)
     parts = [[algebra.row_vector(v) for v in part] for part in dec.parts]
     start = list(accumulate(map(len, parts), initial=0))
     violations: list[FusionViolation] = []
-    for li, mi, a, b, w in _pair_products(sp, parts, half):
-        if not algebra.contains(w):
+    for li, mi, a, b, w in _pair_products(algebra.space, parts, algebra.mode.half_eta()):
+        dense = algebra.coordinates(w)
+        if dense is None:
             raise ValueError("eigenvector product left the subalgebra")
         allowed = law.allowed(li, mi)
-        if not _ad_poly(sp, x, w, [values[k] for k in sorted(allowed)], half):
+        coords = {c: v for c, v in enumerate(dense) if v}
+        if not _images(dec.adjoint, coords, [_poly([values[k] for k in sorted(allowed)])])[0]:
             continue
-        for k in range(len(values)):
-            if k not in allowed:
-                component = _project(sp, x, w, values, k, half)
-                if component:
-                    pair = (start[li] + a, start[mi] + b)
-                    violations.append(FusionViolation(li, mi, pair, k, component))
+        for k, component in enumerate(_images(dec.adjoint, coords, projections)):
+            if k not in allowed and component:
+                pair = (start[li] + a, start[mi] + b)
+                ambient: Vec = {}
+                for i, v in component.items():
+                    vec_add_scaled(ambient, algebra.basis.rows[i], v)
+                violations.append(FusionViolation(li, mi, pair, k, ambient))
     return FusionReport(law, dec, violations)
 
 
@@ -318,7 +354,7 @@ def _pair_products(sp: FischerSpace, parts: Sequence[Sequence[Vec]], half):
                     yield li, mi, a, b, vec_product(sp, u, mpart[b], half)
 
 
-def _holds_by_restriction(algebra: Subalgebra, x: Vec, law: FusionLaw) -> bool:
+def _holds_by_restriction(algebra: Subalgebra, x: Vec, law: FusionLaw, walk: bool = True) -> bool:
     """True when x obeys the law in the whole Matsuo algebra A and the
     subalgebra B is closed; then x obeys it in B.
 
@@ -330,7 +366,8 @@ def _holds_by_restriction(algebra: Subalgebra, x: Vec, law: FusionLaw) -> bool:
     B_lambda = B meet A_lambda and B obeys the law.  An idempotent with one
     point in its support is the point, and with two the points are
     orthogonal with unit coefficients, so beside membership and idempotency
-    the support size is the only shape test.
+    the support size is the only shape test.  With walk False the caller's
+    own walk of the basis products decides closure.
     """
     ambient = {1: jordan_law, 2: monster_law}.get(len(x))
     if ambient is None or not algebra.contains(x):
@@ -339,13 +376,14 @@ def _holds_by_restriction(algebra: Subalgebra, x: Vec, law: FusionLaw) -> bool:
         inherited = law == ambient(algebra.mode)
     except ParameterDomainError:  # no Monster law at eta = 1/2
         return False
-    half = algebra.mode.half_eta()
-    return inherited and vec_product(algebra.space, x, x, half) == x and algebra.is_closed()
+    if not inherited or vec_product(algebra.space, x, x, algebra.mode.half_eta()) != x:
+        return False
+    return not walk or algebra.is_closed()
 
 
 def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
     """True iff the 1-eigenspace of ad_x inside the subalgebra is a line,
-    i.e. b -> x*b - b has rank d - 1 on the basis rows.
+    i.e. ad_x - 1 has rank d - 1 on the subalgebra.
 
     In evaluated mode, at eta0 = n/d, the rank is taken over Z.  The
     unit-pivot basis rows, scaled to primitive integer rows, keep their
@@ -357,7 +395,8 @@ def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
     x = algebra.mode.vector(x, "axis")
     mode = algebra.mode
     if mode.is_symbolic:
-        return algebra.dimension - len(_image(algebra, x, (mode.one(),))) == 1
+        (image,) = _spans(algebra, _adjoint(algebra, x), [_poly((mode.one(),))])
+        return algebra.dimension - len(image) == 1
     if algebra.coordinates(x) is None:
         raise ValueError("the axis does not lie in the subalgebra")
     basis = _IntEchelon()
@@ -445,22 +484,27 @@ def miyamoto_algebra_map(algebra: Subalgebra, x: Vec, law: FusionLaw) -> Miyamot
     Rehren and Shpectorov 2015; a double axis under M, Galt et al. 2021)
     has in the whole algebra A the involution that composes its points'
     reflections; B_lambda = B meet A_lambda, so that permutation preserves
-    B (``permutation_matrix_on`` checks it) and restricts to the map.  Any
-    other axis or law is checked first, and column c is b_c - 2 P_odd(b_c).
+    a closed B (``permutation_matrix_on`` checks it) and restricts to the
+    map.  Its one walk of the basis products, in ``preserves_products``,
+    both decides closure and checks the products.  Any other axis or law is
+    checked first, and column c is e_c - 2 P_odd(e_c) in coordinates.
     Either map is checked to be an involutive automorphism.
     """
     x = algebra.mode.vector(x, "axis")
-    if _holds_by_restriction(algebra, x, law):
-        matrix = permutation_matrix_on(algebra, _composed_reflections(algebra.space, x))
-    elif check_fusion(algebra, x, law).passed:
-        sp, half = algebra.space, algebra.mode.half_eta()
-        odd = len(law.eigenvalues) - 1  # the eta part, last in both laws
-        columns = []
-        for row in algebra.basis.rows:
-            image = dict(row)
-            vec_add_scaled(image, _project(sp, x, row, law.eigenvalues, odd, half), -2)
-            columns.append(algebra.coordinates(image))
-        matrix = [list(r) for r in zip(*columns)]
+    if _holds_by_restriction(algebra, x, law, False):
+        try:
+            matrix = permutation_matrix_on(algebra, _composed_reflections(algebra.space, x))
+        except ValueError as exc:  # a closed B is invariant, by the theorem
+            raise ValueError("subalgebra not invariant under tau_x; not closed") from exc
+    elif (report := check_fusion(algebra, x, law)).passed:
+        odd = _lagrange(law.eigenvalues)[-1]  # the eta part, last in both laws
+        one, zero, d = algebra.mode.one(), algebra.mode.zero(), algebra.dimension
+        matrix = [[zero] * d for _ in range(d)]
+        for c in range(d):
+            column = {c: one}
+            vec_add_scaled(column, _images(report.decomposition.adjoint, {c: one}, [odd])[0], -2)
+            for r, v in column.items():
+                matrix[r][c] = v
     else:
         raise ValueError("fusion law fails; no Miyamoto involution")
     result = MiyamotoMap(algebra, matrix)

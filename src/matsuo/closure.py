@@ -113,11 +113,12 @@ class ScalarMode:
         return self.eta0.numerator, 2 * self.eta0.denominator
 
     def vector(self, vec: Vec, role: str) -> Vec:
-        """vec over this mode's scalars: vec itself when symbolic, its value
-        at eta0 when evaluated, where a pole raises UnsafeEtaError naming
-        the vector's role ("generator" or "axis")."""
+        """vec over this mode's scalars, zero coefficients dropped: vec's
+        own coefficients when symbolic, their values at eta0 when evaluated,
+        where a pole raises UnsafeEtaError naming the vector's role
+        ("generator" or "axis")."""
         if self.is_symbolic:
-            return vec
+            return {k: v for k, v in vec.items() if v}
         try:
             return evaluate_vec(vec, self.eta0)
         except PoleError as exc:
@@ -386,9 +387,7 @@ def close(
     generators, which must stay nonzero.  In evaluated mode the generators
     are evaluated at eta0 first; a pole there raises UnsafeEtaError.
     """
-    gen_list = [
-        mode.vector({k: v for k, v in g.items() if v}, "generator") for g in gens
-    ]
+    gen_list = [mode.vector(g, "generator") for g in gens]
     if roles is None:
         roles = ["custom"] * len(gen_list)
     if any(not g for g in gen_list):

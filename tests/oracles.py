@@ -2,6 +2,7 @@
 
 from matsuo import closure
 from matsuo.algebra import Vec
+from matsuo.axial import _ad_poly
 from matsuo.classify import TypeDConfig
 from matsuo.closure import EchelonBasis, ScalarMode, Subalgebra
 from matsuo.fischer import FischerSpace
@@ -50,6 +51,20 @@ def reinserted_rows(basis: EchelonBasis) -> tuple:
         canon.insert(row)
     order = sorted(range(len(canon)), key=canon.pivot_of_row.__getitem__)
     return tuple(tuple(sorted(canon.rows[r].items())) for r in order)
+
+
+def ambient_image(algebra: Subalgebra, x: Vec, roots) -> EchelonBasis:
+    """Span of prod over nu in roots of (ad_x - nu) on a subalgebra, applied
+    to each basis row as an ambient vector, with its coordinates entered
+    index-reversed (c -> d - 1 - c): the reference for the Krylov route of
+    ``axial._spans``."""
+    half = algebra.mode.half_eta()
+    last = algebra.dimension - 1
+    span = EchelonBasis(algebra.mode)
+    for row in algebra.basis.rows:
+        coords = algebra.coordinates(_ad_poly(algebra.space, x, row, roots, half))
+        span.insert({last - c: v for c, v in enumerate(coords) if v})
+    return span
 
 
 def close_over_qeta(sp: FischerSpace, gens: list[Vec]) -> Subalgebra:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import matsuo.axial as axial
+import matsuo.closure as closure_module
 from matsuo.axial import (
     AdjointNotDiagonalizableError,
     FusionLaw,
@@ -47,7 +48,7 @@ from matsuo.flips import (
 )
 from matsuo.scalars import EtaScalar
 
-from oracles import close_over_qeta, int_matrix_rank, reinserted_rows
+from oracles import ambient_image, close_over_qeta, int_matrix_rank, reinserted_rows
 
 SYM = ScalarMode.symbolic()
 ONE = SYM.one()
@@ -114,11 +115,17 @@ def assert_eigenbases(alg, x, spectrum):
 
 
 def assert_canonical_images(alg, x, spectrum):
-    """The reversed-column image spans behind eigen_decompose's parts have
-    the canonical rows of re-insertion."""
-    for k in range(len(spectrum)):
-        image = axial._image(alg, x, spectrum[:k] + spectrum[k + 1:])
-        assert image.canonical_rows() == reinserted_rows(image)
+    """The reversed-column image spans behind eigen_decompose's parts, read
+    off Krylov vectors in coordinates, have the canonical rows of the
+    ambient Lagrange images and of re-insertion."""
+    x = alg.mode.vector(x, "axis")
+    spectrum = tuple(spectrum)
+    others = [spectrum[:k] + spectrum[k + 1:] for k in range(len(spectrum))]
+    numerators = [axial._poly(roots) for roots in others]
+    spans = axial._spans(alg, axial._adjoint(alg, x), numerators)
+    for span, roots in zip(spans, others):
+        image = ambient_image(alg, x, roots)
+        assert span.canonical_rows() == image.canonical_rows() == reinserted_rows(span)
 
 
 class TestEigenDecompose:
@@ -307,6 +314,19 @@ def calls(monkeypatch):
     return results
 
 
+def counted_products(monkeypatch, module):
+    """A list that grows by one with each vec_product call made through
+    module."""
+    real, made = module.vec_product, []
+
+    def spy(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, "vec_product", spy)
+    return made
+
+
 def forced_off(restriction, refusals, call, *args):
     """call(*args) with the next refusals restriction verdicts forced to no:
     one for check_fusion's pair loop, one for miyamoto_algebra_map's
@@ -361,6 +381,7 @@ def assert_routes_agree(restriction, calls, alg, x, law):
     """x passes the law by restriction and by the pair loop alike, and its
     Miyamoto map from the composed point reflections is the projection
     route's, whose guard is that pair loop."""
+    assert_canonical_images(alg, x, law.eigenvalues)
     fast = check_fusion(alg, x, law)
     composed = miyamoto_algebra_map(alg, x, law)
     assert restriction.verdicts[-2:] == [True, True]
@@ -431,6 +452,7 @@ class TestFusionPointCertificate:
             (full_algebra(sp), double, tightened(monster_law(SYM), (0, 3), ())),
         ]
         for alg, x, law in cases:
+            assert_canonical_images(alg, x, law.eigenvalues)
             report = check_fusion(alg, x, law)
             assert restriction.verdicts[-1] is False
             exact = exact_report(restriction, alg, x, law)
@@ -596,7 +618,25 @@ class TestPrimitivity:
 
 
 class TestEvaluatedAxis:
-    """Evaluated-mode axial functions take the axis at eta0."""
+    """The axial entry points take the axis through ScalarMode.vector: at
+    eta0 in evaluated mode, zero coefficients dropped in both modes."""
+
+    def test_zero_coefficients_are_dropped(self):
+        # {0: 1, 1: 0} is the point 0, symbolically and at eta = 7
+        for mode in (SYM, EV7):
+            alg = close(build_named_space("A", 4), [{0: mode.one()}, {1: mode.one()}], mode)
+            law = jordan_law(mode)
+            point, padded = {0: mode.one()}, {0: mode.one(), 1: mode.zero()}
+            assert check_primitive(alg, padded)
+            assert eigen_decompose(alg, padded, law.eigenvalues).parts == (
+                eigen_decompose(alg, point, law.eigenvalues).parts
+            )
+            assert check_fusion(alg, padded, law).export() == (
+                check_fusion(alg, point, law).export()
+            )
+            assert miyamoto_algebra_map(alg, padded, law).matrix == (
+                miyamoto_algebra_map(alg, point, law).matrix
+            )
 
     def test_axis_with_eta_coefficients(self):
         alg = close(build_named_space("A", 4), [{0: ONE}, {1: ONE}], EV7)
@@ -663,7 +703,8 @@ class TestMiyamotoAlgebraMap:
         # times as long, TestFusionPointCertificate compares the W2A and
         # W3A doubles and the first Wr3x3 one): the composed point
         # reflections give the projection route's matrix, whose guard passes
-        # by restriction
+        # by restriction, and the Krylov eigenspace images are the ambient
+        # ones
         law = monster_law(EV7)
         for family in ("W2A", "W3A", "Wr3x3"):
             tau = standard_flip(family, 2)
@@ -672,6 +713,7 @@ class TestMiyamotoAlgebraMap:
             assert doubles
             for pair in doubles:
                 x = orbit_vector(pair, EV7.one())
+                assert_canonical_images(alg, x, law.eigenvalues)
                 composed = miyamoto_algebra_map(alg, x, law)
                 projected = forced_off(restriction, 1, miyamoto_algebra_map, alg, x, law)
                 assert restriction.verdicts[-3:] == [True, False, True]
@@ -685,6 +727,23 @@ class TestMiyamotoAlgebraMap:
         x = orbit_vector(classify_orbits(tau.space, tau).doubles[0], ONE)
         assert miyamoto_algebra_map(alg, x, monster_law(SYM)).is_involution()
         assert calls == {"check_fusion": [], "eigen_decompose": []}
+
+    def test_products_on_the_fusion_workload(self, monkeypatch):
+        # on the benchmark's input, eigen_decompose takes one product of the
+        # axis per basis row beside its idempotency check, and the
+        # restricted map multiplies each unordered pair of basis rows once:
+        # one walk decides closure and checks the products
+        tau = standard_flip("Wr3x3", 2)
+        alg = flip_subalgebra(tau.space, tau, SYM)
+        x = orbit_vector(classify_orbits(tau.space, tau).doubles[0], ONE)
+        law, d = monster_law(SYM), alg.dimension
+        assert d == 30
+        adjoint_products = counted_products(monkeypatch, axial)
+        eigen_decompose(alg, x, law.eigenvalues)
+        assert len(adjoint_products) == d + 1
+        basis_products = counted_products(monkeypatch, closure_module)
+        miyamoto_algebra_map(alg, x, law)
+        assert len(basis_products) == d * (d + 1) // 2
 
     def test_point_under_monster_law_takes_the_guard(self, calls):
         # M is not a point's ambient law: the guard runs once, and the
