@@ -29,7 +29,7 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .algebra import Vec, _IntEchelon, vec_add_scaled, vec_product
-from .closure import EchelonBasis, ScalarMode, Subalgebra
+from .closure import EchelonBasis, ScalarMode, Subalgebra, vec_combination
 from .fischer import FischerSpace, verified_reflection
 from .scalars import HALF_ETA, EtaScalar, primitive_int_vec
 
@@ -147,34 +147,13 @@ def _poly(roots: Iterable, scale=1) -> list:
     return coefs
 
 
-def _lagrange(values: tuple, scaled: bool = True) -> list:
-    """Per value lambda, the Lagrange projection onto its eigenspace as
-    ``_poly``, or with scaled False its numerator, prod over mu != lambda of
-    (t - mu)."""
-    polys = []
-    for k, lam in enumerate(values):
-        others = values[:k] + values[k + 1:]
-        polys.append(_poly(others, 1 / math.prod(lam - mu for mu in others) if scaled else 1))
-    return polys
-
-
-def _images(adjoint: Sequence[Vec], w: Vec, polys: Sequence[list]) -> list[Vec]:
+def _images(adjoint: Sequence[Vec], powers: list[Vec], polys: Sequence[list]) -> list[Vec]:
     """Each polynomial in ad_x (coefficients as ``_poly``) applied to the
-    coordinate vector w, through the Krylov vectors w, A w, A^2 w, ..."""
-    powers = [w]
+    coordinate vector w = powers[0], through its Krylov vectors w, A w,
+    A^2 w, ..., which extend powers in place."""
     while len(powers) < max(map(len, polys)):
-        power: Vec = {}
-        for c, v in powers[-1].items():
-            vec_add_scaled(power, adjoint[c], v)
-        powers.append(power)
-    images = []
-    for coefs in polys:
-        image: Vec = {}
-        for a, power in zip(coefs, powers):
-            if a:
-                vec_add_scaled(image, power, a)
-        images.append(image)
-    return images
+        powers.append(vec_combination(map(adjoint.__getitem__, powers[-1]), powers[-1].values()))
+    return [vec_combination(powers, coefs) for coefs in polys]
 
 
 @dataclass
@@ -200,7 +179,7 @@ def _spans(algebra: Subalgebra, adjoint: Sequence[Vec], polys: Sequence[list]) -
     mode, last = algebra.mode, algebra.dimension - 1
     spans = [EchelonBasis(mode) for _ in polys]
     for c in range(algebra.dimension):
-        for span, image in zip(spans, _images(adjoint, {c: mode.one()}, polys)):
+        for span, image in zip(spans, _images(adjoint, [{c: mode.one()}], polys)):
             span.insert({last - i: v for i, v in image.items()})
     return spans
 
@@ -229,9 +208,11 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
         raise ValueError("the spectrum needs two or more distinct values")
     d = algebra.dimension
     adjoint = _adjoint(algebra, x)
-    images = _spans(algebra, adjoint, _lagrange(spectrum, False))
+    numerators = [_poly(spectrum[:k] + spectrum[k + 1:]) for k in range(len(spectrum))]
+    images = _spans(algebra, adjoint, numerators)
     if sum(map(len, images)) != d:
-        dims = tuple(d - len(_spans(algebra, adjoint, [_poly((lam,))])[0]) for lam in spectrum)
+        kernels = _spans(algebra, adjoint, [_poly((lam,)) for lam in spectrum])
+        dims = tuple(d - len(span) for span in kernels)
         raise AdjointNotDiagonalizableError(
             f"eigenspace dimensions {dims} sum to"
             f" {sum(dims)}, expected {d}; not an axis for this spectrum"
@@ -239,14 +220,8 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
     zero = algebra.mode.zero()
     parts = []
     for image in images:
-        part = []
-        pivots = image.pivot_of_row
-        for r in sorted(range(len(image)), key=pivots.__getitem__, reverse=True):
-            vec = [zero] * d
-            for c, v in image.rows[r].items():
-                vec[d - 1 - c] = v
-            part.append(vec)
-        parts.append(part)
+        order = sorted(range(len(image)), key=image.pivot_of_row.__getitem__, reverse=True)
+        parts.append([[image.rows[r].get(d - 1 - c, zero) for c in range(d)] for r in order])
     return EigenDecomposition(algebra, x, spectrum, parts, adjoint)
 
 
@@ -313,15 +288,20 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
     disallowed part on which the product has a nonzero component.  Both are
     read off the Krylov vectors of the product's coordinates.
 
-    A point under J and a double axis under M pass without the pair loop,
-    by restriction from the whole Matsuo algebra (``_holds_by_restriction``).
+    In a closed subalgebra a point under J and a double axis under M pass
+    without the pair loop, by restriction from the whole Matsuo algebra
+    (``_holds_by_restriction``).
     """
     x = algebra.mode.vector(x, "axis")
     dec = eigen_decompose(algebra, x, law.eigenvalues)
-    if _holds_by_restriction(algebra, x, law):
+    if _holds_by_restriction(algebra, x, law) and algebra.is_closed():
         return FusionReport(law, dec, [])
     values = law.eigenvalues
-    projections = _lagrange(values)
+    projections = []  # the Lagrange projection onto each part
+    for k, lam in enumerate(values):
+        others = values[:k] + values[k + 1:]
+        projections.append(_poly(others, 1 / math.prod(lam - mu for mu in others)))
+    rows = algebra.basis.rows
     parts = [[algebra.row_vector(v) for v in part] for part in dec.parts]
     start = list(accumulate(map(len, parts), initial=0))
     violations: list[FusionViolation] = []
@@ -330,15 +310,13 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
         if dense is None:
             raise ValueError("eigenvector product left the subalgebra")
         allowed = law.allowed(li, mi)
-        coords = {c: v for c, v in enumerate(dense) if v}
-        if not _images(dec.adjoint, coords, [_poly([values[k] for k in sorted(allowed)])])[0]:
+        powers = [{c: v for c, v in enumerate(dense) if v}]
+        if not _images(dec.adjoint, powers, [_poly([values[k] for k in sorted(allowed)])])[0]:
             continue
-        for k, component in enumerate(_images(dec.adjoint, coords, projections)):
+        for k, component in enumerate(_images(dec.adjoint, powers, projections)):
             if k not in allowed and component:
                 pair = (start[li] + a, start[mi] + b)
-                ambient: Vec = {}
-                for i, v in component.items():
-                    vec_add_scaled(ambient, algebra.basis.rows[i], v)
+                ambient = vec_combination(map(rows.__getitem__, component), component.values())
                 violations.append(FusionViolation(li, mi, pair, k, ambient))
     return FusionReport(law, dec, violations)
 
@@ -354,9 +332,10 @@ def _pair_products(sp: FischerSpace, parts: Sequence[Sequence[Vec]], half):
                     yield li, mi, a, b, vec_product(sp, u, mpart[b], half)
 
 
-def _holds_by_restriction(algebra: Subalgebra, x: Vec, law: FusionLaw, walk: bool = True) -> bool:
-    """True when x obeys the law in the whole Matsuo algebra A and the
-    subalgebra B is closed; then x obeys it in B.
+def _holds_by_restriction(algebra: Subalgebra, x: Vec, law: FusionLaw) -> bool:
+    """True when x lies in the subalgebra B and obeys the law in the whole
+    Matsuo algebra A; then x obeys it in B if B is closed, which the caller
+    decides.
 
     In A a point obeys J(eta) (Hall, Rehren and Shpectorov, J. Algebra 2015)
     and a sum of two orthogonal points M(2eta, eta) (Galt, Joshi, Mamontov,
@@ -366,8 +345,7 @@ def _holds_by_restriction(algebra: Subalgebra, x: Vec, law: FusionLaw, walk: boo
     B_lambda = B meet A_lambda and B obeys the law.  An idempotent with one
     point in its support is the point, and with two the points are
     orthogonal with unit coefficients, so beside membership and idempotency
-    the support size is the only shape test.  With walk False the caller's
-    own walk of the basis products decides closure.
+    the support size is the only shape test.
     """
     ambient = {1: jordan_law, 2: monster_law}.get(len(x))
     if ambient is None or not algebra.contains(x):
@@ -376,9 +354,7 @@ def _holds_by_restriction(algebra: Subalgebra, x: Vec, law: FusionLaw, walk: boo
         inherited = law == ambient(algebra.mode)
     except ParameterDomainError:  # no Monster law at eta = 1/2
         return False
-    if not inherited or vec_product(algebra.space, x, x, algebra.mode.half_eta()) != x:
-        return False
-    return not walk or algebra.is_closed()
+    return inherited and vec_product(algebra.space, x, x, algebra.mode.half_eta()) == x
 
 
 def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
@@ -467,14 +443,10 @@ class MiyamotoMap:
         alg = self.algebra
         half = alg.mode.half_eta()
         images = [alg.row_vector(col) for col in zip(*self.matrix)]
-        for i, j, coords in alg._product_coordinates():
-            image: Vec = {}
-            for k, c in enumerate(coords):
-                if c:
-                    vec_add_scaled(image, images[k], c)
-            if vec_product(alg.space, images[i], images[j], half) != image:
-                return False
-        return True
+        return all(
+            vec_product(alg.space, images[i], images[j], half) == vec_combination(images, coords)
+            for i, j, coords in alg._product_coordinates()
+        )
 
 
 def miyamoto_algebra_map(algebra: Subalgebra, x: Vec, law: FusionLaw) -> MiyamotoMap:
@@ -491,20 +463,20 @@ def miyamoto_algebra_map(algebra: Subalgebra, x: Vec, law: FusionLaw) -> Miyamot
     Either map is checked to be an involutive automorphism.
     """
     x = algebra.mode.vector(x, "axis")
-    if _holds_by_restriction(algebra, x, law, False):
+    if _holds_by_restriction(algebra, x, law):
+        perm = _composed_reflections(algebra.space, x)
         try:
-            matrix = permutation_matrix_on(algebra, _composed_reflections(algebra.space, x))
+            matrix = permutation_matrix_on(algebra, perm)
         except ValueError as exc:  # a closed B is invariant, by the theorem
             raise ValueError("subalgebra not invariant under tau_x; not closed") from exc
     elif (report := check_fusion(algebra, x, law)).passed:
-        odd = _lagrange(law.eigenvalues)[-1]  # the eta part, last in both laws
-        one, zero, d = algebra.mode.one(), algebra.mode.zero(), algebra.dimension
-        matrix = [[zero] * d for _ in range(d)]
-        for c in range(d):
-            column = {c: one}
-            vec_add_scaled(column, _images(report.decomposition.adjoint, {c: one}, [odd])[0], -2)
-            for r, v in column.items():
-                matrix[r][c] = v
+        *even, odd = law.eigenvalues  # the eta part, last in both laws
+        mirror = _poly(even, -2 / math.prod(odd - mu for mu in even))
+        mirror[0] += 1  # I - 2 P_odd
+        one, zero = algebra.mode.one(), algebra.mode.zero()
+        adjoint = report.decomposition.adjoint
+        columns = [_images(adjoint, [{c: one}], [mirror])[0] for c in range(algebra.dimension)]
+        matrix = [[col.get(r, zero) for col in columns] for r in range(len(columns))]
     else:
         raise ValueError("fusion law fails; no Miyamoto involution")
     result = MiyamotoMap(algebra, matrix)

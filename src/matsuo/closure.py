@@ -269,6 +269,15 @@ def _is_hadamard_closed(span: _IntEchelon) -> bool:
 # subalgebras
 # ---------------------------------------------------------------------------
 
+def vec_combination(vectors: Iterable[Vec], scales: Iterable) -> Vec:
+    """The sum of scale * vector over the pairs; zero scales are skipped."""
+    out: Vec = {}
+    for vec, scale in zip(vectors, scales):
+        if scale:
+            vec_add_scaled(out, vec, scale)
+    return out
+
+
 @dataclass
 class Subalgebra:
     """Product-closed subspace with generator metadata."""
@@ -290,11 +299,7 @@ class Subalgebra:
         return self.basis.coordinates(vec)
 
     def row_vector(self, coords: Sequence) -> Vec:
-        out: Vec = {}
-        for c, row in zip(coords, self.basis.rows):
-            if c:
-                vec_add_scaled(out, row, c)
-        return out
+        return vec_combination(self.basis.rows, coords)
 
     def _product_coordinates(self):
         """(i, j, coordinates of basis_i * basis_j) for each i <= j.

@@ -219,6 +219,23 @@ class TestEigenDecompose:
                     call()
 
 
+def invariant_span_not_closed(mode):
+    """The 1- and eta-eigenspaces of x = b(1,2) + b(3,4) in the full A:4
+    algebra, and x: a rational span, invariant under ad_x and under tau_x,
+    that is not closed, since (b(1,3) - b(2,4))^2 = b(1,3) + b(2,4)."""
+    sp = build_named_space("A", 4)
+    pt, one = sp.point_of_label, mode.one()
+    basis = EchelonBasis(mode)
+    for vec in (
+        {pt("b(1,2)"): one},
+        {pt("b(3,4)"): one},
+        {pt("b(1,3)"): one, pt("b(2,4)"): -one},
+        {pt("b(1,4)"): one, pt("b(2,3)"): -one},
+    ):
+        basis.insert(vec)
+    return Subalgebra(sp, mode, [], basis), {pt("b(1,2)"): one, pt("b(3,4)"): one}
+
+
 def tightened(law, cell, allowed):
     """The law with one cell of its table replaced."""
     table = dict(law.table)
@@ -482,24 +499,12 @@ class TestFusionPointCertificate:
         ]
 
     def test_product_leaving_the_subalgebra(self, restriction):
-        # the 1- and eta-eigenspaces of b(1,2) + b(3,4) in the full A:4
-        # algebra: a rational, ad_x-invariant span that is not closed, since
-        # (b(1,3) - b(2,4))^2 = b(1,3) + b(2,4)
-        sp = build_named_space("A", 4)
-        pt = sp.point_of_label
-        x = {pt("b(1,2)"): ONE, pt("b(3,4)"): ONE}
-        basis = EchelonBasis(SYM)
-        for vec in (
-            {pt("b(1,2)"): ONE},
-            {pt("b(3,4)"): ONE},
-            {pt("b(1,3)"): ONE, pt("b(2,4)"): -ONE},
-            {pt("b(1,4)"): ONE, pt("b(2,3)"): -ONE},
-        ):
-            basis.insert(vec)
-        alg = Subalgebra(sp, SYM, [], basis)
+        # x obeys M in the whole algebra, but the span is not closed: the
+        # closure walk sends it to the pair loop, which finds the product
+        alg, x = invariant_span_not_closed(SYM)
         with pytest.raises(ValueError, match="left the subalgebra"):
             check_fusion(alg, x, monster_law(SYM))
-        assert restriction.verdicts == [False]
+        assert restriction.verdicts == [True]
 
     def test_skipped_without_rational_inputs(self, restriction):
         sp = build_named_space("A", 4)
@@ -778,6 +783,16 @@ class TestMiyamotoAlgebraMap:
         assert perm[0] == 2
         with pytest.raises(ValueError, match="not invariant"):
             permutation_matrix_on(alg, perm)
+
+    def test_refuses_an_invariant_span_that_is_not_closed(self, restriction):
+        # tau_x preserves the span, so its matrix builds; the one walk of
+        # the basis products, in preserves_products, finds the product that
+        # leaves it
+        for mode in (SYM, EV7):
+            alg, x = invariant_span_not_closed(mode)
+            with pytest.raises(ValueError, match="basis is not closed under the product"):
+                miyamoto_algebra_map(alg, x, monster_law(mode))
+        assert restriction.verdicts == [True, True]
 
     def test_refuses_a_failing_law(self):
         # with the eta*eta cell tightened to {2eta}, the map I - 2 P_eta of
