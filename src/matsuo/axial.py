@@ -28,10 +28,10 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .algebra import Vec, _IntEchelon, vec_add_scaled, vec_product
-from .closure import EchelonBasis, ScalarMode, Subalgebra, vec_combination
+from .algebra import Vec, _IntEchelon, vec_add_scaled, vec_product, vec_scale
+from .closure import EchelonBasis, ScalarMode, Subalgebra, _int_echelon, vec_combination
 from .fischer import FischerSpace, verified_reflection
-from .scalars import HALF_ETA, EtaScalar, primitive_int_vec
+from .scalars import HALF_ETA, EtaScalar, rational_vec
 
 
 class AdjointNotDiagonalizableError(ValueError):
@@ -201,6 +201,8 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
     subalgebra; the message gives the kernel dimensions of ad_x - lambda.
     """
     x = algebra.mode.vector(x, "axis")
+    if not x:
+        raise ValueError("axis must be nonzero")
     if vec_product(algebra.space, x, x, algebra.mode.half_eta()) != x:
         raise ValueError("axis must be an idempotent")
     spectrum = tuple(spectrum)
@@ -361,24 +363,21 @@ def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
     """True iff the 1-eigenspace of ad_x inside the subalgebra is a line,
     i.e. ad_x - 1 has rank d - 1 on the subalgebra.
 
-    In evaluated mode, at eta0 = n/d, the rank is taken over Z.  The
-    unit-pivot basis rows, scaled to primitive integer rows, keep their
-    pivots and stay zero at the other rows' pivots, so they form an integer
-    echelon as they stand.  With L the lcm of the axis's denominators and
-    xL = L*x, ``vec_product(xL, b, n, 2d) - 2dL*b`` is 2dL*(x*b - b): an
-    integer vector with the span of x*b - b.
+    In evaluated mode, at eta0 = n/d, the rank is taken over Z, on the
+    integer rows b of ``closure._int_echelon``.  With L the lcm of the
+    axis's denominators and xL = L*x, ``vec_product(xL, b, n, 2d) - 2dL*b``
+    is 2dL*(x*b - b): an integer vector with the span of x*b - b.
     """
     x = algebra.mode.vector(x, "axis")
+    if not x:
+        raise ValueError("axis must be nonzero")
     mode = algebra.mode
     if mode.is_symbolic:
         (image,) = _spans(algebra, _adjoint(algebra, x), [_poly((mode.one(),))])
         return algebra.dimension - len(image) == 1
     if algebra.coordinates(x) is None:
         raise ValueError("the axis does not lie in the subalgebra")
-    basis = _IntEchelon()
-    basis.rows = [primitive_int_vec(row) for row in algebra.basis.rows]
-    basis.pivot_of_row = algebra.basis.pivot_of_row
-    basis.row_of_pivot = algebra.basis.row_of_pivot
+    basis = _int_echelon(algebra.basis)
     n, two_d = mode.product_weights()
     lcm = math.lcm(*[c.denominator for c in x.values()])  # a list: see primitive_int_vec
     x_lcm = {k: c.numerator * (lcm // c.denominator) for k, c in x.items()}
@@ -438,14 +437,39 @@ class MiyamotoMap:
         )
 
     def preserves_products(self) -> bool:
-        """Whether the map preserves each b_i * b_j; ValueError when the
-        basis is not closed."""
+        """Whether the map phi preserves each b_i * b_j; ValueError when the
+        basis is not closed.  On the walk of ``Subalgebra._product_coordinates``
+        phi(r_i) phi(r_j) and phi(r_i r_j) are the sums of
+        scale * part(phi r_i, phi r_j) and of scale * sum of a_k phi(b_k), a
+        the part's coordinates: compared over Q(eta) when the basis or the
+        matrix M has an entry in eta.  Else the images are rational, so, as
+        in the walk, each part is compared, over Z: with s the lcm of c_r
+        times the denominators of M[r][k], t_k = s phi(b_k) is an integer
+        sum of the r_r, part(c_i t_i, c_j t_j) = s^2 part(phi r_i, phi r_j)
+        and the sum of a_k s t_k is s^2 phi(part(r_i, r_j)).
+        """
         alg = self.algebra
-        half = alg.mode.half_eta()
-        images = [alg.row_vector(col) for col in zip(*self.matrix)]
+        span, parts, scales, pairs = alg._product_coordinates()
+        lead = [row[p] for row, p in zip(span.rows, span.pivot_of_row)]
+        cols = [rational_vec({r: v for r, v in enumerate(col) if v}) for col in zip(*self.matrix)]
+        s, whole = 1, lambda vecs: vec_combination(vecs, scales)  # the sum of the parts
+        if span is alg.basis or None in cols:
+            images = [alg.row_vector(col) for col in zip(*self.matrix)]
+        else:  # the parts one by one
+            whole = list
+            s = math.lcm(*[lead[r] * m.denominator for col in cols for r, m in col.items()])
+            images = [
+                vec_combination(map(span.rows.__getitem__, col), [
+                    m.numerator * (s // (lead[r] * m.denominator)) for r, m in col.items()
+                ])
+                for col in cols
+            ]
+        left = [vec_scale(t, c) for t, c in zip(images, lead)]
+        right = [vec_scale(t, s) for t in images]
         return all(
-            vec_product(alg.space, images[i], images[j], half) == vec_combination(images, coords)
-            for i, j, coords in alg._product_coordinates()
+            whole([part(left[i], left[j]) for part in parts])
+            == whole([vec_combination(map(right.__getitem__, a), a.values()) for a in coords])
+            for i, j, coords in pairs
         )
 
 

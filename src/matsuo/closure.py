@@ -24,6 +24,10 @@ constants.  eta1 need not be safe for the space, because ``vec_product`` has
 no poles.  The Q(eta) worklist still runs when a generator coefficient
 involves eta (``scalars.rational_vec`` decides), or when the check fails at
 eta1.  Pivots are chosen in one place, ``EchelonBasis.insert``.
+
+Closure verdicts on a basis walk its products a part at a time
+(``_part_walk``, ``Subalgebra._product_coordinates``): rational rows over
+Z, and the certificate above is the H part alone.
 """
 
 from __future__ import annotations
@@ -254,14 +258,41 @@ def _unit_pivot_basis(span: _IntEchelon, mode: ScalarMode) -> EchelonBasis:
     return basis
 
 
-def _is_hadamard_closed(span: _IntEchelon) -> bool:
-    """Whether the coordinatewise product of any two rows lies in the span;
-    scaling rows changes neither the span nor the answer."""
-    rows = span.rows
+def _int_echelon(basis: EchelonBasis) -> Optional[_IntEchelon]:
+    """The basis rows as primitive integer rows, None when an entry involves
+    eta: positive multiples, so an integer echelon with the same pivots."""
+    span = _IntEchelon()
+    try:
+        span.rows = [primitive_int_vec(row) for row in basis.rows]
+    except ValueError:  # a coefficient involves eta
+        return None
+    span.pivot_of_row, span.row_of_pivot = basis.pivot_of_row, basis.row_of_pivot
+    return span
+
+
+def _part_walk(span: EchelonBasis | _IntEchelon, parts: Sequence):
+    """(i, j, coordinates) for each pair i <= j of the span's rows r, with
+    the coordinates of part(r_i, r_j) for each part: its entries at the
+    pivots, by row.  ValueError when a part leaves the span."""
+    rows, index = span.rows, span.row_of_pivot
     for i, u in enumerate(rows):
-        for v in rows[i:]:
-            if span.reduce(vec_hadamard(u, v)):
-                return False
+        for j in range(i, len(rows)):
+            coords = []
+            for part in parts:
+                w = part(u, rows[j])
+                if span.reduce(w):
+                    raise ValueError("basis is not closed under the product")
+                coords.append({index[p]: c for p, c in w.items() if p in index})
+            yield i, j, coords
+
+
+def _is_closed_under(span: EchelonBasis | _IntEchelon, parts: Sequence) -> bool:
+    """Whether each part of each pair of the span's rows lies in the span."""
+    try:
+        for _ in _part_walk(span, parts):
+            pass
+    except ValueError:
+        return False
     return True
 
 
@@ -301,36 +332,42 @@ class Subalgebra:
     def row_vector(self, coords: Sequence) -> Vec:
         return vec_combination(self.basis.rows, coords)
 
-    def _product_coordinates(self):
-        """(i, j, coordinates of basis_i * basis_j) for each i <= j.
-        ValueError when a product leaves the span."""
-        half = self.mode.half_eta()
-        rows = self.basis.rows
-        for i, u in enumerate(rows):
-            for j in range(i, len(rows)):
-                coords = self.basis.coordinates(vec_product(self.space, u, rows[j], half))
-                if coords is None:
-                    raise ValueError("basis is not closed under the product")
-                yield i, j, coords
+    def _product_coordinates(self) -> tuple:
+        """The one walk of the basis products: (span, parts, scales, pairs),
+        with b_i * b_j the sum of scale * part(r_i, r_j) / (c_i c_j), r_i row
+        i of the span, c_i its pivot entry, and pairs the ``_part_walk``.
+        Rational rows are walked as ``_int_echelon``.  Over Q(eta) their
+        product is H + (eta/2) L, H coordinatewise and L the line part, both
+        rational, and eta is transcendental: it lies in B (x) Q(eta) iff H
+        and L lie in B.  At eta0 = n/d the one part is 2d H + n L.
+        """
+        sp, mode = self.space, self.mode
+        span = _int_echelon(self.basis)
+        if span is not None and mode.is_symbolic:
+            parts = [vec_hadamard, lambda u, v: vec_product(sp, u, v, 1, 0)]
+            scales = [mode.one(), HALF_ETA]
+        else:
+            span, (half, diagonal) = span or self.basis, mode.product_weights()
+            parts = [lambda u, v: vec_product(sp, u, v, half, diagonal)]
+            scales = [mode.one() / diagonal]
+        return span, parts, scales, _part_walk(span, parts)
 
     def structure_constants(self) -> list[list[dict[int, object]]]:
         """Sparse tensor: entry [i][j] maps basis index k to the coefficient
         of basis_k in basis_i * basis_j; symmetric.  ValueError when a
         product leaves the span."""
+        span, _, scales, pairs = self._product_coordinates()
+        lead = [row[p] for row, p in zip(span.rows, span.pivot_of_row)]
         d = self.dimension
         tensor: list[list[dict[int, object]]] = [[{}] * d for _ in range(d)]
-        for i, j, coords in self._product_coordinates():
-            tensor[i][j] = tensor[j][i] = {k: c for k, c in enumerate(coords) if c}
+        for i, j, coords in pairs:
+            cell = vec_combination(coords, scales)
+            tensor[i][j] = tensor[j][i] = {k: cell[k] / (lead[i] * lead[j]) for k in sorted(cell)}
         return tensor
 
     def is_closed(self) -> bool:
         """Whether the basis is closed under the product; no entry is kept."""
-        try:
-            for _ in self._product_coordinates():
-                pass
-        except ValueError:
-            return False
-        return True
+        return _is_closed_under(*self._product_coordinates()[:2])
 
     def export(self, include_structure: bool = False) -> dict:
         data = {
@@ -402,7 +439,7 @@ def close(
         lowered = [rational_vec(g) for g in gen_list]
         if all(g is not None for g in lowered):
             span, products = _worklist(sp, lowered, ScalarMode.evaluated(DEFAULT_SEARCH_ETA))
-            if _is_hadamard_closed(span):
+            if _is_closed_under(span, [vec_hadamard]):
                 return Subalgebra(sp, mode, generators, _unit_pivot_basis(span, mode), products)
         return Subalgebra(sp, mode, generators, *_worklist(sp, gen_list, mode))
     span, products = _worklist(sp, gen_list, mode)

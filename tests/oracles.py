@@ -1,10 +1,10 @@
 """Slow, independent references shared by several test modules."""
 
 from matsuo import closure
-from matsuo.algebra import Vec
-from matsuo.axial import _ad_poly
+from matsuo.algebra import Vec, vec_product
+from matsuo.axial import MiyamotoMap, _ad_poly
 from matsuo.classify import TypeDConfig
-from matsuo.closure import EchelonBasis, ScalarMode, Subalgebra
+from matsuo.closure import EchelonBasis, ScalarMode, Subalgebra, vec_combination
 from matsuo.fischer import FischerSpace
 from matsuo.groups import FiniteGroup, GroupAutomorphism
 
@@ -65,6 +65,59 @@ def ambient_image(algebra: Subalgebra, x: Vec, roots) -> EchelonBasis:
         coords = algebra.coordinates(_ad_poly(algebra.space, x, row, roots, half))
         span.insert({last - c: v for c, v in enumerate(coords) if v})
     return span
+
+
+def product_coordinates(algebra: Subalgebra):
+    """(i, j, coordinates of basis_i * basis_j) for each i <= j, each product
+    taken over the mode's scalars and reduced by the basis; ValueError when
+    a product leaves the span: the reference for the part walk of
+    ``Subalgebra._product_coordinates``."""
+    half = algebra.mode.half_eta()
+    rows = algebra.basis.rows
+    for i, u in enumerate(rows):
+        for j in range(i, len(rows)):
+            coords = algebra.basis.coordinates(vec_product(algebra.space, u, rows[j], half))
+            if coords is None:
+                raise ValueError("basis is not closed under the product")
+            yield i, j, coords
+
+
+def product_verdicts(algebra: Subalgebra, matrices) -> tuple:
+    """By ``product_coordinates``: whether the basis is closed, its
+    structure constants (None when not closed), and per matrix whether the
+    map preserves the products ("not closed" when the walk raises first)."""
+    try:
+        tensor = [[{}] * algebra.dimension for _ in range(algebra.dimension)]
+        for i, j, coords in product_coordinates(algebra):
+            tensor[i][j] = tensor[j][i] = {k: c for k, c in enumerate(coords) if c}
+    except ValueError:
+        tensor = None
+    half, preserved = algebra.mode.half_eta(), []
+    for matrix in matrices:
+        images = [algebra.row_vector(col) for col in zip(*matrix)]
+        try:
+            preserved.append(all(
+                vec_product(algebra.space, images[i], images[j], half)
+                == vec_combination(images, coords)
+                for i, j, coords in product_coordinates(algebra)
+            ))
+        except ValueError:
+            preserved.append("not closed")
+    return tensor is not None, tensor, preserved
+
+
+def walk_verdicts(algebra: Subalgebra, matrices) -> tuple:
+    """The verdicts of ``product_verdicts`` from the engine's own
+    ``is_closed``, ``structure_constants`` and ``preserves_products``."""
+    closed = algebra.is_closed()
+    tensor = algebra.structure_constants() if closed else None
+    preserved = []
+    for matrix in matrices:
+        try:
+            preserved.append(MiyamotoMap(algebra, matrix).preserves_products())
+        except ValueError:
+            preserved.append("not closed")
+    return closed, tensor, preserved
 
 
 def close_over_qeta(sp: FischerSpace, gens: list[Vec]) -> Subalgebra:

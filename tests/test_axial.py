@@ -48,7 +48,13 @@ from matsuo.flips import (
 )
 from matsuo.scalars import EtaScalar
 
-from oracles import ambient_image, close_over_qeta, int_matrix_rank, reinserted_rows
+from oracles import (
+    ambient_image,
+    close_over_qeta,
+    int_matrix_rank,
+    product_verdicts,
+    reinserted_rows,
+)
 
 SYM = ScalarMode.symbolic()
 ONE = SYM.one()
@@ -331,16 +337,16 @@ def calls(monkeypatch):
     return results
 
 
-def counted_products(monkeypatch, module):
-    """A list that grows by one with each vec_product call made through
-    module."""
-    real, made = module.vec_product, []
+def counted_products(monkeypatch, module, name="vec_product"):
+    """A list that grows by the arguments of each call of the product
+    function name made through module."""
+    real, made = getattr(module, name), []
 
     def spy(*args):
         made.append(args)
         return real(*args)
 
-    monkeypatch.setattr(module, "vec_product", spy)
+    monkeypatch.setattr(module, name, spy)
     return made
 
 
@@ -643,6 +649,25 @@ class TestEvaluatedAxis:
                 miyamoto_algebra_map(alg, point, law).matrix
             )
 
+    def test_zero_axis_is_refused(self):
+        # an axis is a nonzero idempotent: {}, {p: 0} and, at eta = 7,
+        # {p: eta - 7} are zero after ScalarMode.vector
+        sp = build_named_space("A", 4)
+        p, q = sp.point_of_label("b(1,2)"), sp.point_of_label("b(3,4)")
+        for mode in (SYM, EV7):
+            alg = close(sp, [{p: mode.one()}, {q: mode.one()}], mode)
+            law = monster_law(mode)
+            zeros = [{}, {p: mode.zero()}] + ([{p: EtaScalar.eta() - 7}] if mode is EV7 else [])
+            for x in zeros:
+                for call in (
+                    lambda: check_fusion(alg, x, law),
+                    lambda: eigen_decompose(alg, x, law.eigenvalues),
+                    lambda: check_primitive(alg, x),
+                    lambda: miyamoto_algebra_map(alg, x, law),
+                ):
+                    with pytest.raises(ValueError, match="axis must be nonzero"):
+                        call()
+
     def test_axis_with_eta_coefficients(self):
         alg = close(build_named_space("A", 4), [{0: ONE}, {1: ONE}], EV7)
         law = jordan_law(EV7)
@@ -735,9 +760,10 @@ class TestMiyamotoAlgebraMap:
 
     def test_products_on_the_fusion_workload(self, monkeypatch):
         # on the benchmark's input, eigen_decompose takes one product of the
-        # axis per basis row beside its idempotency check, and the
-        # restricted map multiplies each unordered pair of basis rows once:
-        # one walk decides closure and checks the products
+        # axis per basis row beside its idempotency check; the restricted
+        # map's one walk takes the coordinatewise and line parts of each
+        # unordered pair of integer basis rows and of their integer images,
+        # and no product over Q(eta)
         tau = standard_flip("Wr3x3", 2)
         alg = flip_subalgebra(tau.space, tau, SYM)
         x = orbit_vector(classify_orbits(tau.space, tau).doubles[0], ONE)
@@ -746,9 +772,15 @@ class TestMiyamotoAlgebraMap:
         adjoint_products = counted_products(monkeypatch, axial)
         eigen_decompose(alg, x, law.eigenvalues)
         assert len(adjoint_products) == d + 1
-        basis_products = counted_products(monkeypatch, closure_module)
+        line_parts = counted_products(monkeypatch, closure_module)
+        coordinatewise_parts = counted_products(monkeypatch, closure_module, "vec_hadamard")
         miyamoto_algebra_map(alg, x, law)
-        assert len(basis_products) == d * (d + 1) // 2
+        pairs = d * (d + 1) // 2
+        assert len(line_parts) == len(coordinatewise_parts) == 2 * pairs
+        assert all(args[3:] == (1, 0) for args in line_parts)
+        factors = [f for args in line_parts for f in args[1:3]]
+        factors += [f for args in coordinatewise_parts for f in args]
+        assert all(type(c) is int for f in factors for c in f.values())
 
     def test_point_under_monster_law_takes_the_guard(self, calls):
         # M is not a point's ambient law: the guard runs once, and the
@@ -759,6 +791,29 @@ class TestMiyamotoAlgebraMap:
         assert len(calls["check_fusion"]) == 1 and calls["check_fusion"][0].passed
         assert len(calls["eigen_decompose"]) == 1
         assert mm.matrix == permutation_matrix_on(alg, miyamoto_point_map(sp, 0))
+
+    def test_invariant_span_fails_on_its_coordinatewise_part(self):
+        # the line parts of the span's products stay inside it, but the
+        # coordinatewise square of b(1,3) - b(2,4) is b(1,3) + b(2,4)
+        for mode in (SYM, EV7):
+            alg, _ = invariant_span_not_closed(mode)
+            assert not alg.is_closed()
+            assert not product_verdicts(alg, [])[0]
+
+    def test_point_permutation_keeping_coordinatewise_products(self):
+        # swapping the points b(1,2) and b(1,3) of A:4 sends the line
+        # {b(1,2), b(1,4), b(2,4)} to a triple that is not a line: every
+        # coordinatewise product is kept, the line parts are not
+        sp = build_named_space("A", 4)
+        p, q = sp.point_of_label("b(1,2)"), sp.point_of_label("b(1,3)")
+        perm = list(range(len(sp.points)))
+        perm[p], perm[q] = q, p
+        assert not is_space_automorphism(sp, perm)
+        for mode in (SYM, EV7):
+            alg = full_algebra(sp, mode)
+            matrix = permutation_matrix_on(alg, perm)
+            assert not axial.MiyamotoMap(alg, matrix).preserves_products()
+            assert product_verdicts(alg, [matrix])[2] == [False]
 
     def test_checks_refuse_other_maps(self):
         # on the line algebra: b0 -> -b0 is an involution but sends b0 * b0

@@ -8,6 +8,7 @@ import pytest
 
 from matsuo import closure
 from matsuo.algebra import _IntEchelon, vec_hadamard, vec_product
+from matsuo.axial import miyamoto_algebra_map, monster_law
 from matsuo.classify import enumerate_configs
 from matsuo.closure import (
     EchelonBasis,
@@ -22,10 +23,16 @@ from matsuo.closure import (
     specialized_dimension,
 )
 from matsuo.fischer import build_named_space
-from matsuo.flips import FLIP_FAMILIES, flip_subalgebra, standard_flip
+from matsuo.flips import (
+    FLIP_FAMILIES,
+    classify_orbits,
+    flip_subalgebra,
+    orbit_vector,
+    standard_flip,
+)
 from matsuo.scalars import ETA, EtaPoly, EtaScalar
 
-from oracles import close_over_qeta, reinserted_rows
+from oracles import close_over_qeta, product_verdicts, reinserted_rows, walk_verdicts
 
 SYM = ScalarMode.symbolic()
 ONE = SYM.one()
@@ -466,10 +473,10 @@ class TestCertifiedClosure:
         assert ev.dimension == dim
         span, _ = closure._worklist(tau.space, [g for g, _ in ev.generators], ev.mode)
         assert len(span.rows) == dim
-        assert not closure._is_hadamard_closed(span)
+        assert not closure._is_closed_under(span, [vec_hadamard])
 
     def test_failing_check_falls_back_to_oracle(self, worklist_modes, monkeypatch):
-        monkeypatch.setattr(closure, "_is_hadamard_closed", lambda span: False)
+        monkeypatch.setattr(closure, "_is_closed_under", lambda span, parts: False)
         sp = build_named_space("W3A", 3)
         gens = [{0: ONE}, {4: ONE}, {7: ONE}]
         alg = close(sp, gens, SYM)
@@ -537,7 +544,7 @@ def assert_matches_fraction_worklist(alg):
         not basis.reduce(vec_hadamard(u, v)) for i, u in enumerate(rows) for v in rows[i:]
     )
     span, _ = closure._worklist(alg.space, gens, alg.mode)
-    assert closure._is_hadamard_closed(span) == closed
+    assert closure._is_closed_under(span, [vec_hadamard]) == closed
 
 
 class TestIntegerClosure:
@@ -586,3 +593,107 @@ class TestIntegerClosure:
                 for _ in range(2)
             ]
             assert_matches_fraction_worklist(close(sp, gens, ScalarMode.evaluated(eta0)))
+
+
+def module_closures():
+    """One closure of each kind that this module's tests build: rational
+    and eta generators, symbolic and evaluated, pivot entries other than 1
+    in the integer rows, and small configuration closures."""
+    a3, a4, a5, a10 = (build_named_space("A", n) for n in (3, 4, 5, 10))
+    w3a3, w3a4 = build_named_space("W3A", 3), build_named_space("W3A", 4)
+    ev7 = ScalarMode.evaluated(7)
+    double = {a4.point_of_label("b(1,2)"): ONE, a4.point_of_label("b(3,4)"): ONE}
+    inputs = [
+        (a3, [{0: ONE}], SYM),
+        (a3, [{0: ONE}, {1: ONE}], SYM),
+        (a3, [{0: ev7.one()}, {1: ev7.one()}], ev7),
+        (a3, [{0: EtaScalar(2, 3)}, {1: Fraction(-1)}, {2: 5}], SYM),
+        (a3, [{0: ONE, 1: ONE, 2: -ETA}], SYM),
+        (a3, [{0: ONE, 1: ONE, 2: -ETA}], ScalarMode.evaluated(Fraction(1, 3))),
+        (a3, [{0: ONE, 1: ONE, 2: -ETA}], ScalarMode.evaluated(Fraction(-5, 2))),
+        (a4, [double], SYM),
+        (w3a3, [{0: ONE}, {4: ONE}, {7: ONE}], SYM),
+        (w3a3, [{0: ONE}, {3: ONE}], ev7),
+        (w3a3, [{0: ONE, 4: ETA}, {7: ONE}], SYM),
+        (a10, [{a10.point_of_label("b(1,2)"): ONE}, {a10.point_of_label("b(3,4)"): ONE}], SYM),
+    ]
+    a5_configs = list(enumerate_configs(a5, first_point=0))
+    inputs += [(a5, cfg.generators(SYM), SYM) for cfg in a5_configs[::9]]
+    w3a4_configs = list(enumerate_configs(w3a4, first_point=0))
+    inputs += [(w3a4, cfg.generators(ev7), ev7) for cfg in w3a4_configs[::10]]
+    return [close(sp, gens, mode) for sp, gens, mode in inputs]
+
+
+def trial_matrices(alg, *maps):
+    """The given matrices, the identity, the identity with its first two
+    columns swapped, and the identity with eta as its first entry (a matrix
+    in eta when symbolic), each map also with its first two columns
+    swapped."""
+    d, one, zero = alg.dimension, alg.mode.one(), alg.mode.zero()
+    identity = [[one if r == c else zero for c in range(d)] for r in range(d)]
+    scaled = [row[:] for row in identity]
+    scaled[0][0] = alg.mode.eta()
+    matrices = [scaled]
+    for m in (identity, *maps):
+        matrices += [m, [row[1:2] + row[:1] + row[2:] for row in m]]
+    return matrices
+
+
+def assert_walk_matches_oracle(alg, *maps):
+    """is_closed, structure_constants (values, types and text) and
+    preserves_products of the trial matrices agree with the walk of the
+    basis products over the mode's scalars; returns the closure verdict."""
+    matrices = trial_matrices(alg, *maps)
+    closed, tensor, preserved = walk_verdicts(alg, matrices)
+    assert (closed, tensor, preserved) == product_verdicts(alg, matrices)
+    if closed:
+        text = [[{k: (type(c), str(c)) for k, c in cell.items()} for cell in row] for row in tensor]
+        oracle = product_verdicts(alg, [])[1]
+        assert text == [
+            [{k: (type(c), str(c)) for k, c in cell.items()} for cell in row] for row in oracle
+        ]
+        assert True in preserved and False in preserved
+    return closed
+
+
+def lifted(alg, mode):
+    """The rows of a rational basis as a basis over another mode's scalars
+    (constants when symbolic), pivots kept; not closed in general."""
+    lift = EtaScalar if mode.is_symbolic else Fraction
+    basis = EchelonBasis(mode)
+    basis.rows = [{k: lift(v) for k, v in row.items()} for row in alg.basis.rows]
+    basis.pivot_of_row = list(alg.basis.pivot_of_row)
+    basis.row_of_pivot = dict(alg.basis.row_of_pivot)
+    return Subalgebra(alg.space, mode, [], basis)
+
+
+class TestProductWalk:
+    """The part walk over Z against the walk of whole products over the
+    mode's scalars (tests/oracles.product_coordinates)."""
+
+    def test_module_closures_match_oracle(self):
+        assert all(assert_walk_matches_oracle(alg) for alg in module_closures())
+
+    @pytest.mark.parametrize("eta0", [None, 7])
+    @pytest.mark.parametrize("family", ["W2A", "W3A", "Wr3x3"])
+    def test_flip_algebras_match_oracle(self, family, eta0):
+        # the matrices include the restricted Miyamoto map of the first
+        # double, which preserves the products, and its column swap
+        mode = ScalarMode(eta0)
+        tau = standard_flip(family, 2)
+        alg = flip_subalgebra(tau.space, tau, mode)
+        x = orbit_vector(classify_orbits(tau.space, tau).doubles[0], mode.one())
+        tau_x = miyamoto_algebra_map(alg, x, monster_law(mode)).matrix
+        assert assert_walk_matches_oracle(alg, tau_x)
+
+    def test_knife_edge_closure_lifted(self):
+        # the 29-dim Wr3x3 closure at eta = 2 is closed there, but its rows
+        # span no closed subalgebra over Q(eta) or at eta = 7
+        tau = standard_flip("Wr3x3", 2)
+        alg = flip_subalgebra(tau.space, tau, ScalarMode.evaluated(2))
+        assert alg.dimension == 29
+        verdicts = [
+            assert_walk_matches_oracle(lifted(alg, mode))
+            for mode in (SYM, ScalarMode.evaluated(2), ScalarMode.evaluated(7))
+        ]
+        assert verdicts == [False, True, False]
