@@ -35,9 +35,7 @@ from .fischer import (
     is_space_automorphism,
     make_point,
     parse_space_spec,
-    point_degree,
     third_point,
-    third_point_by_conjugation,
 )
 from .algebra import (
     AlgebraVector,
@@ -88,7 +86,6 @@ from .classify import (
     TypeDConfig,
     classify,
     enumerate_configs,
-    naive_config_count,
 )
 
 __version__ = "0.1.0"

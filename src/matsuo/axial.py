@@ -15,9 +15,11 @@ and evaluated primitivity is an integer rank (``check_primitive``).
 In the whole Matsuo algebra a point obeys the Jordan law and a sum of two
 orthogonal points the Monster law; in a closed subalgebra such an axis
 passes by restriction, and its Miyamoto involution composes its points'
-reflections.  Every other axis or law is checked pair by pair over the
+reflections, each a verified automorphism of the Fischer space, so the map
+needs invariance, closure and the involution checked, and no product of
+images.  Every other axis or law is checked pair by pair over the
 eigenvectors, which alone reports violations, and its Miyamoto involution
-is I - 2 * P_odd for the eta part.
+is I - 2 * P_odd for the eta part, checked to preserve the products.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Iterable, Sequence
 from .algebra import Vec, _IntEchelon, vec_add_scaled, vec_product, vec_scale
 from .closure import EchelonBasis, ScalarMode, Subalgebra, _int_echelon, vec_combination
 from .fischer import FischerSpace, verified_reflection
-from .scalars import HALF_ETA, EtaScalar, rational_vec
+from .scalars import HALF_ETA, EtaScalar
 
 
 class AdjointNotDiagonalizableError(ValueError):
@@ -438,37 +440,23 @@ class MiyamotoMap:
 
     def preserves_products(self) -> bool:
         """Whether the map phi preserves each b_i * b_j; ValueError when the
-        basis is not closed.  On the walk of ``Subalgebra._product_coordinates``
-        phi(r_i) phi(r_j) and phi(r_i r_j) are the sums of
-        scale * part(phi r_i, phi r_j) and of scale * sum of a_k phi(b_k), a
-        the part's coordinates: compared over Q(eta) when the basis or the
-        matrix M has an entry in eta.  Else the images are rational, so, as
-        in the walk, each part is compared, over Z: with s the lcm of c_r
-        times the denominators of M[r][k], t_k = s phi(b_k) is an integer
-        sum of the r_r, part(c_i t_i, c_j t_j) = s^2 part(phi r_i, phi r_j)
-        and the sum of a_k s t_k is s^2 phi(part(r_i, r_j)).
+        basis is not closed, decided by the whole walk of
+        ``Subalgebra._product_coordinates`` before any product is compared.
+        On that walk c_i c_j b_i b_j is the sum of scale * part(r_i, r_j),
+        c_i the pivot entry of row r_i = c_i b_i, so phi preserves it iff the
+        sum of scale * part(c_i phi b_i, c_j phi b_j) equals the sum of
+        scale * sum of a_k phi(b_k), a the part's coordinates: one
+        comparison in the mode's scalars.
         """
         alg = self.algebra
         span, parts, scales, pairs = alg._product_coordinates()
-        lead = [row[p] for row, p in zip(span.rows, span.pivot_of_row)]
-        cols = [rational_vec({r: v for r, v in enumerate(col) if v}) for col in zip(*self.matrix)]
-        s, whole = 1, lambda vecs: vec_combination(vecs, scales)  # the sum of the parts
-        if span is alg.basis or None in cols:
-            images = [alg.row_vector(col) for col in zip(*self.matrix)]
-        else:  # the parts one by one
-            whole = list
-            s = math.lcm(*[lead[r] * m.denominator for col in cols for r, m in col.items()])
-            images = [
-                vec_combination(map(span.rows.__getitem__, col), [
-                    m.numerator * (s // (lead[r] * m.denominator)) for r, m in col.items()
-                ])
-                for col in cols
-            ]
-        left = [vec_scale(t, c) for t, c in zip(images, lead)]
-        right = [vec_scale(t, s) for t in images]
+        pairs = list(pairs)  # the closure verdict, before any comparison
+        images = [alg.row_vector(col) for col in zip(*self.matrix)]
+        left = [vec_scale(t, row[p]) for t, row, p in zip(images, span.rows, span.pivot_of_row)]
+        image = lambda a: vec_combination(map(images.__getitem__, a), a.values())  # phi(a)
         return all(
-            whole([part(left[i], left[j]) for part in parts])
-            == whole([vec_combination(map(right.__getitem__, a), a.values()) for a in coords])
+            vec_combination([part(left[i], left[j]) for part in parts], scales)
+            == vec_combination(map(image, coords), scales)
             for i, j, coords in pairs
         )
 
@@ -479,20 +467,24 @@ def miyamoto_algebra_map(algebra: Subalgebra, x: Vec, law: FusionLaw) -> Miyamot
     An axis that ``_holds_by_restriction`` passes (a point under J, Hall,
     Rehren and Shpectorov 2015; a double axis under M, Galt et al. 2021)
     has in the whole algebra A the involution that composes its points'
-    reflections; B_lambda = B meet A_lambda, so that permutation preserves
-    a closed B (``permutation_matrix_on`` checks it) and restricts to the
-    map.  Its one walk of the basis products, in ``preserves_products``,
-    both decides closure and checks the products.  Any other axis or law is
-    checked first, and column c is e_c - 2 P_odd(e_c) in coordinates.
-    Either map is checked to be an involutive automorphism.
+    reflections, each verified as a Fischer-space automorphism, so an
+    automorphism of A.  B_lambda = B meet A_lambda, so that permutation
+    preserves a closed B and restricts to an automorphism of it: the route
+    checks invariance (``permutation_matrix_on``), closure (``is_closed``)
+    and the involution, and takes no product of images.  Any other axis or
+    law is checked first, column c is e_c - 2 P_odd(e_c) in coordinates,
+    and the map is checked to be an involution that preserves products.
     """
     x = algebra.mode.vector(x, "axis")
-    if _holds_by_restriction(algebra, x, law):
+    restricted = _holds_by_restriction(algebra, x, law)
+    if restricted:
         perm = _composed_reflections(algebra.space, x)
         try:
             matrix = permutation_matrix_on(algebra, perm)
         except ValueError as exc:  # a closed B is invariant, by the theorem
             raise ValueError("subalgebra not invariant under tau_x; not closed") from exc
+        if not algebra.is_closed():
+            raise ValueError("basis is not closed under the product")
     elif (report := check_fusion(algebra, x, law)).passed:
         *even, odd = law.eigenvalues  # the eta part, last in both laws
         mirror = _poly(even, -2 / math.prod(odd - mu for mu in even))
@@ -504,7 +496,7 @@ def miyamoto_algebra_map(algebra: Subalgebra, x: Vec, law: FusionLaw) -> Miyamot
     else:
         raise ValueError("fusion law fails; no Miyamoto involution")
     result = MiyamotoMap(algebra, matrix)
-    if not result.is_involution() or not result.preserves_products():
+    if not result.is_involution() or not (restricted or result.preserves_products()):
         raise ValueError("constructed Miyamoto map is not an algebra involution")
     return result
 

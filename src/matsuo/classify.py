@@ -139,27 +139,6 @@ def enumerate_configs(
         yield cfg
 
 
-def naive_config_count(sp: FischerSpace) -> int:
-    """Independent five-loop count of ordered tuples; 8 per configuration."""
-    n = len(sp.points)
-    count = 0
-    for a in range(n):
-        for b in range(n):
-            if b == a:
-                continue
-            for c in range(n):
-                if c in (a, b) or sp.collinear(b, c):
-                    continue
-                for d in range(n):
-                    if d in (a, b, c):
-                        continue
-                    for e in range(n):
-                        if e in (a, b, c, d) or sp.collinear(d, e):
-                            continue
-                        count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------

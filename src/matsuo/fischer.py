@@ -4,9 +4,10 @@ Points are the class elements t.(i,j) = t_i t_j^-1 (i,j) of T wr S_n; two
 points are collinear when their product has order three, and the third point
 of their line is the conjugate of one by the other.  The closed formulas for
 it are applied in one place: they fill the third-point table block by block,
-one block per pair of position pairs, and `third_point` reads the table.
-Literal conjugation inside the wreath group is kept as the independent
-per-pair oracle `third_point_by_conjugation`.
+one block per pair of position pairs, and `third_point` reads the table.  The
+table is the engine's one definition of a line; no wreath arithmetic is done
+here, and literal conjugation inside the wreath group is the test suite's
+independent per-pair oracle.
 """
 
 from __future__ import annotations
@@ -45,77 +46,6 @@ def make_point(group: FiniteGroup, t: int, i: int, j: int) -> Point:
     if i > j:
         return Point(j, i, group.inverse(t))
     return Point(i, j, t)
-
-
-# ---------------------------------------------------------------------------
-# wreath group elements: (base tuple of T-indices, permutation tuple)
-# acting on pairs (x, pos) by (x, pos) . (b, s) = (x * b[pos], s[pos])
-# ---------------------------------------------------------------------------
-
-WElem = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def w_identity(group: FiniteGroup, n: int) -> WElem:
-    return (tuple([0] * n), tuple(range(n)))
-
-
-def w_mul(group: FiniteGroup, a: WElem, b: WElem) -> WElem:
-    ab, ap = a
-    bb, bp = b
-    base = tuple(group.mul(ab[i], bb[ap[i]]) for i in range(len(ab)))
-    perm = tuple(bp[ap[i]] for i in range(len(ap)))
-    return (base, perm)
-
-
-def w_inv(group: FiniteGroup, a: WElem) -> WElem:
-    ab, ap = a
-    n = len(ab)
-    inv_perm = [0] * n
-    for i, img in enumerate(ap):
-        inv_perm[img] = i
-    base = tuple(group.inverse(ab[inv_perm[i]]) for i in range(n))
-    return (base, tuple(inv_perm))
-
-
-def w_conj(group: FiniteGroup, x: WElem, y: WElem) -> WElem:
-    """x conjugated by y, i.e. y^-1 * x * y."""
-    return w_mul(group, w_mul(group, w_inv(group, y), x), y)
-
-
-def w_order(group: FiniteGroup, x: WElem, cap: int = 8) -> int:
-    ident = w_identity(group, len(x[0]))
-    acc = x
-    for k in range(1, cap + 1):
-        if acc == ident:
-            return k
-        acc = w_mul(group, acc, x)
-    raise ThreeTranspositionError(f"element order exceeds {cap}")
-
-
-def point_to_elem(group: FiniteGroup, n: int, p: Point) -> WElem:
-    base = [0] * n
-    base[p.i - 1] = p.t
-    base[p.j - 1] = group.inverse(p.t)
-    perm = list(range(n))
-    perm[p.i - 1], perm[p.j - 1] = p.j - 1, p.i - 1
-    return (tuple(base), tuple(perm))
-
-
-def elem_to_point(group: FiniteGroup, e: WElem) -> Optional[Point]:
-    base, perm = e
-    moved = [i for i, img in enumerate(perm) if img != i]
-    if len(moved) != 2:
-        return None
-    i, j = moved
-    if perm[i] != j or perm[j] != i:
-        return None
-    t = base[i]
-    if base[j] != group.inverse(t):
-        return None
-    for k in range(len(base)):
-        if k not in (i, j) and base[k] != 0:
-            return None
-    return Point(i + 1, j + 1, t)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +140,8 @@ class FischerSpace:
         P = Q the points t and s are joined, with third point s t^-1 s,
         exactly when s t^-1 has order three.  Otherwise P and Q share one
         position m, and a.(x,m), b.(m,y) are always joined, with third point
-        (ab).(x,y).  No wreath arithmetic is done; third_point_by_conjugation
-        is the oracle.
+        (ab).(x,y).  No wreath arithmetic is done; literal conjugation in
+        the wreath group is the test suite's oracle.
 
         The points t.P, t = 0..|T|-1, are consecutive from the index of 0.P,
         which self.index gives.  Entries are the int objects of self.index,
@@ -333,33 +263,6 @@ def third_point(sp: FischerSpace, p: Point, q: Point) -> Optional[Point]:
         raise ValueError("third point needs two distinct points")
     r = sp.third[sp.index[p]][sp.index[q]]
     return sp.points[r] if r >= 0 else None
-
-
-def third_point_by_conjugation(sp: FischerSpace, p: Point, q: Point) -> Optional[Point]:
-    """Third point by literal conjugation in the wreath group; the oracle.
-
-    p and q are joined iff their product has order three, and then the
-    third point is p conjugated by q.
-    """
-    if p == q:
-        raise ValueError("third point needs two distinct points")
-    group, n = sp.base, sp.n
-    ep, eq = point_to_elem(group, n, p), point_to_elem(group, n, q)
-    order = w_order(group, w_mul(group, ep, eq))
-    if order > 3:
-        raise ThreeTranspositionError(
-            f"points {p} and {q} generate an element of order {order}"
-        )
-    if order < 3:
-        return None
-    r = elem_to_point(group, w_conj(group, ep, eq))
-    if r is None:
-        raise ThreeTranspositionError("conjugate left the transposition class")
-    return r
-
-
-def point_degree(sp: FischerSpace, p: Point) -> int:
-    return sp.degree(sp.index[p])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Slow, independent references shared by several test modules."""
 
+from typing import Optional
+
 from matsuo import closure
 from matsuo.algebra import Vec, vec_product
 from matsuo.axial import MiyamotoMap, _ad_poly
 from matsuo.classify import TypeDConfig
 from matsuo.closure import EchelonBasis, ScalarMode, Subalgebra, vec_combination
-from matsuo.fischer import FischerSpace
+from matsuo.fischer import FischerSpace, Point, ThreeTranspositionError
 from matsuo.groups import FiniteGroup, GroupAutomorphism
 
 
@@ -85,7 +87,8 @@ def product_coordinates(algebra: Subalgebra):
 def product_verdicts(algebra: Subalgebra, matrices) -> tuple:
     """By ``product_coordinates``: whether the basis is closed, its
     structure constants (None when not closed), and per matrix whether the
-    map preserves the products ("not closed" when the walk raises first)."""
+    map preserves the products ("not closed" when the basis is not, decided
+    before any product of images is compared)."""
     try:
         tensor = [[{}] * algebra.dimension for _ in range(algebra.dimension)]
         for i, j, coords in product_coordinates(algebra):
@@ -94,15 +97,16 @@ def product_verdicts(algebra: Subalgebra, matrices) -> tuple:
         tensor = None
     half, preserved = algebra.mode.half_eta(), []
     for matrix in matrices:
-        images = [algebra.row_vector(col) for col in zip(*matrix)]
-        try:
-            preserved.append(all(
-                vec_product(algebra.space, images[i], images[j], half)
-                == vec_combination(images, coords)
-                for i, j, coords in product_coordinates(algebra)
-            ))
-        except ValueError:
+        if tensor is None:
             preserved.append("not closed")
+            continue
+        images = [algebra.row_vector(col) for col in zip(*matrix)]
+        preserved.append(all(
+            vec_product(algebra.space, images[i], images[j], half)
+            == vec_combination(map(images.__getitem__, cell), cell.values())
+            for i, row in enumerate(tensor)
+            for j, cell in enumerate(row[i:], i)
+        ))
     return tensor is not None, tensor, preserved
 
 
@@ -156,6 +160,27 @@ def generator_partition(sp: FischerSpace, cfg: TypeDConfig) -> list[list[int]]:
     return parts
 
 
+def naive_config_count(sp: FischerSpace) -> int:
+    """Independent five-loop count of ordered tuples; 8 per configuration."""
+    n = len(sp.points)
+    count = 0
+    for a in range(n):
+        for b in range(n):
+            if b == a:
+                continue
+            for c in range(n):
+                if c in (a, b) or sp.collinear(b, c):
+                    continue
+                for d in range(n):
+                    if d in (a, b, c):
+                        continue
+                    for e in range(n):
+                        if e in (a, b, c, d) or sp.collinear(d, e):
+                            continue
+                        count += 1
+    return count
+
+
 def dump_cayley_table(group: FiniteGroup) -> str:
     """A group's table in the text format ``load_cayley_table`` reads."""
     lines = [f"order {group.order}", " ".join(group.labels)]
@@ -166,3 +191,96 @@ def dump_cayley_table(group: FiniteGroup) -> str:
 
 def identity_automorphism(group: FiniteGroup) -> GroupAutomorphism:
     return GroupAutomorphism(group, tuple(range(group.order)))
+
+
+# wreath group elements: (base tuple of T-indices, permutation tuple)
+# acting on pairs (x, pos) by (x, pos) . (b, s) = (x * b[pos], s[pos])
+
+WElem = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def w_identity(group: FiniteGroup, n: int) -> WElem:
+    return (tuple([0] * n), tuple(range(n)))
+
+
+def w_mul(group: FiniteGroup, a: WElem, b: WElem) -> WElem:
+    ab, ap = a
+    bb, bp = b
+    base = tuple(group.mul(ab[i], bb[ap[i]]) for i in range(len(ab)))
+    perm = tuple(bp[ap[i]] for i in range(len(ap)))
+    return (base, perm)
+
+
+def w_inv(group: FiniteGroup, a: WElem) -> WElem:
+    ab, ap = a
+    n = len(ab)
+    inv_perm = [0] * n
+    for i, img in enumerate(ap):
+        inv_perm[img] = i
+    base = tuple(group.inverse(ab[inv_perm[i]]) for i in range(n))
+    return (base, tuple(inv_perm))
+
+
+def w_conj(group: FiniteGroup, x: WElem, y: WElem) -> WElem:
+    """x conjugated by y, i.e. y^-1 * x * y."""
+    return w_mul(group, w_mul(group, w_inv(group, y), x), y)
+
+
+def w_order(group: FiniteGroup, x: WElem, cap: int = 8) -> int:
+    ident = w_identity(group, len(x[0]))
+    acc = x
+    for k in range(1, cap + 1):
+        if acc == ident:
+            return k
+        acc = w_mul(group, acc, x)
+    raise ThreeTranspositionError(f"element order exceeds {cap}")
+
+
+def point_to_elem(group: FiniteGroup, n: int, p: Point) -> WElem:
+    base = [0] * n
+    base[p.i - 1] = p.t
+    base[p.j - 1] = group.inverse(p.t)
+    perm = list(range(n))
+    perm[p.i - 1], perm[p.j - 1] = p.j - 1, p.i - 1
+    return (tuple(base), tuple(perm))
+
+
+def elem_to_point(group: FiniteGroup, e: WElem) -> Optional[Point]:
+    base, perm = e
+    moved = [i for i, img in enumerate(perm) if img != i]
+    if len(moved) != 2:
+        return None
+    i, j = moved
+    if perm[i] != j or perm[j] != i:
+        return None
+    t = base[i]
+    if base[j] != group.inverse(t):
+        return None
+    for k in range(len(base)):
+        if k not in (i, j) and base[k] != 0:
+            return None
+    return Point(i + 1, j + 1, t)
+
+
+def third_point_by_conjugation(sp: FischerSpace, p: Point, q: Point) -> Optional[Point]:
+    """Third point by literal conjugation in the wreath group: the reference
+    for the closed-formula table of ``FischerSpace``.
+
+    p and q are joined iff their product has order three, and then the
+    third point is p conjugated by q.
+    """
+    if p == q:
+        raise ValueError("third point needs two distinct points")
+    group, n = sp.base, sp.n
+    ep, eq = point_to_elem(group, n, p), point_to_elem(group, n, q)
+    order = w_order(group, w_mul(group, ep, eq))
+    if order > 3:
+        raise ThreeTranspositionError(
+            f"points {p} and {q} generate an element of order {order}"
+        )
+    if order < 3:
+        return None
+    r = elem_to_point(group, w_conj(group, ep, eq))
+    if r is None:
+        raise ThreeTranspositionError("conjugate left the transposition class")
+    return r

@@ -26,12 +26,7 @@ from matsuo.classify import (
 )
 from matsuo.cli import main as cli_main
 from matsuo.closure import ScalarMode, close, evaluate_vec, reclose, specialized_dimension
-from matsuo.fischer import (
-    build_named_space,
-    is_space_automorphism,
-    third_point,
-    third_point_by_conjugation,
-)
+from matsuo.fischer import build_named_space, is_space_automorphism, third_point
 from matsuo.flips import (
     FIXED_DIM_FORMULA,
     FLIP_FAMILIES,
@@ -40,6 +35,7 @@ from matsuo.flips import (
     flip_subalgebra,
     standard_flip,
 )
+from oracles import third_point_by_conjugation
 
 SYM = ScalarMode.symbolic()
 ONE = SYM.one()

@@ -204,8 +204,9 @@ class TestEigenDecompose:
                     call()
 
     def test_subalgebra_not_closed(self):
-        # span(b0, b1) in the line algebra: b0 * b1 has a b2 component; the
-        # identity map on it does not reach a product check
+        # span(b0, b1) in the line algebra: b0 * b1 has a b2 component.
+        # Neither the identity nor b0 -> -b0, which fails on b0 * b0 = b0
+        # before the walk reaches b0 * b1, gets a product verdict
         sp = build_named_space("A", 3)
         for mode in (SYM, EV7):
             basis = EchelonBasis(mode)
@@ -214,15 +215,18 @@ class TestEigenDecompose:
             alg = Subalgebra(sp, mode, [], basis)
             x = {0: mode.one()}
             one, zero = mode.one(), mode.zero()
-            identity = axial.MiyamotoMap(alg, [[one, zero], [zero, one]])
+            maps = [[[one, zero], [zero, one]], [[-one, zero], [zero, one]]]
             for call in (
                 lambda: eigen_decompose(alg, x, jordan_law(mode).eigenvalues),
                 lambda: check_primitive(alg, x),
                 lambda: miyamoto_algebra_map(alg, x, jordan_law(mode)),
-                identity.preserves_products,
             ):
                 with pytest.raises(ValueError, match="not closed"):
                     call()
+            for matrix in maps:
+                with pytest.raises(ValueError, match="basis is not closed under the product"):
+                    axial.MiyamotoMap(alg, matrix).preserves_products()
+            assert product_verdicts(alg, maps)[2] == ["not closed"] * 2
 
 
 def invariant_span_not_closed(mode):
@@ -761,9 +765,9 @@ class TestMiyamotoAlgebraMap:
     def test_products_on_the_fusion_workload(self, monkeypatch):
         # on the benchmark's input, eigen_decompose takes one product of the
         # axis per basis row beside its idempotency check; the restricted
-        # map's one walk takes the coordinatewise and line parts of each
-        # unordered pair of integer basis rows and of their integer images,
-        # and no product over Q(eta)
+        # map's one walk is the closure walk of is_closed: the coordinatewise
+        # and line parts of each unordered pair of integer basis rows, no
+        # product of images and none over Q(eta)
         tau = standard_flip("Wr3x3", 2)
         alg = flip_subalgebra(tau.space, tau, SYM)
         x = orbit_vector(classify_orbits(tau.space, tau).doubles[0], ONE)
@@ -776,7 +780,7 @@ class TestMiyamotoAlgebraMap:
         coordinatewise_parts = counted_products(monkeypatch, closure_module, "vec_hadamard")
         miyamoto_algebra_map(alg, x, law)
         pairs = d * (d + 1) // 2
-        assert len(line_parts) == len(coordinatewise_parts) == 2 * pairs
+        assert len(line_parts) == len(coordinatewise_parts) == pairs == 465
         assert all(args[3:] == (1, 0) for args in line_parts)
         factors = [f for args in line_parts for f in args[1:3]]
         factors += [f for args in coordinatewise_parts for f in args]
@@ -839,10 +843,34 @@ class TestMiyamotoAlgebraMap:
         with pytest.raises(ValueError, match="not invariant"):
             permutation_matrix_on(alg, perm)
 
+    def test_restricted_maps_preserve_products(self, restriction):
+        # the restricted route takes no product of images: the composed
+        # reflections are verified automorphisms of the space.  The product
+        # check agrees on the points and doubles of A:4 and on the first
+        # double of the W2A, W3A and Wr3x3 k = 2 flip algebras
+        sp = build_named_space("A", 4)
+        n = len(sp.points)
+        points = [(p,) for p in range(n)]
+        doubles = [(p, q) for p in range(n) for q in range(p + 1, n) if not sp.collinear(p, q)]
+        assert (len(points), len(doubles)) == (6, 3)
+        for mode in (SYM, EV7):
+            algebras = [(full_algebra(sp, mode), points, jordan_law(mode))]
+            algebras.append((algebras[0][0], doubles, monster_law(mode)))
+            for family in ("W2A", "W3A", "Wr3x3"):
+                tau = standard_flip(family, 2)
+                alg = flip_subalgebra(tau.space, tau, mode)
+                first = classify_orbits(tau.space, tau).doubles[:1]
+                algebras.append((alg, first, monster_law(mode)))
+            for alg, supports, law in algebras:
+                assert supports
+                for support in supports:
+                    mm = miyamoto_algebra_map(alg, {p: mode.one() for p in support}, law)
+                    assert restriction.verdicts[-1] is True
+                    assert mm.preserves_products(), (support, law.name)
+
     def test_refuses_an_invariant_span_that_is_not_closed(self, restriction):
-        # tau_x preserves the span, so its matrix builds; the one walk of
-        # the basis products, in preserves_products, finds the product that
-        # leaves it
+        # tau_x preserves the span, so its matrix builds; the route's
+        # closure check, is_closed, finds the product that leaves it
         for mode in (SYM, EV7):
             alg, x = invariant_span_not_closed(mode)
             with pytest.raises(ValueError, match="basis is not closed under the product"):

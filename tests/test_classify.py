@@ -13,14 +13,13 @@ from matsuo.classify import (
     disconnected_configs_are_direct_sums,
     enumerate_configs,
     evaluate_config,
-    naive_config_count,
     orthogonal_pairs,
     worker_count,
 )
 from matsuo.cli import main as cli_main
 from matsuo.closure import ScalarMode
 from matsuo.fischer import build_named_space, canonical_diagram
-from oracles import generator_partition
+from oracles import generator_partition, naive_config_count
 
 EV7 = ScalarMode.evaluated(7)
 

@@ -5,13 +5,7 @@ from fractions import Fraction
 import pytest
 
 from matsuo.closure import ScalarMode, close
-from matsuo.fischer import (
-    build_named_space,
-    elem_to_point,
-    is_space_automorphism,
-    point_to_elem,
-    w_conj,
-)
+from matsuo.fischer import build_named_space, is_space_automorphism
 from matsuo.flips import (
     FIXED_DIM_FORMULA,
     FLIP_FAMILIES,
@@ -23,6 +17,7 @@ from matsuo.flips import (
     flip_subalgebra,
     standard_flip,
 )
+from oracles import elem_to_point, point_to_elem, w_conj
 
 SYM = ScalarMode.symbolic()
 ONE = SYM.one()
