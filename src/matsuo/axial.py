@@ -8,18 +8,19 @@ sparse columns: column c holds the coordinates of x*b_c on the basis.
 Every polynomial in ad_x is then read off the Krylov vectors w, A w,
 A^2 w, ... of a coordinate vector w: the Lagrange projections P_k = prod
 over mu != lambda_k of (ad_x - mu) / (lambda_k - mu), whose images are the
-eigenspaces, ad_x - 1 for symbolic primitivity, and the polynomials of the
-fusion cells.  Every entry point takes the axis through ``ScalarMode.vector``,
-and evaluated primitivity is an integer rank (``check_primitive``).
+eigenspaces, ad_x - 1 for the primitivity of other axes, and the
+polynomials of the fusion cells.  Every entry point takes the axis through
+``ScalarMode.vector``.
 
 In the whole Matsuo algebra a point obeys the Jordan law and a sum of two
-orthogonal points the Monster law; in a closed subalgebra such an axis
-passes by restriction, and its Miyamoto involution composes its points'
-reflections, each a verified automorphism of the Fischer space, so the map
-needs invariance, closure and the involution checked, and no product of
-images.  Every other axis or law is checked pair by pair over the
-eigenvectors, which alone reports violations, and its Miyamoto involution
-is I - 2 * P_odd for the eta part, checked to preserve the products.
+orthogonal points the Monster law (``_ambient_law``).  In a closed
+subalgebra such an axis passes by restriction, is primitive unless it is
+b + c with b in the subalgebra, and its Miyamoto involution composes its
+points' reflections, each a verified automorphism of the Fischer space.
+Every other axis or law is checked pair by pair over the eigenvectors,
+which alone reports violations, its primitivity is the rank of ad_x - 1,
+and its Miyamoto involution is I - 2 * P_odd for the eta part, checked to
+preserve the products.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .algebra import Vec, _IntEchelon, vec_add_scaled, vec_product, vec_scale
-from .closure import EchelonBasis, ScalarMode, Subalgebra, _int_echelon, vec_combination
+from .algebra import Vec, vec_add_scaled, vec_product, vec_scale
+from .closure import EchelonBasis, ScalarMode, Subalgebra, vec_combination
 from .fischer import FischerSpace, verified_reflection
 from .scalars import HALF_ETA, EtaScalar
 
@@ -292,13 +293,13 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
     disallowed part on which the product has a nonzero component.  Both are
     read off the Krylov vectors of the product's coordinates.
 
-    In a closed subalgebra a point under J and a double axis under M pass
-    without the pair loop, by restriction from the whole Matsuo algebra
-    (``_holds_by_restriction``).
+    In a closed subalgebra an axis under its ambient law (a point under J,
+    a double axis under M, ``_ambient_law``) passes without the pair loop,
+    by restriction from the whole Matsuo algebra.
     """
     x = algebra.mode.vector(x, "axis")
     dec = eigen_decompose(algebra, x, law.eigenvalues)
-    if _holds_by_restriction(algebra, x, law) and algebra.is_closed():
+    if law == _ambient_law(algebra, x) and algebra.is_closed():
         return FusionReport(law, dec, [])
     values = law.eigenvalues
     projections = []  # the Lagrange projection onto each part
@@ -336,61 +337,54 @@ def _pair_products(sp: FischerSpace, parts: Sequence[Sequence[Vec]], half):
                     yield li, mi, a, b, vec_product(sp, u, mpart[b], half)
 
 
-def _holds_by_restriction(algebra: Subalgebra, x: Vec, law: FusionLaw) -> bool:
-    """True when x lies in the subalgebra B and obeys the law in the whole
-    Matsuo algebra A; then x obeys it in B if B is closed, which the caller
-    decides.
-
-    In A a point obeys J(eta) (Hall, Rehren and Shpectorov, J. Algebra 2015)
-    and a sum of two orthogonal points M(2eta, eta) (Galt, Joshi, Mamontov,
-    Shpectorov and Staroletov, Comm. Algebra 2021), for eta outside {0, 1}
-    (refused by ScalarMode) and, for M, outside {1/2} (refused by
-    ``monster_law``).  A closed B that contains x is ad_x-invariant, so
-    B_lambda = B meet A_lambda and B obeys the law.  An idempotent with one
-    point in its support is the point, and with two the points are
+def _ambient_law(algebra: Subalgebra, x: Vec) -> Optional[FusionLaw]:
+    """The law x obeys in the whole Matsuo algebra A, when x lies in the
+    subalgebra B; None otherwise.  A point obeys J(eta) (Hall, Rehren and
+    Shpectorov 2015), and a sum of two orthogonal points M(2eta, eta) at
+    eta != 1/2 (Galt et al. 2021).  B_lambda = B meet A_lambda when B is
+    closed, which each caller checks as far as it needs.  An idempotent
+    with one point in its support is the point, and with two the points are
     orthogonal with unit coefficients, so beside membership and idempotency
     the support size is the only shape test.
     """
     ambient = {1: jordan_law, 2: monster_law}.get(len(x))
     if ambient is None or not algebra.contains(x):
-        return False
+        return None
+    if vec_product(algebra.space, x, x, algebra.mode.half_eta()) != x:
+        return None
     try:
-        inherited = law == ambient(algebra.mode)
+        return ambient(algebra.mode)
     except ParameterDomainError:  # no Monster law at eta = 1/2
-        return False
-    return inherited and vec_product(algebra.space, x, x, algebra.mode.half_eta()) == x
+        return None
 
 
 def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
-    """True iff the 1-eigenspace of ad_x inside the subalgebra is a line,
-    i.e. ad_x - 1 has rank d - 1 on the subalgebra.
+    """True iff the 1-eigenspace B_1 of ad_x in the subalgebra B is the
+    line of x.
 
-    In evaluated mode, at eta0 = n/d, the rank is taken over Z, on the
-    integer rows b of ``closure._int_echelon``.  With L the lcm of the
-    axis's denominators and xL = L*x, ``vec_product(xL, b, n, 2d) - 2dL*b``
-    is 2dL*(x*b - b): an integer vector with the span of x*b - b.
+    B_1 = B meet A_1, with A_1 the 1-eigenspace in the whole Matsuo algebra
+    A.  For an axis that ``_ambient_law`` passes, A_1 is known: A_1(a) =
+    <a> for a point a (Hall, Rehren and Shpectorov, J. Algebra 2015), and
+    A_1(b + c) = <b, c> for orthogonal points b and c when eta is outside
+    {0, 1, 1/2} (Galt, Joshi, Mamontov, Shpectorov and Staroletov, Comm.
+    Algebra 2021).  So a point is primitive, and b + c is iff b is not in B
+    (else c = x - b is too).  That route still refuses a B that is not
+    ad_x-invariant: x has unit coefficients, so the parts of the products
+    of x with the rows of ``Subalgebra._product_coordinates`` (integer rows
+    when the basis is rational) must lie in the span.  Any other axis is
+    primitive iff ad_x - 1 has rank d - 1 on B, over the mode's scalars.
     """
     x = algebra.mode.vector(x, "axis")
     if not x:
         raise ValueError("axis must be nonzero")
-    mode = algebra.mode
-    if mode.is_symbolic:
-        (image,) = _spans(algebra, _adjoint(algebra, x), [_poly((mode.one(),))])
+    if _ambient_law(algebra, x) is None:
+        (image,) = _spans(algebra, _adjoint(algebra, x), [_poly((algebra.mode.one(),))])
         return algebra.dimension - len(image) == 1
-    if algebra.coordinates(x) is None:
-        raise ValueError("the axis does not lie in the subalgebra")
-    basis = _int_echelon(algebra.basis)
-    n, two_d = mode.product_weights()
-    lcm = math.lcm(*[c.denominator for c in x.values()])  # a list: see primitive_int_vec
-    x_lcm = {k: c.numerator * (lcm // c.denominator) for k, c in x.items()}
-    span = _IntEchelon()
-    for row in basis.rows:
-        image = vec_product(algebra.space, x_lcm, row, n, two_d)
-        vec_add_scaled(image, row, -two_d * lcm)
-        if basis.reduce(image):
-            raise ValueError("adjoint image left the subalgebra; not closed")
-        span.insert(image)
-    return algebra.dimension - len(span.rows) == 1
+    span, parts, _, _ = algebra._product_coordinates()
+    unit = dict.fromkeys(x, 1)  # the gate passes unit coefficients only
+    if any(span.reduce(part(unit, row)) for part in parts for row in span.rows):
+        raise ValueError("adjoint image left the subalgebra; not closed")
+    return len(x) == 1 or not algebra.contains({min(x): algebra.mode.one()})
 
 
 # ---------------------------------------------------------------------------
@@ -464,19 +458,19 @@ class MiyamotoMap:
 def miyamoto_algebra_map(algebra: Subalgebra, x: Vec, law: FusionLaw) -> MiyamotoMap:
     """Identity on the even part, negation on the odd (eta) part.
 
-    An axis that ``_holds_by_restriction`` passes (a point under J, Hall,
-    Rehren and Shpectorov 2015; a double axis under M, Galt et al. 2021)
-    has in the whole algebra A the involution that composes its points'
-    reflections, each verified as a Fischer-space automorphism, so an
-    automorphism of A.  B_lambda = B meet A_lambda, so that permutation
-    preserves a closed B and restricts to an automorphism of it: the route
-    checks invariance (``permutation_matrix_on``), closure (``is_closed``)
-    and the involution, and takes no product of images.  Any other axis or
+    An axis under its ``_ambient_law`` (a point under J, Hall, Rehren and
+    Shpectorov 2015; a double axis under M, Galt et al. 2021) has in the
+    whole algebra A the involution that composes its points' reflections,
+    each verified as a Fischer-space automorphism, so an automorphism of A.
+    B_lambda = B meet A_lambda, so that permutation preserves a closed B and
+    restricts to an automorphism of it: the route checks invariance
+    (``permutation_matrix_on``), closure (``is_closed``) and the involution,
+    and takes no product of images.  Any other axis or
     law is checked first, column c is e_c - 2 P_odd(e_c) in coordinates,
     and the map is checked to be an involution that preserves products.
     """
     x = algebra.mode.vector(x, "axis")
-    restricted = _holds_by_restriction(algebra, x, law)
+    restricted = law == _ambient_law(algebra, x)
     if restricted:
         perm = _composed_reflections(algebra.space, x)
         try:

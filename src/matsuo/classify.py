@@ -23,6 +23,7 @@ from .fischer import (
     FischerSpace,
     canonical_diagram,
     components,
+    diagram_code_edges,
     diagram_of,
     point_orbits,
 )
@@ -183,8 +184,6 @@ class ClassificationReport:
     buckets: dict  # canonical code -> bucket dict
 
     def export(self) -> dict:
-        from .fischer import diagram_code_edges
-
         bucket_list = []
         for code in sorted(self.buckets):
             b = self.buckets[code]

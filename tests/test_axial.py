@@ -308,20 +308,21 @@ class TestFusion:
 
 @pytest.fixture
 def restriction(monkeypatch):
-    """Spy on the restriction route of check_fusion and
-    miyamoto_algebra_map: the list of its verdicts, one per call, and
-    forced_off, the number of its next calls forced to say no."""
-    real = axial._holds_by_restriction
+    """Spy on the gate of the restriction routes, ``_ambient_law``: the
+    list of its answers, one per call (a route is taken when the answer is
+    the law asked for), and forced_off, the number of its next calls forced
+    to answer None."""
+    real = axial._ambient_law
     verdicts = []
 
     def spy(*args):
-        verdicts.append(not spy.forced_off and real(*args))
+        verdicts.append(None if spy.forced_off else real(*args))
         spy.forced_off = max(spy.forced_off - 1, 0)
         return verdicts[-1]
 
     spy.forced_off = 0
     spy.verdicts = verdicts
-    monkeypatch.setattr(axial, "_holds_by_restriction", spy)
+    monkeypatch.setattr(axial, "_ambient_law", spy)
     return spy
 
 
@@ -355,7 +356,7 @@ def counted_products(monkeypatch, module, name="vec_product"):
 
 
 def forced_off(restriction, refusals, call, *args):
-    """call(*args) with the next refusals restriction verdicts forced to no:
+    """call(*args) with the next refusals restriction verdicts forced to None:
     one for check_fusion's pair loop, one for miyamoto_algebra_map's
     projection route, two for that route with the pair loop as its guard."""
     restriction.forced_off = refusals
@@ -411,10 +412,10 @@ def assert_routes_agree(restriction, calls, alg, x, law):
     assert_canonical_images(alg, x, law.eigenvalues)
     fast = check_fusion(alg, x, law)
     composed = miyamoto_algebra_map(alg, x, law)
-    assert restriction.verdicts[-2:] == [True, True]
+    assert restriction.verdicts[-2:] == [law, law]
     projected = forced_off(restriction, 2, miyamoto_algebra_map, alg, x, law)
     exact = calls["check_fusion"][-1]
-    assert restriction.verdicts[-2:] == [False, False]
+    assert restriction.verdicts[-2:] == [None, None]
     assert fast.passed and exact.passed
     assert fast.decomposition.parts == exact.decomposition.parts
     assert fast.export() == exact.export()
@@ -481,7 +482,7 @@ class TestFusionPointCertificate:
         for alg, x, law in cases:
             assert_canonical_images(alg, x, law.eigenvalues)
             report = check_fusion(alg, x, law)
-            assert restriction.verdicts[-1] is False
+            assert restriction.verdicts[-1] not in (None, law)
             exact = exact_report(restriction, alg, x, law)
             assert not report.passed
             assert violation_keys(report) == violation_keys(exact)
@@ -502,7 +503,7 @@ class TestFusionPointCertificate:
                 table.setdefault((j, k), frozenset(range(7)))
         wide = FusionLaw("J+", law.eigenvalues + spurious, table)
         report = check_fusion(line_algebra(), {0: ONE}, wide)
-        assert restriction.verdicts == [False]
+        assert restriction.verdicts == [law]
         assert report.decomposition.dims == (1, 1, 1, 0, 0, 0, 0)
         assert [(v.lam_index, v.mu_index, v.offending_part) for v in report.violations] == [
             (2, 2, 0)
@@ -514,7 +515,7 @@ class TestFusionPointCertificate:
         alg, x = invariant_span_not_closed(SYM)
         with pytest.raises(ValueError, match="left the subalgebra"):
             check_fusion(alg, x, monster_law(SYM))
-        assert restriction.verdicts == [True]
+        assert restriction.verdicts == [monster_law(SYM)]
 
     def test_skipped_without_rational_inputs(self, restriction):
         sp = build_named_space("A", 4)
@@ -539,14 +540,14 @@ class TestFusionPointCertificate:
         assert alg5.dimension == 2
         assert not all(v.is_rational() for row in alg5.basis.rows for v in row.values())
         assert check_fusion(alg5, {p: ONE}, jordan_law(SYM)).passed
-        assert restriction.verdicts == [True, False, True]
+        assert restriction.verdicts == [monster_law(EV7), None, jordan_law(SYM)]
 
     def test_point_under_monster_law_takes_the_pair_loop(self, restriction):
         # a point obeys M too (its 2eta part is empty), but M is not the
         # point's ambient law, so the rule does not apply
         sp = build_named_space("A", 4)
         report = check_fusion(full_algebra(sp), {0: ONE}, monster_law(SYM))
-        assert restriction.verdicts == [False]
+        assert restriction.verdicts == [jordan_law(SYM)]
         assert report.passed
         assert report.decomposition.dims == (1, 3, 0, 2)
 
@@ -557,7 +558,7 @@ class TestFusionPointCertificate:
         sp = build_named_space("A", 4)
         x = {sp.point_of_label("b(1,2)"): mode.one(), sp.point_of_label("b(3,4)"): mode.one()}
         report = check_fusion(full_algebra(sp, mode), x, jordan_law(mode))
-        assert restriction.verdicts == [False]
+        assert restriction.verdicts == [None]
         assert report.passed and report.decomposition.dims == (3, 1, 2)
 
 
@@ -581,10 +582,12 @@ class TestPrimitivity:
         # fractional coefficients in the closure of a line {a, b, c} and a
         # point p orthogonal to it: u - a, primitive, and u - a + p, not,
         # with u = (a + b + c) / (1 + eta) the identity of the line; at
-        # eta0 = n/d with d = 1, d > 1 and n < 0
+        # eta0 = n/d with d = 1, d > 1 and n < 0, and at 1/2, where 2eta = 1
+        # and the 2eta-eigenvectors of a double b + c join its 1-eigenspace,
+        # so A_1(b + c) is larger than <b, c>
         sp = build_named_space("A", 5)
         a, b, c, p = map(sp.point_of_label, ("b(1,2)", "b(1,3)", "b(2,3)", "b(4,5)"))
-        for eta0 in (Fraction(7), Fraction(1, 3), Fraction(-5, 2)):
+        for eta0 in (Fraction(7), Fraction(1, 3), Fraction(-5, 2), Fraction(1, 2)):
             mode = ScalarMode.evaluated(eta0)
             cases = []
             for cfg in enumerate_configs(sp, first_point=0):
@@ -621,6 +624,22 @@ class TestPrimitivity:
         alg = full_algebra(sp)
         x = {sp.point_of_label("b(1,2)"): ONE, sp.point_of_label("b(3,4)"): ONE}
         assert not check_primitive(alg, x)
+
+    @pytest.mark.parametrize("family", ["W3A", "Wr3x3"])
+    def test_flip_axes_match_symbolic_rank(self, family):
+        # the first single and the first double of the k = 2 flip algebra
+        # against d - rank over Q(eta) of {x*b - b}, b over the basis rows,
+        # inserted into an EchelonBasis here
+        tau = standard_flip(family, 2)
+        alg = flip_subalgebra(tau.space, tau, SYM)
+        dec = classify_orbits(tau.space, tau)
+        half = SYM.half_eta()
+        for orbit in ((dec.singles[0],), dec.doubles[0]):
+            x = orbit_vector(orbit, ONE)
+            span = EchelonBasis(SYM)
+            for row in alg.basis.rows:
+                span.insert(vec_sub(vec_product(alg.space, x, row, half), row))
+            assert check_primitive(alg, x) == (alg.dimension - len(span) == 1)
 
     @pytest.mark.parametrize("family", ["W2A", "W3A", "W2D"])
     def test_doubles_primitive_in_fixed_subalgebra(self, family):
@@ -750,7 +769,7 @@ class TestMiyamotoAlgebraMap:
                 assert_canonical_images(alg, x, law.eigenvalues)
                 composed = miyamoto_algebra_map(alg, x, law)
                 projected = forced_off(restriction, 1, miyamoto_algebra_map, alg, x, law)
-                assert restriction.verdicts[-3:] == [True, False, True]
+                assert restriction.verdicts[-3:] == [law, None, law]
                 assert composed.matrix == projected.matrix, (family, pair)
 
     def test_route_of_the_fusion_workload(self, calls):
@@ -865,7 +884,7 @@ class TestMiyamotoAlgebraMap:
                 assert supports
                 for support in supports:
                     mm = miyamoto_algebra_map(alg, {p: mode.one() for p in support}, law)
-                    assert restriction.verdicts[-1] is True
+                    assert restriction.verdicts[-1] == law
                     assert mm.preserves_products(), (support, law.name)
 
     def test_refuses_an_invariant_span_that_is_not_closed(self, restriction):
@@ -875,7 +894,7 @@ class TestMiyamotoAlgebraMap:
             alg, x = invariant_span_not_closed(mode)
             with pytest.raises(ValueError, match="basis is not closed under the product"):
                 miyamoto_algebra_map(alg, x, monster_law(mode))
-        assert restriction.verdicts == [True, True]
+        assert restriction.verdicts == [monster_law(SYM), monster_law(EV7)]
 
     def test_refuses_a_failing_law(self):
         # with the eta*eta cell tightened to {2eta}, the map I - 2 P_eta of
