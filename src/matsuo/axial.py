@@ -10,7 +10,7 @@ A^2 w, ... of a coordinate vector w: the Lagrange projections P_k = prod
 over mu != lambda_k of (ad_x - mu) / (lambda_k - mu), whose images are the
 eigenspaces, ad_x - 1 for the primitivity of other axes, and the
 polynomials of the fusion cells.  Every entry point takes the axis through
-``ScalarMode.vector``.
+``_axis``: a nonzero idempotent of the subalgebra, over the mode's scalars.
 
 In the whole Matsuo algebra a point obeys the Jordan law and a sum of two
 orthogonal points the Monster law (``_ambient_law``).  In a closed
@@ -126,11 +126,22 @@ def _ad_poly(sp: FischerSpace, x: Vec, w: Vec, roots: Iterable, half) -> Vec:
     return w
 
 
+def _axis(algebra: Subalgebra, x: Vec) -> Vec:
+    """x over the mode's scalars (``ScalarMode.vector``), refused when it is
+    zero, not an idempotent, or outside the subalgebra, in that order."""
+    x = algebra.mode.vector(x, "axis")
+    if not x:
+        raise ValueError("axis must be nonzero")
+    if vec_product(algebra.space, x, x, algebra.mode.half_eta()) != x:
+        raise ValueError("axis must be an idempotent")
+    if not algebra.contains(x):
+        raise ValueError("the axis does not lie in the subalgebra")
+    return x
+
+
 def _adjoint(algebra: Subalgebra, x: Vec) -> list[Vec]:
     """ad_x on the subalgebra basis as sparse columns: column c holds the
     coordinates of x*b_c, one product and one reduction each."""
-    if algebra.coordinates(x) is None:
-        raise ValueError("the axis does not lie in the subalgebra")
     half = algebra.mode.half_eta()
     columns, shared = [], {}  # equal entries share one scalar: few are distinct
     for row in algebra.basis.rows:
@@ -203,11 +214,7 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
     Raises when the image dimensions do not sum to the dimension of the
     subalgebra; the message gives the kernel dimensions of ad_x - lambda.
     """
-    x = algebra.mode.vector(x, "axis")
-    if not x:
-        raise ValueError("axis must be nonzero")
-    if vec_product(algebra.space, x, x, algebra.mode.half_eta()) != x:
-        raise ValueError("axis must be an idempotent")
+    x = _axis(algebra, x)
     spectrum = tuple(spectrum)
     if len(spectrum) < 2 or len(set(spectrum)) < len(spectrum):
         raise ValueError("the spectrum needs two or more distinct values")
@@ -297,9 +304,8 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
     a double axis under M, ``_ambient_law``) passes without the pair loop,
     by restriction from the whole Matsuo algebra.
     """
-    x = algebra.mode.vector(x, "axis")
     dec = eigen_decompose(algebra, x, law.eigenvalues)
-    if law == _ambient_law(algebra, x) and algebra.is_closed():
+    if law == _ambient_law(algebra.mode, dec.axis) and algebra.is_closed():
         return FusionReport(law, dec, [])
     values = law.eigenvalues
     projections = []  # the Lagrange projection onto each part
@@ -337,23 +343,21 @@ def _pair_products(sp: FischerSpace, parts: Sequence[Sequence[Vec]], half):
                     yield li, mi, a, b, vec_product(sp, u, mpart[b], half)
 
 
-def _ambient_law(algebra: Subalgebra, x: Vec) -> Optional[FusionLaw]:
-    """The law x obeys in the whole Matsuo algebra A, when x lies in the
-    subalgebra B; None otherwise.  A point obeys J(eta) (Hall, Rehren and
-    Shpectorov 2015), and a sum of two orthogonal points M(2eta, eta) at
-    eta != 1/2 (Galt et al. 2021).  B_lambda = B meet A_lambda when B is
-    closed, which each caller checks as far as it needs.  An idempotent
-    with one point in its support is the point, and with two the points are
-    orthogonal with unit coefficients, so beside membership and idempotency
-    the support size is the only shape test.
+def _ambient_law(mode: ScalarMode, x: Vec) -> Optional[FusionLaw]:
+    """The law the axis x (as ``_axis`` passes it) obeys in the whole
+    Matsuo algebra A; None when restriction does not decide it.  A point
+    obeys J(eta) (Hall, Rehren and Shpectorov 2015), and a sum of two
+    orthogonal points M(2eta, eta) at eta != 1/2 (Galt et al. 2021).  An
+    idempotent with one point in its support is the point, and with two the
+    points are orthogonal with unit coefficients, so the rule reads the
+    support size and eta only.  B_lambda = B meet A_lambda when the
+    subalgebra B is closed, which each caller asks next (``is_closed``).
     """
     ambient = {1: jordan_law, 2: monster_law}.get(len(x))
-    if ambient is None or not algebra.contains(x):
-        return None
-    if vec_product(algebra.space, x, x, algebra.mode.half_eta()) != x:
+    if ambient is None:
         return None
     try:
-        return ambient(algebra.mode)
+        return ambient(mode)
     except ParameterDomainError:  # no Monster law at eta = 1/2
         return None
 
@@ -368,22 +372,16 @@ def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
     A_1(b + c) = <b, c> for orthogonal points b and c when eta is outside
     {0, 1, 1/2} (Galt, Joshi, Mamontov, Shpectorov and Staroletov, Comm.
     Algebra 2021).  So a point is primitive, and b + c is iff b is not in B
-    (else c = x - b is too).  That route still refuses a B that is not
-    ad_x-invariant: x has unit coefficients, so the parts of the products
-    of x with the rows of ``Subalgebra._product_coordinates`` (integer rows
-    when the basis is rational) must lie in the span.  Any other axis is
-    primitive iff ad_x - 1 has rank d - 1 on B, over the mode's scalars.
+    (else c = x - b is too), once ``is_closed`` holds; a B that is not
+    closed is refused.  Any other axis is primitive iff ad_x - 1 has rank
+    d - 1 on B, over the mode's scalars.
     """
-    x = algebra.mode.vector(x, "axis")
-    if not x:
-        raise ValueError("axis must be nonzero")
-    if _ambient_law(algebra, x) is None:
+    x = _axis(algebra, x)
+    if _ambient_law(algebra.mode, x) is None:
         (image,) = _spans(algebra, _adjoint(algebra, x), [_poly((algebra.mode.one(),))])
         return algebra.dimension - len(image) == 1
-    span, parts, _, _ = algebra._product_coordinates()
-    unit = dict.fromkeys(x, 1)  # the gate passes unit coefficients only
-    if any(span.reduce(part(unit, row)) for part in parts for row in span.rows):
-        raise ValueError("adjoint image left the subalgebra; not closed")
+    if not algebra.is_closed():
+        raise ValueError("basis is not closed under the product")
     return len(x) == 1 or not algebra.contains({min(x): algebra.mode.one()})
 
 
@@ -434,17 +432,18 @@ class MiyamotoMap:
 
     def preserves_products(self) -> bool:
         """Whether the map phi preserves each b_i * b_j; ValueError when the
-        basis is not closed, decided by the whole walk of
-        ``Subalgebra._product_coordinates`` before any product is compared.
-        On that walk c_i c_j b_i b_j is the sum of scale * part(r_i, r_j),
-        c_i the pivot entry of row r_i = c_i b_i, so phi preserves it iff the
-        sum of scale * part(c_i phi b_i, c_j phi b_j) equals the sum of
-        scale * sum of a_k phi(b_k), a the part's coordinates: one
-        comparison in the mode's scalars.
+        basis is not closed (``Subalgebra.is_closed``), decided before any
+        product is compared.  On the walk ``Subalgebra._product_coordinates``
+        c_i c_j b_i b_j is the sum of scale * part(r_i, r_j), c_i the pivot
+        entry of row r_i = c_i b_i, so phi preserves it iff the sum of
+        scale * part(c_i phi b_i, c_j phi b_j) equals the sum of scale * sum
+        of a_k phi(b_k), a the part's coordinates: one comparison in the
+        mode's scalars.
         """
         alg = self.algebra
+        if not alg.is_closed():
+            raise ValueError("basis is not closed under the product")
         span, parts, scales, pairs = alg._product_coordinates()
-        pairs = list(pairs)  # the closure verdict, before any comparison
         images = [alg.row_vector(col) for col in zip(*self.matrix)]
         left = [vec_scale(t, row[p]) for t, row, p in zip(images, span.rows, span.pivot_of_row)]
         image = lambda a: vec_combination(map(images.__getitem__, a), a.values())  # phi(a)
@@ -463,22 +462,18 @@ def miyamoto_algebra_map(algebra: Subalgebra, x: Vec, law: FusionLaw) -> Miyamot
     whole algebra A the involution that composes its points' reflections,
     each verified as a Fischer-space automorphism, so an automorphism of A.
     B_lambda = B meet A_lambda, so that permutation preserves a closed B and
-    restricts to an automorphism of it: the route checks invariance
-    (``permutation_matrix_on``), closure (``is_closed``) and the involution,
-    and takes no product of images.  Any other axis or
+    restricts to an automorphism of it: the route checks closure
+    (``is_closed``), invariance (``permutation_matrix_on``) and the
+    involution, and takes no product of images.  Any other axis or
     law is checked first, column c is e_c - 2 P_odd(e_c) in coordinates,
     and the map is checked to be an involution that preserves products.
     """
-    x = algebra.mode.vector(x, "axis")
-    restricted = law == _ambient_law(algebra, x)
+    x = _axis(algebra, x)
+    restricted = law == _ambient_law(algebra.mode, x)
     if restricted:
-        perm = _composed_reflections(algebra.space, x)
-        try:
-            matrix = permutation_matrix_on(algebra, perm)
-        except ValueError as exc:  # a closed B is invariant, by the theorem
-            raise ValueError("subalgebra not invariant under tau_x; not closed") from exc
         if not algebra.is_closed():
             raise ValueError("basis is not closed under the product")
+        matrix = permutation_matrix_on(algebra, _composed_reflections(algebra.space, x))
     elif (report := check_fusion(algebra, x, law)).passed:
         *even, odd = law.eigenvalues  # the eta part, last in both laws
         mirror = _poly(even, -2 / math.prod(odd - mu for mu in even))

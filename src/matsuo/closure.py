@@ -25,9 +25,9 @@ no poles.  The Q(eta) worklist still runs when a generator coefficient
 involves eta (``scalars.rational_vec`` decides), or when the check fails at
 eta1.  Pivots are chosen in one place, ``EchelonBasis.insert``.
 
-Closure verdicts on a basis walk its products a part at a time
-(``_part_walk``, ``Subalgebra._product_coordinates``): rational rows over
-Z, and the certificate above is the H part alone.
+Closure verdicts on a basis given by hand walk its products a part at a
+time (``_part_walk``, ``Subalgebra._product_coordinates``): rational rows
+over Z, and the certificate above is the H part alone.
 """
 
 from __future__ import annotations
@@ -311,7 +311,8 @@ def vec_combination(vectors: Iterable[Vec], scales: Iterable) -> Vec:
 
 @dataclass
 class Subalgebra:
-    """Product-closed subspace with generator metadata."""
+    """Product-closed subspace with generator metadata.  Its basis is not
+    changed after construction."""
 
     space: FischerSpace
     mode: ScalarMode
@@ -366,8 +367,10 @@ class Subalgebra:
         return tensor
 
     def is_closed(self) -> bool:
-        """Whether the basis is closed under the product; no entry is kept."""
-        return _is_closed_under(*self._product_coordinates()[:2])
+        """Whether the basis is closed under the product: at once when
+        products_computed > 0, as ``close`` proved it; a basis given by hand
+        (products_computed = 0) is walked, and no entry is kept."""
+        return self.products_computed > 0 or _is_closed_under(*self._product_coordinates()[:2])
 
     def export(self, include_structure: bool = False) -> dict:
         data = {

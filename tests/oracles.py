@@ -110,10 +110,17 @@ def product_verdicts(algebra: Subalgebra, matrices) -> tuple:
     return tensor is not None, tensor, preserved
 
 
+def given_by_hand(algebra: Subalgebra) -> Subalgebra:
+    """The same basis and generators with products_computed = 0, as a basis
+    given by hand: ``is_closed`` walks it."""
+    return Subalgebra(algebra.space, algebra.mode, algebra.generators, algebra.basis)
+
+
 def walk_verdicts(algebra: Subalgebra, matrices) -> tuple:
     """The verdicts of ``product_verdicts`` from the engine's own
-    ``is_closed``, ``structure_constants`` and ``preserves_products``."""
-    closed = algebra.is_closed()
+    ``is_closed``, ``structure_constants`` and ``preserves_products``; the
+    closure verdict is the walk, also for a basis ``close`` returned."""
+    closed = given_by_hand(algebra).is_closed()
     tensor = algebra.structure_constants() if closed else None
     preserved = []
     for matrix in matrices:

@@ -28,7 +28,7 @@ from matsuo.algebra import (
     vec_product,
 )
 from matsuo.closure import ScalarMode
-from matsuo.fischer import build_named_space
+from matsuo.fischer import NAMED_FAMILIES, build_named_space
 from matsuo.scalars import EtaPoly, EtaScalar, square_free_part
 
 from oracles import int_matrix_rank
@@ -286,6 +286,20 @@ class TestGram:
             assert eigenvalue_multiplicity(sp, lam) == mult
         # the ranks leave no room for another eigenvalue
         assert sum(spectrum.values()) == len(sp.points)
+
+    def test_spectrum_rational_up_to_180_points(self):
+        # the README's claim: every named family at each n whose space has
+        # at most 180 points (the first n is 3 for A, 2 for the others)
+        sizes = []
+        for family in NAMED_FAMILIES:
+            n = 3 if family == "A" else 2
+            while len((sp := build_named_space(family, n)).points) <= 180:
+                spectrum = adjacency_spectrum(sp)
+                assert spectrum is not None, (family, n)
+                assert sum(spectrum.values()) == len(sp.points)
+                sizes.append(len(sp.points))
+                n += 1
+        assert (len(sizes), max(sizes)) == (68, 180)
 
     def test_irrational_spectrum_fallbacks(self, monkeypatch):
         import matsuo.algebra as algebra_mod

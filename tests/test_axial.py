@@ -51,6 +51,7 @@ from matsuo.scalars import EtaScalar
 from oracles import (
     ambient_image,
     close_over_qeta,
+    given_by_hand,
     int_matrix_rank,
     product_verdicts,
     reinserted_rows,
@@ -174,6 +175,7 @@ class TestEigenDecompose:
         law = jordan_law(SYM)
         for call in (
             lambda: eigen_decompose(alg, {0: ONE + ONE}, law.eigenvalues),
+            lambda: check_primitive(alg, {0: ONE + ONE}),
             lambda: miyamoto_algebra_map(alg, {0: ONE + ONE}, law),
         ):
             with pytest.raises(ValueError, match="axis must be an idempotent"):
@@ -650,6 +652,15 @@ class TestPrimitivity:
         for pair in dec.doubles:
             assert check_primitive(fixed, orbit_vector(pair, ONE))
 
+    def test_refuses_an_invariant_span_that_is_not_closed(self, restriction):
+        # x passes the gate and the span is ad_x-invariant, but not closed:
+        # is_closed walks the basis given by hand and finds the product
+        for mode in (SYM, EV7):
+            alg, x = invariant_span_not_closed(mode)
+            with pytest.raises(ValueError, match="basis is not closed under the product"):
+                check_primitive(alg, x)
+        assert restriction.verdicts == [monster_law(SYM), monster_law(EV7)]
+
 
 class TestEvaluatedAxis:
     """The axial entry points take the axis through ScalarMode.vector: at
@@ -784,7 +795,8 @@ class TestMiyamotoAlgebraMap:
     def test_products_on_the_fusion_workload(self, monkeypatch):
         # on the benchmark's input, eigen_decompose takes one product of the
         # axis per basis row beside its idempotency check; the restricted
-        # map's one walk is the closure walk of is_closed: the coordinatewise
+        # map takes no product, since close proved the basis closed.  The
+        # same basis given by hand is walked by is_closed: the coordinatewise
         # and line parts of each unordered pair of integer basis rows, no
         # product of images and none over Q(eta)
         tau = standard_flip("Wr3x3", 2)
@@ -797,7 +809,9 @@ class TestMiyamotoAlgebraMap:
         assert len(adjoint_products) == d + 1
         line_parts = counted_products(monkeypatch, closure_module)
         coordinatewise_parts = counted_products(monkeypatch, closure_module, "vec_hadamard")
-        miyamoto_algebra_map(alg, x, law)
+        tau_x = miyamoto_algebra_map(alg, x, law).matrix
+        assert line_parts == coordinatewise_parts == []
+        assert miyamoto_algebra_map(given_by_hand(alg), x, law).matrix == tau_x
         pairs = d * (d + 1) // 2
         assert len(line_parts) == len(coordinatewise_parts) == pairs == 465
         assert all(args[3:] == (1, 0) for args in line_parts)

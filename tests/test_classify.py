@@ -1,5 +1,6 @@
 """Type-D configuration enumeration and the classification census."""
 
+import importlib
 import json
 from collections import Counter
 from fractions import Fraction
@@ -141,6 +142,16 @@ class TestClassify:
             assert disconnected_configs_are_direct_sums(sp, EV7, disconnected)
             if family != "W3A":
                 assert any(len(c.generator_partition(sp)) > 1 for c in disconnected)
+
+    def test_a_split_that_is_not_direct_fails(self, monkeypatch):
+        # with is_direct_sum refusing every split, W2D:4 (first point fixed)
+        # has a disconnected configuration whose generators split, so the
+        # census check answers False
+        sp = build_named_space("W2D", 4)
+        configs = list(enumerate_configs(sp, first_point=0))
+        module = importlib.import_module("matsuo.classify")  # the package exports classify()
+        monkeypatch.setattr(module, "is_direct_sum", lambda algebra, partition: False)
+        assert not disconnected_configs_are_direct_sums(sp, EV7, configs)
 
     def test_generator_partition_matches_oracle(self):
         # every configuration of A:5, and with the first point fixed of W3A:4

@@ -116,6 +116,20 @@ def test_fusion_double_axis_monster(capsys):
     assert code == 0 and data["violations"] == []
 
 
+@pytest.mark.parametrize("mode,dims", [
+    ([], {"1": 2, "0": 1, "2*eta": 1, "eta": 0}),
+    (["--mode", "7"], {"1": 2, "0": 1, "14": 1, "7": 0}),
+])
+def test_fusion_in_the_closure_of_gens(capsys, mode, dims):
+    # the 4-dim closure of b(1,2), b(3,4) and b(1,3)+b(2,4): no eta part
+    code, data = run_cli(
+        capsys, "fusion", "--ambient", "A:4", "--axis", "b(1,2)+b(3,4)", "--law", "M",
+        "--gens", "b(1,2);b(3,4);b(1,3)+b(2,4)", *mode,
+    )
+    assert code == 0 and data["violations"] == []
+    assert data["eigen_dims"] == dims
+
+
 def test_fusion_monster_at_half_refused(capsys):
     # 2*eta = 1 at eta = 1/2, so the Monster-type spectrum is not distinct
     code = main([

@@ -32,7 +32,13 @@ from matsuo.flips import (
 )
 from matsuo.scalars import ETA, EtaPoly, EtaScalar
 
-from oracles import close_over_qeta, product_verdicts, reinserted_rows, walk_verdicts
+from oracles import (
+    close_over_qeta,
+    given_by_hand,
+    product_verdicts,
+    reinserted_rows,
+    walk_verdicts,
+)
 
 SYM = ScalarMode.symbolic()
 ONE = SYM.one()
@@ -170,7 +176,7 @@ class TestClose:
         sp = line_space()
         alg = close(sp, [{0: ONE}, {1: ONE}, {2: ONE}], SYM)
         assert alg.dimension == 3
-        assert alg.is_closed()
+        assert given_by_hand(alg).is_closed()
 
     def test_two_points_generate_their_line(self):
         sp = line_space()
@@ -402,8 +408,10 @@ class TestSpecializedDimension:
 
     def test_symbolic_dimension_too_high_fails(self):
         sp = line_space()
-        alg = close(sp, [{0: ONE}], SYM)
-        alg.basis.insert({1: ONE})
+        basis = EchelonBasis(SYM)
+        basis.insert({0: ONE})
+        basis.insert({1: ONE})
+        alg = Subalgebra(sp, SYM, [({0: ONE}, "a")], basis)
         # all 16 candidates 3, 4, 6, ..., 19 fall short; none certifies
         with pytest.raises(RuntimeError, match=r"rank 1 at eta1 = 19,"):
             specialized_dimension(alg, 5)
@@ -490,14 +498,14 @@ class TestCertifiedClosure:
         gens = [{0: ONE, 4: EtaScalar.eta()}, {7: ONE}]
         alg = close(sp, gens, SYM)
         assert worklist_modes == [SYM]
-        assert alg.is_closed()
+        assert given_by_hand(alg).is_closed()
         assert alg.basis.canonical_rows() == close_over_qeta(sp, gens).basis.canonical_rows()
 
     def test_rational_constants_in_any_form(self, worklist_modes):
         sp = line_space()
         alg = close(sp, [{0: EtaScalar(2, 3)}, {1: Fraction(-1)}, {2: 5}], SYM)
         assert worklist_modes == [ScalarMode.evaluated(7)]
-        assert alg.dimension == 3 and alg.is_closed()
+        assert alg.dimension == 3 and given_by_hand(alg).is_closed()
 
     def test_consistency_check_results(self, wr3x3_flip):
         gens = [g for g, _ in wr3x3_flip.generators]
@@ -672,7 +680,11 @@ class TestProductWalk:
     mode's scalars (tests/oracles.product_coordinates)."""
 
     def test_module_closures_match_oracle(self):
-        assert all(assert_walk_matches_oracle(alg) for alg in module_closures())
+        # is_closed trusts a close result, which took products; the walk of
+        # the same basis given by hand agrees with the oracle
+        closures = module_closures()
+        assert all(alg.products_computed > 0 and alg.is_closed() for alg in closures)
+        assert all(assert_walk_matches_oracle(alg) for alg in closures)
 
     @pytest.mark.parametrize("eta0", [None, 7])
     @pytest.mark.parametrize("family", ["W2A", "W3A", "Wr3x3"])
