@@ -3,8 +3,9 @@
 Single axes follow the Jordan-type law with eigenvalues (1, 0, eta); sums of
 two orthogonal axes follow the Monster-type law with eigenvalues
 (1, 0, 2*eta, eta).  The spectrum is known in advance from the law, so no
-root-finding is involved.  ad_x on a closed subalgebra is formed once, as
-sparse columns: column c holds the coordinates of x*b_c on the basis.
+root-finding is involved.  ad_x on a subalgebra, closed as every
+``Subalgebra`` is, is formed once, as sparse columns: column c holds the
+coordinates of x*b_c on the basis.
 Every polynomial in ad_x is then read off the Krylov vectors w, A w,
 A^2 w, ... of a coordinate vector w: the Lagrange projections P_k = prod
 over mu != lambda_k of (ad_x - mu) / (lambda_k - mu), whose images are the
@@ -13,10 +14,10 @@ polynomials of the fusion cells.  Every entry point takes the axis through
 ``_axis``: a nonzero idempotent of the subalgebra, over the mode's scalars.
 
 In the whole Matsuo algebra a point obeys the Jordan law and a sum of two
-orthogonal points the Monster law (``_ambient_law``).  In a closed
-subalgebra such an axis passes by restriction, is primitive unless it is
-b + c with b in the subalgebra, and its Miyamoto involution composes its
-points' reflections, each a verified automorphism of the Fischer space.
+orthogonal points the Monster law (``_ambient_law``).  A subalgebra is
+closed by construction, so such an axis passes by restriction, is primitive
+unless it is b + c with b in the subalgebra, and its Miyamoto involution
+composes its points' reflections, each a verified automorphism of the Fischer space.
 Every other axis or law is checked pair by pair over the eigenvectors,
 which alone reports violations, its primitivity is the rank of ad_x - 1,
 and its Miyamoto involution is I - 2 * P_odd for the eta part, checked to
@@ -141,13 +142,12 @@ def _axis(algebra: Subalgebra, x: Vec) -> Vec:
 
 def _adjoint(algebra: Subalgebra, x: Vec) -> list[Vec]:
     """ad_x on the subalgebra basis as sparse columns: column c holds the
-    coordinates of x*b_c, one product and one reduction each."""
+    coordinates of x*b_c, one product and one reduction each; x*b_c lies in
+    the closed subalgebra, as x does (``_axis``)."""
     half = algebra.mode.half_eta()
     columns, shared = [], {}  # equal entries share one scalar: few are distinct
     for row in algebra.basis.rows:
         coords = algebra.coordinates(vec_product(algebra.space, x, row, half))
-        if coords is None:
-            raise ValueError("adjoint image left the subalgebra; not closed")
         columns.append({i: shared.setdefault(v, v) for i, v in enumerate(coords) if v})
     return columns
 
@@ -300,12 +300,12 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
     disallowed part on which the product has a nonzero component.  Both are
     read off the Krylov vectors of the product's coordinates.
 
-    In a closed subalgebra an axis under its ambient law (a point under J,
-    a double axis under M, ``_ambient_law``) passes without the pair loop,
-    by restriction from the whole Matsuo algebra.
+    An axis under its ambient law (a point under J, a double axis under M,
+    ``_ambient_law``) passes without the pair loop, by restriction from the
+    whole Matsuo algebra to the closed subalgebra.
     """
     dec = eigen_decompose(algebra, x, law.eigenvalues)
-    if law == _ambient_law(algebra.mode, dec.axis) and algebra.is_closed():
+    if law == _ambient_law(algebra.mode, dec.axis):
         return FusionReport(law, dec, [])
     values = law.eigenvalues
     projections = []  # the Lagrange projection onto each part
@@ -317,9 +317,7 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
     start = list(accumulate(map(len, parts), initial=0))
     violations: list[FusionViolation] = []
     for li, mi, a, b, w in _pair_products(algebra.space, parts, algebra.mode.half_eta()):
-        dense = algebra.coordinates(w)
-        if dense is None:
-            raise ValueError("eigenvector product left the subalgebra")
+        dense = algebra.coordinates(w)  # eigenvectors lie in the closed subalgebra
         allowed = law.allowed(li, mi)
         powers = [{c: v for c, v in enumerate(dense) if v}]
         if not _images(dec.adjoint, powers, [_poly([values[k] for k in sorted(allowed)])])[0]:
@@ -350,8 +348,9 @@ def _ambient_law(mode: ScalarMode, x: Vec) -> Optional[FusionLaw]:
     orthogonal points M(2eta, eta) at eta != 1/2 (Galt et al. 2021).  An
     idempotent with one point in its support is the point, and with two the
     points are orthogonal with unit coefficients, so the rule reads the
-    support size and eta only.  B_lambda = B meet A_lambda when the
-    subalgebra B is closed, which each caller asks next (``is_closed``).
+    support size and eta only.  B_lambda = B meet A_lambda, as the
+    subalgebra B is closed (``Subalgebra``), so each caller's restricted
+    route is ``law == _ambient_law(mode, x)`` alone.
     """
     ambient = {1: jordan_law, 2: monster_law}.get(len(x))
     if ambient is None:
@@ -372,16 +371,14 @@ def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
     A_1(b + c) = <b, c> for orthogonal points b and c when eta is outside
     {0, 1, 1/2} (Galt, Joshi, Mamontov, Shpectorov and Staroletov, Comm.
     Algebra 2021).  So a point is primitive, and b + c is iff b is not in B
-    (else c = x - b is too), once ``is_closed`` holds; a B that is not
-    closed is refused.  Any other axis is primitive iff ad_x - 1 has rank
-    d - 1 on B, over the mode's scalars.
+    (else c = x - b is too), as B is closed (``Subalgebra``).  Any other
+    axis is primitive iff ad_x - 1 has rank d - 1 on B, over the mode's
+    scalars.
     """
     x = _axis(algebra, x)
     if _ambient_law(algebra.mode, x) is None:
         (image,) = _spans(algebra, _adjoint(algebra, x), [_poly((algebra.mode.one(),))])
         return algebra.dimension - len(image) == 1
-    if not algebra.is_closed():
-        raise ValueError("basis is not closed under the product")
     return len(x) == 1 or not algebra.contains({min(x): algebra.mode.one()})
 
 
@@ -431,18 +428,15 @@ class MiyamotoMap:
         )
 
     def preserves_products(self) -> bool:
-        """Whether the map phi preserves each b_i * b_j; ValueError when the
-        basis is not closed (``Subalgebra.is_closed``), decided before any
-        product is compared.  On the walk ``Subalgebra._product_coordinates``
-        c_i c_j b_i b_j is the sum of scale * part(r_i, r_j), c_i the pivot
-        entry of row r_i = c_i b_i, so phi preserves it iff the sum of
+        """Whether the map phi preserves each b_i * b_j of the closed basis.
+        On the walk ``Subalgebra._product_coordinates`` c_i c_j b_i b_j is
+        the sum of scale * part(r_i, r_j), c_i the pivot entry of row
+        r_i = c_i b_i, so phi preserves it iff the sum of
         scale * part(c_i phi b_i, c_j phi b_j) equals the sum of scale * sum
         of a_k phi(b_k), a the part's coordinates: one comparison in the
         mode's scalars.
         """
         alg = self.algebra
-        if not alg.is_closed():
-            raise ValueError("basis is not closed under the product")
         span, parts, scales, pairs = alg._product_coordinates()
         images = [alg.row_vector(col) for col in zip(*self.matrix)]
         left = [vec_scale(t, row[p]) for t, row, p in zip(images, span.rows, span.pivot_of_row)]
@@ -461,18 +455,16 @@ def miyamoto_algebra_map(algebra: Subalgebra, x: Vec, law: FusionLaw) -> Miyamot
     Shpectorov 2015; a double axis under M, Galt et al. 2021) has in the
     whole algebra A the involution that composes its points' reflections,
     each verified as a Fischer-space automorphism, so an automorphism of A.
-    B_lambda = B meet A_lambda, so that permutation preserves a closed B and
-    restricts to an automorphism of it: the route checks closure
-    (``is_closed``), invariance (``permutation_matrix_on``) and the
-    involution, and takes no product of images.  Any other axis or
-    law is checked first, column c is e_c - 2 P_odd(e_c) in coordinates,
-    and the map is checked to be an involution that preserves products.
+    B_lambda = B meet A_lambda, so that permutation preserves B, closed by
+    construction, and restricts to an automorphism of it: the route checks
+    invariance (``permutation_matrix_on``) and the involution, and takes no
+    product of images.  Any other axis or law is checked first, column c is
+    e_c - 2 P_odd(e_c) in coordinates, and the map is checked to be an
+    involution that preserves products.
     """
     x = _axis(algebra, x)
     restricted = law == _ambient_law(algebra.mode, x)
     if restricted:
-        if not algebra.is_closed():
-            raise ValueError("basis is not closed under the product")
         matrix = permutation_matrix_on(algebra, _composed_reflections(algebra.space, x))
     elif (report := check_fusion(algebra, x, law)).passed:
         *even, odd = law.eigenvalues  # the eta part, last in both laws

@@ -155,7 +155,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             mode = _parse_mode(args.mode)
             if not mode.is_safe_for(sp) and not args.allow_critical:
                 raise UnsafeEtaError(
-                    f"eta {mode.describe()} is degenerate for {args.ambient};"
+                    f"{mode.describe()} is degenerate for {args.ambient};"
                     " pass --allow-critical to proceed"
                 )
             gens = _parse_generators(sp, args.gens, mode)

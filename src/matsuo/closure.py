@@ -25,9 +25,11 @@ no poles.  The Q(eta) worklist still runs when a generator coefficient
 involves eta (``scalars.rational_vec`` decides), or when the check fails at
 eta1.  Pivots are chosen in one place, ``EchelonBasis.insert``.
 
-Closure verdicts on a basis given by hand walk its products a part at a
-time (``_part_walk``, ``Subalgebra._product_coordinates``): rational rows
-over Z, and the certificate above is the H part alone.
+A basis given by hand is walked once, when it becomes a ``Subalgebra``,
+a part at a time (``_part_walk``, ``Subalgebra._product_coordinates``):
+rational rows over Z, and the certificate above is the H part alone.  A
+basis that is not closed is refused there, so every ``Subalgebra`` is
+closed.
 """
 
 from __future__ import annotations
@@ -312,13 +314,23 @@ def vec_combination(vectors: Iterable[Vec], scales: Iterable) -> Vec:
 @dataclass
 class Subalgebra:
     """Product-closed subspace with generator metadata.  Its basis is not
-    changed after construction."""
+    changed after construction.
+
+    Closure is checked here and nowhere else: a basis given by hand
+    (products_computed = 0) is walked once, and ValueError is raised when a
+    product leaves its span.  Only ``close`` passes a product count; its
+    run proved closure after one product or more, so it is not walked.
+    """
 
     space: FischerSpace
     mode: ScalarMode
     generators: list[tuple[Vec, str]]
     basis: EchelonBasis
     products_computed: int = 0
+
+    def __post_init__(self):
+        if not self.products_computed and not _is_closed_under(*self._product_coordinates()[:2]):
+            raise ValueError("basis is not closed under the product")
 
     @property
     def dimension(self) -> int:
@@ -355,8 +367,7 @@ class Subalgebra:
 
     def structure_constants(self) -> list[list[dict[int, object]]]:
         """Sparse tensor: entry [i][j] maps basis index k to the coefficient
-        of basis_k in basis_i * basis_j; symmetric.  ValueError when a
-        product leaves the span."""
+        of basis_k in basis_i * basis_j; symmetric."""
         span, _, scales, pairs = self._product_coordinates()
         lead = [row[p] for row, p in zip(span.rows, span.pivot_of_row)]
         d = self.dimension
@@ -365,12 +376,6 @@ class Subalgebra:
             cell = vec_combination(coords, scales)
             tensor[i][j] = tensor[j][i] = {k: cell[k] / (lead[i] * lead[j]) for k in sorted(cell)}
         return tensor
-
-    def is_closed(self) -> bool:
-        """Whether the basis is closed under the product: at once when
-        products_computed > 0, as ``close`` proved it; a basis given by hand
-        (products_computed = 0) is walked, and no entry is kept."""
-        return self.products_computed > 0 or _is_closed_under(*self._product_coordinates()[:2])
 
     def export(self, include_structure: bool = False) -> dict:
         data = {

@@ -293,8 +293,6 @@ def build_named_space(family: str, n: int) -> FischerSpace:
         raise ValueError(f"unknown family {family!r}; choose from {NAMED_FAMILIES}")
     if family == "A" and n < 3:
         raise ValueError("family A needs n >= 3")
-    if n < 2:
-        raise ValueError("need n >= 2")
     group, letters = _NAMED[family]
     base = builtin_group(group)
 

@@ -69,66 +69,61 @@ def ambient_image(algebra: Subalgebra, x: Vec, roots) -> EchelonBasis:
     return span
 
 
-def product_coordinates(algebra: Subalgebra):
+def product_coordinates(space: FischerSpace, mode: ScalarMode, basis: EchelonBasis):
     """(i, j, coordinates of basis_i * basis_j) for each i <= j, each product
     taken over the mode's scalars and reduced by the basis; ValueError when
     a product leaves the span: the reference for the part walk of
     ``Subalgebra._product_coordinates``."""
-    half = algebra.mode.half_eta()
-    rows = algebra.basis.rows
+    half = mode.half_eta()
+    rows = basis.rows
     for i, u in enumerate(rows):
         for j in range(i, len(rows)):
-            coords = algebra.basis.coordinates(vec_product(algebra.space, u, rows[j], half))
+            coords = basis.coordinates(vec_product(space, u, rows[j], half))
             if coords is None:
                 raise ValueError("basis is not closed under the product")
             yield i, j, coords
 
 
-def product_verdicts(algebra: Subalgebra, matrices) -> tuple:
+def product_verdicts(space: FischerSpace, mode: ScalarMode, basis: EchelonBasis, matrices) -> tuple:
     """By ``product_coordinates``: whether the basis is closed, its
     structure constants (None when not closed), and per matrix whether the
-    map preserves the products ("not closed" when the basis is not, decided
-    before any product of images is compared)."""
+    map preserves the products ("not closed" when the basis is not)."""
     try:
-        tensor = [[{}] * algebra.dimension for _ in range(algebra.dimension)]
-        for i, j, coords in product_coordinates(algebra):
+        tensor = [[{}] * len(basis) for _ in range(len(basis))]
+        for i, j, coords in product_coordinates(space, mode, basis):
             tensor[i][j] = tensor[j][i] = {k: c for k, c in enumerate(coords) if c}
     except ValueError:
-        tensor = None
-    half, preserved = algebra.mode.half_eta(), []
+        return False, None, ["not closed"] * len(matrices)
+    half, preserved = mode.half_eta(), []
     for matrix in matrices:
-        if tensor is None:
-            preserved.append("not closed")
-            continue
-        images = [algebra.row_vector(col) for col in zip(*matrix)]
+        images = [vec_combination(basis.rows, col) for col in zip(*matrix)]
         preserved.append(all(
-            vec_product(algebra.space, images[i], images[j], half)
+            vec_product(space, images[i], images[j], half)
             == vec_combination(map(images.__getitem__, cell), cell.values())
             for i, row in enumerate(tensor)
             for j, cell in enumerate(row[i:], i)
         ))
-    return tensor is not None, tensor, preserved
+    return True, tensor, preserved
 
 
 def given_by_hand(algebra: Subalgebra) -> Subalgebra:
     """The same basis and generators with products_computed = 0, as a basis
-    given by hand: ``is_closed`` walks it."""
+    given by hand: its construction walks it, and raises when it is not
+    closed."""
     return Subalgebra(algebra.space, algebra.mode, algebra.generators, algebra.basis)
 
 
-def walk_verdicts(algebra: Subalgebra, matrices) -> tuple:
-    """The verdicts of ``product_verdicts`` from the engine's own
-    ``is_closed``, ``structure_constants`` and ``preserves_products``; the
-    closure verdict is the walk, also for a basis ``close`` returned."""
-    closed = given_by_hand(algebra).is_closed()
-    tensor = algebra.structure_constants() if closed else None
-    preserved = []
-    for matrix in matrices:
-        try:
-            preserved.append(MiyamotoMap(algebra, matrix).preserves_products())
-        except ValueError:
-            preserved.append("not closed")
-    return closed, tensor, preserved
+def walk_verdicts(space: FischerSpace, mode: ScalarMode, basis: EchelonBasis, matrices) -> tuple:
+    """The verdicts of ``product_verdicts`` from the engine: whether the
+    basis given by hand becomes a ``Subalgebra``, whose construction walks
+    it, and that subalgebra's ``structure_constants`` and
+    ``preserves_products``."""
+    try:
+        algebra = Subalgebra(space, mode, [], basis)
+    except ValueError:
+        return False, None, ["not closed"] * len(matrices)
+    preserved = [MiyamotoMap(algebra, matrix).preserves_products() for matrix in matrices]
+    return True, algebra.structure_constants(), preserved
 
 
 def close_over_qeta(sp: FischerSpace, gens: list[Vec]) -> Subalgebra:

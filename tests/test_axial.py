@@ -24,7 +24,7 @@ from matsuo.axial import (
     permutation_matrix_on,
     tau_composition_identity,
 )
-from matsuo.algebra import frobenius_value, vec_product, vec_scale, vec_sub
+from matsuo.algebra import frobenius_value, vec_hadamard, vec_product, vec_scale, vec_sub
 from matsuo.classify import enumerate_configs
 from matsuo.closure import (
     EchelonBasis,
@@ -206,35 +206,25 @@ class TestEigenDecompose:
                     call()
 
     def test_subalgebra_not_closed(self):
-        # span(b0, b1) in the line algebra: b0 * b1 has a b2 component.
-        # Neither the identity nor b0 -> -b0, which fails on b0 * b0 = b0
-        # before the walk reaches b0 * b1, gets a product verdict
+        # span(b0, b1) in the line algebra: b0 * b1 has a b2 component, and
+        # b0 is an idempotent in the span, but no axial entry point can be
+        # given the span: it never becomes a Subalgebra
         sp = build_named_space("A", 3)
         for mode in (SYM, EV7):
             basis = EchelonBasis(mode)
             basis.insert({0: mode.one()})
             basis.insert({1: mode.one()})
-            alg = Subalgebra(sp, mode, [], basis)
-            x = {0: mode.one()}
-            one, zero = mode.one(), mode.zero()
-            maps = [[[one, zero], [zero, one]], [[-one, zero], [zero, one]]]
-            for call in (
-                lambda: eigen_decompose(alg, x, jordan_law(mode).eigenvalues),
-                lambda: check_primitive(alg, x),
-                lambda: miyamoto_algebra_map(alg, x, jordan_law(mode)),
-            ):
-                with pytest.raises(ValueError, match="not closed"):
-                    call()
-            for matrix in maps:
-                with pytest.raises(ValueError, match="basis is not closed under the product"):
-                    axial.MiyamotoMap(alg, matrix).preserves_products()
-            assert product_verdicts(alg, maps)[2] == ["not closed"] * 2
+            assert basis.contains(vec_product(sp, {0: mode.one()}, {0: mode.one()}, mode.half_eta()))
+            with pytest.raises(ValueError, match="basis is not closed under the product"):
+                Subalgebra(sp, mode, [], basis)
+            assert product_verdicts(sp, mode, basis, [])[0] is False
 
 
 def invariant_span_not_closed(mode):
     """The 1- and eta-eigenspaces of x = b(1,2) + b(3,4) in the full A:4
-    algebra, and x: a rational span, invariant under ad_x and under tau_x,
-    that is not closed, since (b(1,3) - b(2,4))^2 = b(1,3) + b(2,4)."""
+    algebra, as a basis given by hand, with its space and x: a rational
+    span, invariant under ad_x and under tau_x, that is not closed, since
+    (b(1,3) - b(2,4))^2 = b(1,3) + b(2,4)."""
     sp = build_named_space("A", 4)
     pt, one = sp.point_of_label, mode.one()
     basis = EchelonBasis(mode)
@@ -245,7 +235,16 @@ def invariant_span_not_closed(mode):
         {pt("b(1,4)"): one, pt("b(2,3)"): -one},
     ):
         basis.insert(vec)
-    return Subalgebra(sp, mode, [], basis), {pt("b(1,2)"): one, pt("b(3,4)"): one}
+    return sp, basis, {pt("b(1,2)"): one, pt("b(3,4)"): one}
+
+
+def assert_refused_at_construction(mode, invariant):
+    """invariant_span_not_closed(mode) keeps each of its rows inside it
+    under invariant(space, x, row), yet never becomes a Subalgebra."""
+    sp, basis, x = invariant_span_not_closed(mode)
+    assert all(basis.contains(invariant(sp, x, row)) for row in basis.rows)
+    with pytest.raises(ValueError, match="basis is not closed under the product"):
+        Subalgebra(sp, mode, [], basis)
 
 
 def tightened(law, cell, allowed):
@@ -512,12 +511,13 @@ class TestFusionPointCertificate:
         ]
 
     def test_product_leaving_the_subalgebra(self, restriction):
-        # x obeys M in the whole algebra, but the span is not closed: the
-        # closure walk sends it to the pair loop, which finds the product
-        alg, x = invariant_span_not_closed(SYM)
-        with pytest.raises(ValueError, match="left the subalgebra"):
-            check_fusion(alg, x, monster_law(SYM))
-        assert restriction.verdicts == [monster_law(SYM)]
+        # x obeys M in the whole algebra and the span is ad_x-invariant, but
+        # a product leaves it: construction refuses the span, so neither the
+        # restriction gate nor the pair loop is asked
+        for mode in (SYM, EV7):
+            half = mode.half_eta()
+            assert_refused_at_construction(mode, lambda sp, x, row: vec_product(sp, x, row, half))
+        assert restriction.verdicts == []
 
     def test_skipped_without_rational_inputs(self, restriction):
         sp = build_named_space("A", 4)
@@ -652,14 +652,16 @@ class TestPrimitivity:
         for pair in dec.doubles:
             assert check_primitive(fixed, orbit_vector(pair, ONE))
 
-    def test_refuses_an_invariant_span_that_is_not_closed(self, restriction):
-        # x passes the gate and the span is ad_x-invariant, but not closed:
-        # is_closed walks the basis given by hand and finds the product
+    def test_refuses_an_invariant_span_that_is_not_closed(self):
+        # x would pass the gate, and the span is invariant under ad_x - 1,
+        # but it is not closed: construction walks the basis given by hand
+        # and finds the product
         for mode in (SYM, EV7):
-            alg, x = invariant_span_not_closed(mode)
-            with pytest.raises(ValueError, match="basis is not closed under the product"):
-                check_primitive(alg, x)
-        assert restriction.verdicts == [monster_law(SYM), monster_law(EV7)]
+            assert axial._ambient_law(mode, invariant_span_not_closed(mode)[2]) == monster_law(mode)
+            half = mode.half_eta()
+            assert_refused_at_construction(
+                mode, lambda sp, x, row: vec_sub(vec_product(sp, x, row, half), row)
+            )
 
 
 class TestEvaluatedAxis:
@@ -796,7 +798,7 @@ class TestMiyamotoAlgebraMap:
         # on the benchmark's input, eigen_decompose takes one product of the
         # axis per basis row beside its idempotency check; the restricted
         # map takes no product, since close proved the basis closed.  The
-        # same basis given by hand is walked by is_closed: the coordinatewise
+        # same basis given by hand is walked at construction: the coordinatewise
         # and line parts of each unordered pair of integer basis rows, no
         # product of images and none over Q(eta)
         tau = standard_flip("Wr3x3", 2)
@@ -829,13 +831,35 @@ class TestMiyamotoAlgebraMap:
         assert len(calls["eigen_decompose"]) == 1
         assert mm.matrix == permutation_matrix_on(alg, miyamoto_point_map(sp, 0))
 
-    def test_invariant_span_fails_on_its_coordinatewise_part(self):
+    def test_involution_guard(self, monkeypatch, restriction):
+        # a map that is not an involution is refused on both routes: the
+        # restricted double under M and the point under M, I - 2 P_odd
+        sp = build_named_space("A", 4)
+        alg = full_algebra(sp)
+        double = {sp.point_of_label("b(1,2)"): ONE, sp.point_of_label("b(3,4)"): ONE}
+        monkeypatch.setattr(axial.MiyamotoMap, "is_involution", lambda self: False)
+        for x in (double, {0: ONE}):
+            with pytest.raises(ValueError, match="not an algebra involution"):
+                miyamoto_algebra_map(alg, x, monster_law(SYM))
+        assert restriction.verdicts == [monster_law(SYM), jordan_law(SYM), jordan_law(SYM)]
+
+    def test_invariant_span_fails_on_its_coordinatewise_part(self, monkeypatch):
         # the line parts of the span's products stay inside it, but the
-        # coordinatewise square of b(1,3) - b(2,4) is b(1,3) + b(2,4)
+        # coordinatewise square of b(1,3) - b(2,4) is b(1,3) + b(2,4): the
+        # construction walk, over Z on the rational rows, stops at that
+        # coordinatewise part
         for mode in (SYM, EV7):
-            alg, _ = invariant_span_not_closed(mode)
-            assert not alg.is_closed()
-            assert not product_verdicts(alg, [])[0]
+            sp, basis, _ = invariant_span_not_closed(mode)
+            rows = basis.rows
+            assert all(basis.contains(vec_product(sp, u, v, 1, 0)) for u in rows for v in rows)
+            assert not product_verdicts(sp, mode, basis, [])[0]
+        sp, basis, _ = invariant_span_not_closed(SYM)
+        coordinatewise_parts = counted_products(monkeypatch, closure_module, "vec_hadamard")
+        with pytest.raises(ValueError, match="basis is not closed under the product"):
+            Subalgebra(sp, SYM, [], basis)
+        u, v = coordinatewise_parts[-1]
+        assert u == v and not basis.contains(vec_hadamard(u, v))
+        assert all(type(c) is int for c in u.values())
 
     def test_point_permutation_keeping_coordinatewise_products(self):
         # swapping the points b(1,2) and b(1,3) of A:4 sends the line
@@ -850,7 +874,7 @@ class TestMiyamotoAlgebraMap:
             alg = full_algebra(sp, mode)
             matrix = permutation_matrix_on(alg, perm)
             assert not axial.MiyamotoMap(alg, matrix).preserves_products()
-            assert product_verdicts(alg, [matrix])[2] == [False]
+            assert product_verdicts(sp, mode, alg.basis, [matrix])[2] == [False]
 
     def test_checks_refuse_other_maps(self):
         # on the line algebra: b0 -> -b0 is an involution but sends b0 * b0
@@ -901,14 +925,14 @@ class TestMiyamotoAlgebraMap:
                     assert restriction.verdicts[-1] == law
                     assert mm.preserves_products(), (support, law.name)
 
-    def test_refuses_an_invariant_span_that_is_not_closed(self, restriction):
-        # tau_x preserves the span, so its matrix builds; the route's
-        # closure check, is_closed, finds the product that leaves it
+    def test_refuses_an_invariant_span_that_is_not_closed(self):
+        # tau_x preserves the span, so its matrix would build, but a product
+        # leaves it: construction refuses the span
         for mode in (SYM, EV7):
-            alg, x = invariant_span_not_closed(mode)
-            with pytest.raises(ValueError, match="basis is not closed under the product"):
-                miyamoto_algebra_map(alg, x, monster_law(mode))
-        assert restriction.verdicts == [monster_law(SYM), monster_law(EV7)]
+            assert_refused_at_construction(
+                mode,
+                lambda sp, x, row: {axial._composed_reflections(sp, x)[k]: c for k, c in row.items()},
+            )
 
     def test_refuses_a_failing_law(self):
         # with the eta*eta cell tightened to {2eta}, the map I - 2 P_eta of

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from matsuo import flips
 from matsuo.cli import main
 from matsuo.closure import ScalarMode, close
 from matsuo.fischer import build_named_space
@@ -84,6 +85,22 @@ def test_close_unsafe_eta_refused(capsys):
     assert code == 2
 
 
+def test_close_unsafe_eta_message(capsys):
+    code = main(["close", "--ambient", "A:4", "--gens", "b(1,2)", "--mode", "1/2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: eta=1/2 is degenerate for A:4; pass --allow-critical to proceed\n"
+    )
+
+
+def test_close_no_generators(capsys):
+    code = main(["close", "--ambient", "A:3", "--gens", ";"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: no generators given\n"
+
+
 def test_close_unsafe_eta_allowed(capsys):
     code, data = run_cli(
         capsys, "close", "--ambient", "A:3", "--gens", "b(1,2)",
@@ -162,6 +179,17 @@ def test_flip_with_eta(capsys):
     assert data["flip_dims_at"] == {"2": 29}
 
 
+def test_flip_double_entry_mismatch(capsys, monkeypatch):
+    # the specialized symbolic basis and the evaluated closure must agree
+    # before either dimension is reported
+    monkeypatch.setattr(flips, "specialized_dimension", lambda alg, eta0: alg.dimension + 1)
+    code = main(["flip", "--family", "W3A", "--k", "2", "--eta", "7"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "double-entry mismatch at eta=7: evaluated closure has dimension 9," in captured.err
+    assert "specialized symbolic basis has rank 10" in captured.err
+
+
 def test_classify_small(capsys):
     code, data = run_cli(capsys, "classify", "--ambient", "WrA4:2")
     assert code == 0
@@ -217,6 +245,13 @@ def test_bad_space_spec(capsys):
     code = main(["space", "stats", "QQ-7"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_space_below_two_positions(capsys):
+    code = main(["space", "stats", "W2A:1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: need at least two positions\n"
 
 
 def test_out_file(tmp_path, capsys):

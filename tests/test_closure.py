@@ -176,7 +176,7 @@ class TestClose:
         sp = line_space()
         alg = close(sp, [{0: ONE}, {1: ONE}, {2: ONE}], SYM)
         assert alg.dimension == 3
-        assert given_by_hand(alg).is_closed()
+        given_by_hand(alg)  # the same basis given by hand: walked, and closed
 
     def test_two_points_generate_their_line(self):
         sp = line_space()
@@ -261,14 +261,14 @@ class TestStructureConstants:
 
     @pytest.mark.parametrize("mode", [SYM, ScalarMode.evaluated(7)])
     def test_span_not_closed(self, mode):
-        # span(b0, b1) in the line algebra: b0 * b1 has a b2 component
+        # span(b0, b1) in the line algebra: b0 * b1 has a b2 component, so
+        # the basis never becomes a Subalgebra
         basis = EchelonBasis(mode)
         basis.insert({0: mode.one()})
         basis.insert({1: mode.one()})
-        alg = Subalgebra(line_space(), mode, [], basis)
-        assert not alg.is_closed()
-        with pytest.raises(ValueError, match="not closed"):
-            alg.structure_constants()
+        with pytest.raises(ValueError, match="basis is not closed under the product"):
+            Subalgebra(line_space(), mode, [], basis)
+        assert not product_verdicts(line_space(), mode, basis, [])[0]
 
 
 class TestDirectSums:
@@ -407,10 +407,12 @@ class TestSpecializedDimension:
                 specialized_dimension(alg, eta0)
 
     def test_symbolic_dimension_too_high_fails(self):
+        # the whole line algebra, closed, given with the generator b0 alone,
+        # whose closure is its line
         sp = line_space()
         basis = EchelonBasis(SYM)
-        basis.insert({0: ONE})
-        basis.insert({1: ONE})
+        for p in range(3):
+            basis.insert({p: ONE})
         alg = Subalgebra(sp, SYM, [({0: ONE}, "a")], basis)
         # all 16 candidates 3, 4, 6, ..., 19 fall short; none certifies
         with pytest.raises(RuntimeError, match=r"rank 1 at eta1 = 19,"):
@@ -498,14 +500,15 @@ class TestCertifiedClosure:
         gens = [{0: ONE, 4: EtaScalar.eta()}, {7: ONE}]
         alg = close(sp, gens, SYM)
         assert worklist_modes == [SYM]
-        assert given_by_hand(alg).is_closed()
+        given_by_hand(alg)
         assert alg.basis.canonical_rows() == close_over_qeta(sp, gens).basis.canonical_rows()
 
     def test_rational_constants_in_any_form(self, worklist_modes):
         sp = line_space()
         alg = close(sp, [{0: EtaScalar(2, 3)}, {1: Fraction(-1)}, {2: 5}], SYM)
         assert worklist_modes == [ScalarMode.evaluated(7)]
-        assert alg.dimension == 3 and given_by_hand(alg).is_closed()
+        assert alg.dimension == 3
+        given_by_hand(alg)
 
     def test_consistency_check_results(self, wr3x3_flip):
         gens = [g for g, _ in wr3x3_flip.generators]
@@ -632,31 +635,32 @@ def module_closures():
     return [close(sp, gens, mode) for sp, gens, mode in inputs]
 
 
-def trial_matrices(alg, *maps):
-    """The given matrices, the identity, the identity with its first two
-    columns swapped, and the identity with eta as its first entry (a matrix
-    in eta when symbolic), each map also with its first two columns
-    swapped."""
-    d, one, zero = alg.dimension, alg.mode.one(), alg.mode.zero()
+def trial_matrices(mode, d, *maps):
+    """The given matrices, the identity of size d, the identity with its
+    first two columns swapped, and the identity with eta as its first entry
+    (a matrix in eta when symbolic), each map also with its first two
+    columns swapped."""
+    one, zero = mode.one(), mode.zero()
     identity = [[one if r == c else zero for c in range(d)] for r in range(d)]
     scaled = [row[:] for row in identity]
-    scaled[0][0] = alg.mode.eta()
+    scaled[0][0] = mode.eta()
     matrices = [scaled]
     for m in (identity, *maps):
         matrices += [m, [row[1:2] + row[:1] + row[2:] for row in m]]
     return matrices
 
 
-def assert_walk_matches_oracle(alg, *maps):
-    """is_closed, structure_constants (values, types and text) and
-    preserves_products of the trial matrices agree with the walk of the
-    basis products over the mode's scalars; returns the closure verdict."""
-    matrices = trial_matrices(alg, *maps)
-    closed, tensor, preserved = walk_verdicts(alg, matrices)
-    assert (closed, tensor, preserved) == product_verdicts(alg, matrices)
+def assert_walk_matches_oracle(sp, mode, basis, *maps):
+    """The closure verdict of the construction walk, structure_constants
+    (values, types and text) and preserves_products of the trial matrices
+    agree with the walk of the basis products over the mode's scalars;
+    returns the closure verdict."""
+    matrices = trial_matrices(mode, len(basis), *maps)
+    closed, tensor, preserved = walk_verdicts(sp, mode, basis, matrices)
+    assert (closed, tensor, preserved) == product_verdicts(sp, mode, basis, matrices)
     if closed:
         text = [[{k: (type(c), str(c)) for k, c in cell.items()} for cell in row] for row in tensor]
-        oracle = product_verdicts(alg, [])[1]
+        oracle = product_verdicts(sp, mode, basis, [])[1]
         assert text == [
             [{k: (type(c), str(c)) for k, c in cell.items()} for cell in row] for row in oracle
         ]
@@ -672,19 +676,27 @@ def lifted(alg, mode):
     basis.rows = [{k: lift(v) for k, v in row.items()} for row in alg.basis.rows]
     basis.pivot_of_row = list(alg.basis.pivot_of_row)
     basis.row_of_pivot = dict(alg.basis.row_of_pivot)
-    return Subalgebra(alg.space, mode, [], basis)
+    return basis
 
 
 class TestProductWalk:
     """The part walk over Z against the walk of whole products over the
     mode's scalars (tests/oracles.product_coordinates)."""
 
-    def test_module_closures_match_oracle(self):
-        # is_closed trusts a close result, which took products; the walk of
-        # the same basis given by hand agrees with the oracle
+    def test_module_closures_match_oracle(self, monkeypatch):
+        # a close result, which took products, is not walked at
+        # construction; the walk of the same basis given by hand agrees
+        # with the oracle
+        walked, real = [], Subalgebra._product_coordinates
+
+        def spy(alg):
+            walked.append(alg)
+            return real(alg)
+
+        monkeypatch.setattr(Subalgebra, "_product_coordinates", spy)
         closures = module_closures()
-        assert all(alg.products_computed > 0 and alg.is_closed() for alg in closures)
-        assert all(assert_walk_matches_oracle(alg) for alg in closures)
+        assert walked == [] and all(alg.products_computed > 0 for alg in closures)
+        assert all(assert_walk_matches_oracle(alg.space, alg.mode, alg.basis) for alg in closures)
 
     @pytest.mark.parametrize("eta0", [None, 7])
     @pytest.mark.parametrize("family", ["W2A", "W3A", "Wr3x3"])
@@ -696,7 +708,7 @@ class TestProductWalk:
         alg = flip_subalgebra(tau.space, tau, mode)
         x = orbit_vector(classify_orbits(tau.space, tau).doubles[0], mode.one())
         tau_x = miyamoto_algebra_map(alg, x, monster_law(mode)).matrix
-        assert assert_walk_matches_oracle(alg, tau_x)
+        assert assert_walk_matches_oracle(alg.space, mode, alg.basis, tau_x)
 
     def test_knife_edge_closure_lifted(self):
         # the 29-dim Wr3x3 closure at eta = 2 is closed there, but its rows
@@ -705,7 +717,7 @@ class TestProductWalk:
         alg = flip_subalgebra(tau.space, tau, ScalarMode.evaluated(2))
         assert alg.dimension == 29
         verdicts = [
-            assert_walk_matches_oracle(lifted(alg, mode))
+            assert_walk_matches_oracle(alg.space, mode, lifted(alg, mode))
             for mode in (SYM, ScalarMode.evaluated(2), ScalarMode.evaluated(7))
         ]
         assert verdicts == [False, True, False]

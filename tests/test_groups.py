@@ -1,6 +1,7 @@
 """Group catalog, Cayley ingestion, orders, automorphisms."""
 
 import random
+import re
 
 import pytest
 
@@ -100,6 +101,17 @@ class TestCayleyIngestion:
     def test_missing_header(self):
         with pytest.raises(GroupTableError):
             load_cayley_table("2\n1 a\n1 a\na 1")
+
+    @pytest.mark.parametrize("lines,message", [
+        (["order 2", "1 a", "1 a"], "expected 4 lines, got 3"),
+        (["order 2", "1 a b", "1 a", "a 1"], "expected 2 labels, got 3"),
+        (["order 2", "1 1", "1 1", "1 1"], "duplicate element labels"),
+        (["order 2", "1 a", "1 a", "a"], "table row of wrong length"),
+        (["order 2", "1 a", "1 a", "a z"], "unknown label 'z' in table"),
+    ])
+    def test_malformed_text_refused(self, lines, message):
+        with pytest.raises(GroupTableError, match=re.escape(message)):
+            load_cayley_table("\n".join(lines))
 
     def test_malformed_tables_rejected(self):
         rng = random.Random(20240917)

@@ -1,6 +1,7 @@
 """Field arithmetic over Q(eta): examples, canonical forms, root finding."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -298,3 +299,15 @@ class TestTextForm:
             parse_scalar("eta +")
         with pytest.raises(ValueError):
             parse_scalar("zeta")
+
+    @pytest.mark.parametrize("text,message", [
+        ("(eta", "unexpected end of scalar text"),
+        ("(eta 2", "unbalanced parentheses"),
+        ("eta^x", "cannot parse scalar text at: 'x'"),
+        ("eta^eta", "bad exponent 'eta'"),
+        ("2 3", "trailing input in scalar text"),
+        (")", "unexpected token ')'"),
+    ])
+    def test_parse_refusals(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_scalar(text)

@@ -3,7 +3,9 @@
 A module-level import that its module never reads, or a private function or
 class that nothing in the package calls, is code left behind when a decision
 moved elsewhere (an import of ``vec_product`` outlived the only function in
-flips.py that multiplied).  These tests read src/matsuo with ``ast``.
+flips.py that multiplied).  A ``Subalgebra`` with a product count skips
+the closure walk at construction, so only ``closure.close``, whose run
+proved closure, builds one.  These tests read src/matsuo with ``ast``.
 """
 
 import ast
@@ -71,6 +73,28 @@ def unreferenced_private(sources: dict[str, str]) -> list[tuple[str, str]]:
     return [(module, name) for module, name in defined if name not in referenced]
 
 
+def subalgebra_constructions(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    """(module, enclosing function, line) of each call of ``Subalgebra``,
+    by name or attribute; the function is "" at module level."""
+    found = []
+
+    def visit(node: ast.AST, module: str, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Subalgebra":
+                    found.append((module, function, child.lineno))
+            visit(child, module, function)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "")
+    return found
+
+
 def test_detector_finds_leftovers():
     source = (
         "from __future__ import annotations\n"
@@ -101,3 +125,26 @@ def test_no_unused_imports(module):
 def test_no_unreferenced_private_helpers():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private(sources) == []
+
+
+def test_detector_finds_subalgebra_constructions():
+    source = (
+        "from . import closure\n"
+        "from .closure import Subalgebra\n"
+        "TRIVIAL = Subalgebra(None, None, [], None)\n"
+        "def close(sp, gens, mode):\n"
+        "    return Subalgebra(sp, mode, gens, None, 1)\n"
+        "def rebuilt(alg):\n"
+        "    return closure.Subalgebra(alg.space, alg.mode, [], alg.basis)\n"
+        "def annotated(alg: Subalgebra) -> Subalgebra:\n"
+        "    return alg\n"
+    )
+    assert subalgebra_constructions({"m.py": source}) == [
+        ("m.py", "", 3), ("m.py", "close", 5), ("m.py", "rebuilt", 7)
+    ]
+
+
+def test_only_close_constructs_subalgebras():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    found = subalgebra_constructions(sources)
+    assert found and all(where[:2] == ("closure.py", "close") for where in found), found
