@@ -35,6 +35,7 @@ from .fischer import (
     is_space_automorphism,
     make_point,
     parse_space_spec,
+    subspace,
     third_point,
 )
 from .algebra import (

@@ -25,11 +25,11 @@ no poles.  The Q(eta) worklist still runs when a generator coefficient
 involves eta (``scalars.rational_vec`` decides), or when the check fails at
 eta1.  Pivots are chosen in one place, ``EchelonBasis.insert``.
 
-A basis given by hand is walked once, when it becomes a ``Subalgebra``,
-a part at a time (``_part_walk``, ``Subalgebra._product_coordinates``):
-rational rows over Z, and the certificate above is the H part alone.  A
-basis that is not closed is refused there, so every ``Subalgebra`` is
-closed.
+A basis given by hand is reduced once, a product part at a time, when it
+becomes a ``Subalgebra`` (``_is_closed_under``): rational rows over Z, and
+the certificate above is the H part alone.  A basis that is not closed is
+refused there, so every ``Subalgebra`` is closed, and ``_part_walk`` reads
+the coordinates of its products at the pivots.
 """
 
 from __future__ import annotations
@@ -274,28 +274,22 @@ def _int_echelon(basis: EchelonBasis) -> Optional[_IntEchelon]:
 
 def _part_walk(span: EchelonBasis | _IntEchelon, parts: Sequence):
     """(i, j, coordinates) for each pair i <= j of the span's rows r, with
-    the coordinates of part(r_i, r_j) for each part: its entries at the
-    pivots, by row.  ValueError when a part leaves the span."""
+    the coordinates of part(r_i, r_j) for each part, read at the pivots by
+    row: unchecked, so the span must be closed (``_is_closed_under``)."""
     rows, index = span.rows, span.row_of_pivot
     for i, u in enumerate(rows):
         for j in range(i, len(rows)):
-            coords = []
-            for part in parts:
-                w = part(u, rows[j])
-                if span.reduce(w):
-                    raise ValueError("basis is not closed under the product")
-                coords.append({index[p]: c for p, c in w.items() if p in index})
-            yield i, j, coords
+            yield i, j, [
+                {index[p]: c for p, c in part(u, rows[j]).items() if p in index} for part in parts
+            ]
 
 
 def _is_closed_under(span: EchelonBasis | _IntEchelon, parts: Sequence) -> bool:
     """Whether each part of each pair of the span's rows lies in the span."""
-    try:
-        for _ in _part_walk(span, parts):
-            pass
-    except ValueError:
-        return False
-    return True
+    rows = span.rows
+    return not any(
+        span.reduce(part(u, v)) for i, u in enumerate(rows) for v in rows[i:] for part in parts
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +434,8 @@ def close(
     gen_list = [mode.vector(g, "generator") for g in gens]
     if roles is None:
         roles = ["custom"] * len(gen_list)
+    elif len(roles) != len(gen_list):
+        raise ValueError(f"{len(roles)} roles given for {len(gen_list)} generators")
     if any(not g for g in gen_list):
         raise ValueError("generators must be nonzero")
     generators = list(zip(gen_list, roles))

@@ -1,20 +1,20 @@
-"""Fischer spaces of wreath-product 3-transposition groups.
+"""Fischer spaces as labelled third-point tables.
 
-Points are the class elements t.(i,j) = t_i t_j^-1 (i,j) of T wr S_n; two
-points are collinear when their product has order three, and the third point
-of their line is the conjugate of one by the other.  The closed formulas for
-it are applied in one place: they fill the third-point table block by block,
-one block per pair of position pairs, and `third_point` reads the table.  The
-table is the engine's one definition of a line; no wreath arithmetic is done
-here, and literal conjugation inside the wreath group is the test suite's
-independent per-pair oracle.
+A ``FischerSpace`` is its points, their labels and its third-point table,
+the engine's one definition of a line; it does no group arithmetic, and
+``subspace`` gives the space on a point set closed under third points.
+``build_wreath_space`` builds the space of Wr(T, n), whose points t.(i,j) =
+t_i t_j^-1 (i,j) are collinear when their product has order three, the
+third point being the conjugate of one by the other.  It fills the table
+from the closed formulas, block by block; literal conjugation inside the
+wreath group is the test suite's independent per-pair oracle.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .groups import FiniteGroup, builtin_group, validate_orders
 
@@ -72,120 +72,48 @@ def components(n: int, adjacent: Callable[[int, int], bool]) -> list[list[int]]:
     return comps
 
 
-def _check_lines(third: Sequence[Sequence[int]]) -> None:
-    """Raise unless every entry r = third[p][q] >= 0 has third[q][p] = r and
-    third[p][r] = q, i.e. the table is a symmetric set of lines."""
+def _lines(third: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int]]:
+    """Each line of a third-point table once, as its sorted triple p < q < r,
+    in lexicographic order; raise unless the table is a symmetric set of
+    lines: every r = third[p][q] >= 0 has third[q][p] = r, third[p][r] = q."""
     for p, row in enumerate(third):
         for q, r in enumerate(row):
             if r >= 0 and (third[q][p] != r or row[r] != q):
                 raise ThreeTranspositionError(
                     f"third-point table is not a line set at points {p}, {q}"
                 )
+            if p < q < r:
+                yield p, q, r
 
 
 class FischerSpace:
-    """Indexed point set with the third-point map and line list: the Fischer
-    space of Wr(T, n), with |T| * n(n-1)/2 points.
+    """Indexed point set with its third-point table and line list.
 
-    Point order is lexicographic by (i, j, t-index), which fixes the basis
-    order of the Matsuo algebra and every export.  Data derived from the
-    space is kept in ``derived`` by ``cached_on_space``.
+    third[p][q] is the third point of the line through p and q, or -1.
+    base, n and family name the wreath product Wr(base, n) whose space this
+    is or lies in, for ``describe``, ``export`` and the standard flips.  Data
+    derived from the space is kept in ``derived`` by ``cached_on_space``.
     """
 
     def __init__(
         self,
+        third: list[list[int]],
+        points: Sequence[Point],
+        labels: Sequence[str],
         base: FiniteGroup,
         n: int,
         family: Optional[str] = None,
-        labeler: Optional[Callable[[Point], str]] = None,
     ):
-        if n < 2:
-            raise ValueError("need at least two positions")
-        if not validate_orders(base):
-            raise ThreeTranspositionError(
-                f"{base.name} has an element of order > 3; the class of a"
-                " transposition is not a set of 3-transpositions"
-            )
-        self.base = base
-        self.n = n
-        self.family = family
+        if {len(labels), len(third), *map(len, third)} != {len(points)}:
+            raise ValueError("a space needs one label, one table row and one column per point")
+        self.lines: tuple[tuple[int, int, int], ...] = tuple(_lines(third))
+        self.third = third
+        self.points: tuple[Point, ...] = tuple(points)
+        self.labels: tuple[str, ...] = tuple(labels)
+        self.base, self.n, self.family = base, n, family
         self.derived: dict = {}
-        self.points: tuple[Point, ...] = tuple(
-            Point(i, j, t)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-            for t in range(base.order)
-        )
         self.index: dict[Point, int] = {p: k for k, p in enumerate(self.points)}
-        self._build_third()
-        if labeler is None:
-            labeler = lambda p: f"{base.labels[p.t]}.({p.i},{p.j})"
-        self.labels: tuple[str, ...] = tuple(labeler(p) for p in self.points)
-        self.label_index: dict[str, int] = {}
-        for k, lab in enumerate(self.labels):
-            self.label_index[lab] = k
-        # each line once, as its sorted triple p < q < r, in lexicographic order
-        self.lines: tuple[tuple[int, int, int], ...] = tuple(
-            (p, q, r)
-            for p, row in enumerate(self.third)
-            for q in range(p + 1, len(row))
-            if (r := row[q]) > q
-        )
-
-    def _build_third(self) -> None:
-        """Fill the third-point table from the closed formulas, block by block.
-
-        The block of position pairs P, Q holds the entries between the points
-        t.P and s.Q.  Disjoint P and Q commute, so their block stays -1.  On
-        P = Q the points t and s are joined, with third point s t^-1 s,
-        exactly when s t^-1 has order three.  Otherwise P and Q share one
-        position m, and a.(x,m), b.(m,y) are always joined, with third point
-        (ab).(x,y).  No wreath arithmetic is done; literal conjugation in
-        the wreath group is the test suite's oracle.
-
-        The points t.P, t = 0..|T|-1, are consecutive from the index of 0.P,
-        which self.index gives.  Entries are the int objects of self.index,
-        so the table holds no copies of them.
-        """
-        group, order = self.base, self.base.order
-        mul, inv = group.table, group.inv
-        ident = range(order)
-        index = self.index
-        ids = [index[p] for p in self.points]
-        npts = len(ids)
-        third = [[-1] * npts for _ in range(npts)]
-        pairs = [(i, j) for i in range(1, self.n + 1) for j in range(i + 1, self.n + 1)]
-        offset = {pair: index[Point(*pair, 0)] for pair in pairs}
-        # same[t][s]: the r with r.P the third point of t.P and s.P, or -1
-        same = [[-1] * order for _ in ident]
-        for t in ident:
-            for s in ident:
-                d = mul[s][inv[t]]
-                if group.element_order(d) == 3:
-                    same[t][s] = mul[d][s]
-        for P in pairs:
-            p0 = offset[P]
-            for Q in pairs:
-                q0 = offset[Q]
-                shared = set(P) & set(Q)
-                if len(shared) == 2:
-                    for t in ident:
-                        third[p0 + t][q0:q0 + order] = [
-                            -1 if r < 0 else ids[p0 + r] for r in same[t]
-                        ]
-                    continue
-                if not shared:
-                    continue
-                # orient t.P as a.(x, m) and s.Q as b.(m, y)
-                (m,) = shared
-                amap, x = (ident, P[0]) if P[1] == m else (inv, P[1])
-                bmap, y = (ident, Q[1]) if Q[0] == m else (inv, Q[0])
-                r0, cmap = (offset[x, y], ident) if x < y else (offset[y, x], inv)
-                for t in ident:
-                    row_a = mul[amap[t]]
-                    third[p0 + t][q0:q0 + order] = [ids[r0 + cmap[row_a[b]]] for b in bmap]
-        _check_lines(third)
-        self.third: list[list[int]] = third
+        self.label_index: dict[str, int] = {lab: k for k, lab in enumerate(self.labels)}
 
     # -- lines ---------------------------------------------------------------
 
@@ -240,7 +168,88 @@ class FischerSpace:
         }
 
 
-build_wreath_space = FischerSpace
+def build_wreath_space(
+    base: FiniteGroup, n: int, family: Optional[str] = None, letters: Optional[dict] = None
+) -> FischerSpace:
+    """The Fischer space of Wr(base, n): |T| * n(n-1)/2 points t.(i,j) in
+    lexicographic order of (i, j, t-index), the basis order of the Matsuo
+    algebra and every export.  t.(i,j) is labelled letter(i,j), letter =
+    letters[label of t], or letter(j,i) when the letter is primed, and
+    "t.(i,j)" without letters.
+
+    The table is filled block by block: the block of position pairs P, Q
+    holds the entries between t.P and s.Q.  Disjoint P and Q commute, so
+    their block stays -1.  On P = Q, t and s are joined, with third point
+    s t^-1 s, exactly when s t^-1 has order three.  Otherwise P and Q share
+    one position m, and a.(x,m), b.(m,y) are joined, with third point
+    (ab).(x,y).  Entries are shared int objects of one list, not copies.
+    """
+    if n < 2:
+        raise ValueError("need at least two positions")
+    if not validate_orders(base):
+        raise ThreeTranspositionError(
+            f"{base.name} has an element of order > 3; the class of a"
+            " transposition is not a set of 3-transpositions"
+        )
+    order, mul, inv = base.order, base.table, base.inv
+    ident = range(order)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    points = [Point(i, j, t) for i, j in pairs for t in ident]
+    ids = list(range(len(points)))
+    third = [[-1] * len(points) for _ in ids]
+    offset = {pair: k * order for k, pair in enumerate(pairs)}  # index of 0.P
+    # same[t][s]: the r with r.P the third point of t.P and s.P, or -1
+    same = [[-1] * order for _ in ident]
+    for t in ident:
+        for s in ident:
+            d = mul[s][inv[t]]
+            if base.element_order(d) == 3:
+                same[t][s] = mul[d][s]
+    for P in pairs:
+        p0 = offset[P]
+        for Q in pairs:
+            q0, shared = offset[Q], set(P) & set(Q)
+            if P == Q:
+                for t in ident:
+                    third[p0 + t][q0:q0 + order] = [-1 if r < 0 else ids[p0 + r] for r in same[t]]
+            elif shared:
+                # orient t.P as a.(x, m) and s.Q as b.(m, y)
+                (m,) = shared
+                amap, x = (ident, P[0]) if P[1] == m else (inv, P[1])
+                bmap, y = (ident, Q[1]) if Q[0] == m else (inv, Q[0])
+                r0, cmap = (offset[x, y], ident) if x < y else (offset[y, x], inv)
+                for t in ident:
+                    row_a = mul[amap[t]]
+                    third[p0 + t][q0:q0 + order] = [ids[r0 + cmap[row_a[b]]] for b in bmap]
+
+    def label(p: Point) -> str:
+        letter = letters[base.labels[p.t]] if letters else f"{base.labels[p.t]}."
+        if letter.endswith("'"):
+            return f"{letter[:-1]}({p.j},{p.i})"
+        return f"{letter}({p.i},{p.j})"
+
+    return FischerSpace(third, points, [label(p) for p in points], base, n, family)
+
+
+def subspace(sp: FischerSpace, support: Iterable[int]) -> tuple[FischerSpace, tuple[int, ...]]:
+    """The space induced on a point set closed under third points, and its
+    embedding: point k of the subspace is point embedding[k] of sp, with its
+    labels and aliases, and sp's base, n and family.  ValueError when the
+    set is not closed or not a set of points of sp."""
+    embedding = tuple(sorted(set(support)))
+    if embedding and (embedding[0] < 0 or embedding[-1] >= len(sp.points)):
+        raise ValueError("support names a point outside the space")
+    local = dict(zip(embedding, range(len(embedding))))
+    local[-1] = -1  # not collinear
+    try:
+        third = [[local[r] for r in map(sp.third[p].__getitem__, embedding)] for p in embedding]
+    except KeyError as exc:
+        raise ValueError(f"support is not closed under third points: misses {exc}") from None
+    points = list(map(sp.points.__getitem__, embedding))
+    labels = list(map(sp.labels.__getitem__, embedding))
+    sub = FischerSpace(third, points, labels, sp.base, sp.n, sp.family)
+    sub.label_index.update((lab, local[k]) for lab, k in sp.label_index.items() if k in local)
+    return sub, embedding
 
 
 def cached_on_space(build: Callable[[FischerSpace], object]):
@@ -294,15 +303,7 @@ def build_named_space(family: str, n: int) -> FischerSpace:
     if family == "A" and n < 3:
         raise ValueError("family A needs n >= 3")
     group, letters = _NAMED[family]
-    base = builtin_group(group)
-
-    def labeler(p: Point) -> str:
-        letter = letters[base.labels[p.t]]
-        if letter.endswith("'"):
-            return f"{letter[:-1]}({p.j},{p.i})"
-        return f"{letter}({p.i},{p.j})"
-
-    sp = FischerSpace(base, n, family=family, labeler=labeler if letters else None)
+    sp = build_wreath_space(builtin_group(group), n, family, letters)
     if family == "W3D":
         # Accept the alternative name g(j,i) for the point labelled d(i,j).
         for k, lab in enumerate(sp.labels):

@@ -139,6 +139,14 @@ class TestClose:
         with pytest.raises(ValueError):
             close(sp, [{}], SYM)
 
+    def test_roles_must_match_the_generators(self):
+        # a short roles list once cut the generators down to its length
+        sp = build_named_space("W3A", 3)
+        with pytest.raises(ValueError, match="1 roles given for 2 generators"):
+            close(sp, [{0: ONE}, {1: ONE}], SYM, roles=["single"])
+        alg = close(sp, [{0: ONE}, {1: ONE}], SYM, roles=["single", "single"])
+        assert [role for _, role in alg.generators] == ["single", "single"]
+
     @pytest.mark.parametrize("mode,zero,coef,route", [
         (ScalarMode.evaluated(5), Fraction(0), Fraction(1), ScalarMode.evaluated(5)),
         (SYM, EtaScalar.zero(), EtaScalar.eta(), SYM),  # the Q(eta) worklist

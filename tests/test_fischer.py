@@ -1,11 +1,16 @@
 """Fischer spaces: counts, lines, the third-point table and its oracles,
 diagrams and their canonical codes, automorphism checks."""
 
+from itertools import permutations
+
 import pytest
 
+from matsuo.algebra import critical_values
+from matsuo.closure import ScalarMode, close, consistency_check
 from matsuo.fischer import (
     NAMED_FAMILIES,
     Diagram,
+    FischerSpace,
     InvalidConfigurationError,
     Point,
     ThreeTranspositionError,
@@ -17,10 +22,25 @@ from matsuo.fischer import (
     is_space_automorphism,
     make_point,
     point_orbits,
+    subspace,
     third_point,
 )
+from matsuo.flips import FLIP_FAMILIES, FlipInvolution, flip_subalgebra, standard_flip
 from matsuo.groups import builtin_group, load_cayley_table
 from oracles import dump_cayley_table, third_point_by_conjugation
+
+SYM = ScalarMode.symbolic()
+
+
+def named_spaces_under(limit):
+    """(family, n) of every named space with fewer than limit points."""
+    for family in NAMED_FAMILIES:
+        order = len(build_named_space(family, 3).points) // 3
+        n = 3 if family == "A" else 2
+        while order * n * (n - 1) // 2 < limit:
+            yield family, n
+            n += 1
+
 
 SMALL_SPACES = [
     ("A", 4), ("A", 5), ("W2A", 3), ("W2A", 4), ("W3A", 3), ("W3A", 4),
@@ -157,6 +177,121 @@ def assert_third_points_match_conjugation(sp):
                 assert third_point(sp, a, b) == want, (a, b)
 
 
+def line_table(npts, lines):
+    """A hand-written third-point table with the given lines."""
+    third = [[-1] * npts for _ in range(npts)]
+    for line in lines:
+        for p, q, r in permutations(line):
+            third[p][q] = r
+    return third
+
+
+def table_space(third):
+    points = [Point(1, 2, t) for t in range(len(third))]
+    return FischerSpace(third, points, [f"p{t}" for t in range(len(third))], builtin_group("C1"), 2)
+
+
+class TestTableConstructor:
+    @pytest.mark.parametrize("lines,degrees,connected", [
+        ([(0, 1, 2)], [1, 1, 1], True),
+        ([(0, 1, 2), (0, 3, 4)], [2, 1, 1, 1, 1], True),
+        ([(0, 1, 2), (3, 4, 5)], [1] * 6, False),
+    ])
+    def test_hand_written_tables(self, lines, degrees, connected):
+        sp = table_space(line_table(len(degrees), lines))
+        assert sp.lines == tuple(lines) and sp.line_count() == len(lines)
+        assert [sp.degree(p) for p in range(len(sp))] == degrees
+        assert sp.is_connected() == connected
+        assert sp.point_of_label("p1") == 1 and sp.derived == {}
+
+    def test_one_line_is_the_space_of_a3(self):
+        a3 = build_named_space("A", 3)
+        sp = FischerSpace(line_table(3, [(0, 1, 2)]), a3.points, a3.labels, a3.base, 3, "A")
+        assert sp.third == a3.third and sp.export() == a3.export()
+
+    def test_asymmetric_table_is_not_a_line_set(self):
+        third = line_table(3, [])
+        third[0][1] = 2
+        with pytest.raises(ThreeTranspositionError, match="not a line set"):
+            table_space(third)
+
+    def test_table_shape_must_match_the_points(self):
+        with pytest.raises(ValueError, match="one label"):
+            table_space(line_table(3, [(0, 1, 2)])[:2])
+        with pytest.raises(ValueError, match="one label"):
+            FischerSpace(line_table(3, []), [Point(1, 2, t) for t in range(3)], ["p0"],
+                         builtin_group("C1"), 2)
+
+
+def position_support(sp, positions):
+    """The points of sp with both positions in the set."""
+    return [k for k, p in enumerate(sp.points) if {p.i, p.j} <= positions]
+
+
+class TestSubspace:
+    def test_position_subsets_keep_the_lines_inside(self):
+        # every named space under 200 points, on two position subsets
+        for family, n in named_spaces_under(200):
+            sp = build_named_space(family, n)
+            for positions in (set(range(1, n)), set(range(2, n + 1))):
+                sub, embedding = subspace(sp, position_support(sp, positions))
+                inside = [line for line in sp.lines if set(line) <= set(embedding)]
+                assert [tuple(embedding[p] for p in line) for line in sub.lines] == inside
+                assert sub.points == tuple(sp.points[p] for p in embedding)
+                assert sub.labels == tuple(sp.labels[p] for p in embedding)
+                assert (sub.base, sub.n, sub.family) == (sp.base, sp.n, sp.family)
+
+    @pytest.mark.parametrize("family", FLIP_FAMILIES)
+    def test_first_blocks_are_the_smaller_flip_space(self, family):
+        # the points on the first k0 position pairs of the k space are the
+        # k0 space, and the flip restricts to its flip
+        order = len(standard_flip(family, 1).space)  # one point per element
+        for k0, k in ((1, 2), (2, 3)):
+            if order * k * (2 * k - 1) >= 200:
+                continue
+            small, tau = standard_flip(family, k0), standard_flip(family, k)
+            sub, embedding = subspace(tau.space, position_support(tau.space, set(range(1, 2 * k0 + 1))))
+            assert sub.points == small.space.points
+            assert sub.third == small.space.third
+            assert sub.labels == small.space.labels
+            local = {p: q for q, p in enumerate(embedding)}
+            assert tuple(local[tau.perm[p]] for p in embedding) == small.perm
+
+    def test_refuses_a_set_that_is_not_closed(self):
+        sp = build_named_space("A", 4)
+        b12, b13, b23 = (sp.point_of_label(f"b({i},{j})") for i, j in ((1, 2), (1, 3), (2, 3)))
+        with pytest.raises(ValueError, match="not closed under third points"):
+            subspace(sp, [b12, b13])
+        line, embedding = subspace(sp, [b23, b12, b13, b12])
+        assert embedding == (b12, b13, b23) and line.lines == ((0, 1, 2),)
+        with pytest.raises(ValueError, match="outside the space"):
+            subspace(sp, [b12, len(sp)])
+
+    def test_keeps_label_aliases(self):
+        sp = build_named_space("W3D", 3)
+        sub, embedding = subspace(sp, position_support(sp, {1, 2}))
+        assert embedding[sub.point_of_label("g(2,1)")] == sp.point_of_label("d(1,2)")
+
+    @pytest.mark.parametrize("family", FLIP_FAMILIES)
+    def test_flip_closures_on_the_subspace(self, family):
+        # the k = 1 flip generators close to one dimension in the subspace Y
+        # on the first block of the k = 2 space, in the k = 1 space, and in
+        # the k = 2 space itself; Y keeps its own cache
+        small, tau = standard_flip(family, 1), standard_flip(family, 2)
+        Y, embedding = subspace(tau.space, position_support(tau.space, {1, 2}))
+        tau_Y = FlipInvolution(Y, small.perm, {})
+        for mode in (SYM, ScalarMode.evaluated(7)):
+            in_Y = flip_subalgebra(Y, tau_Y, mode)
+            assert in_Y.dimension == flip_subalgebra(small.space, small, mode).dimension
+            gens = [g for g, _ in in_Y.generators]
+            embedded = [{embedding[p]: c for p, c in g.items()} for g in gens]
+            assert close(tau.space, embedded, mode).dimension == in_Y.dimension
+            if mode is SYM:
+                assert consistency_check(Y, gens, 7)
+        assert "critical_values" in Y.derived and "critical_values" not in tau.space.derived
+        assert critical_values(Y) == critical_values(small.space)
+
+
 def test_make_point_normalizes():
     g = builtin_group("C3")
     assert make_point(g, 1, 3, 2) == Point(2, 3, 2)
@@ -282,14 +417,10 @@ class TestAutomorphismCheck:
 class TestPointOrbits:
     def test_transitive_on_connected_named_spaces(self):
         # every named space under 200 points: one orbit exactly when connected
-        for family in NAMED_FAMILIES:
-            order = len(build_named_space(family, 3).points) // 3
-            n = 3 if family == "A" else 2
-            while order * n * (n - 1) // 2 < 200:
-                sp = build_named_space(family, n)
-                single = point_orbits(sp) == (tuple(range(len(sp.points))),)
-                assert single == sp.is_connected(), (family, n)
-                n += 1
+        for family, n in named_spaces_under(200):
+            sp = build_named_space(family, n)
+            single = point_orbits(sp) == (tuple(range(len(sp.points))),)
+            assert single == sp.is_connected(), (family, n)
 
     def test_disconnected_spaces_split_into_components(self):
         for family in ("W2A", "W2D"):

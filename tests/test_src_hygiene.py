@@ -5,7 +5,10 @@ class that nothing in the package calls, is code left behind when a decision
 moved elsewhere (an import of ``vec_product`` outlived the only function in
 flips.py that multiplied).  A ``Subalgebra`` with a product count skips
 the closure walk at construction, so only ``closure.close``, whose run
-proved closure, builds one.  These tests read src/matsuo with ``ast``.
+proved closure, builds one.  A ``FischerSpace`` is its third-point table
+and does no group arithmetic, so that a subspace is a space as well; the
+wreath table is filled by ``build_wreath_space``.  These tests read
+src/matsuo with ``ast``.
 """
 
 import ast
@@ -148,3 +151,42 @@ def test_only_close_constructs_subalgebras():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     found = subalgebra_constructions(sources)
     assert found and all(where[:2] == ("closure.py", "close") for where in found), found
+
+
+GROUP_ARITHMETIC = frozenset({"table", "inv", "mul", "element_order", "validate_orders"})
+
+
+def group_arithmetic(source: str, cls: str) -> list[tuple[int, str]]:
+    """(line, name) of each read of a group-arithmetic name, as a name or
+    an attribute, in the body of the class cls."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for part in ast.walk(node):
+                if isinstance(part, ast.Name) and isinstance(part.ctx, ast.Load):
+                    found.append((part.lineno, part.col_offset, part.id))
+                elif isinstance(part, ast.Attribute) and isinstance(part.ctx, ast.Load):
+                    found.append((part.lineno, part.col_offset, part.attr))
+    return [(line, name) for line, _, name in sorted(found) if name in GROUP_ARITHMETIC]
+
+
+def test_detector_finds_group_arithmetic():
+    source = (
+        "class FischerSpace:\n"
+        "    def __init__(self, base, third):\n"
+        "        mul, inv = base.table, base.inv\n"
+        "        self.order = [base.element_order(t) for t in range(3)]\n"
+        "        self.third = [[mul[a][inv[b]] for b in range(3)] for a in range(3)]\n"
+        "        self.ok = validate_orders(base)\n"
+        "        self.table = third\n"
+        "def build(base):\n"
+        "    return base.table\n"
+    )
+    assert group_arithmetic(source, "FischerSpace") == [
+        (3, "table"), (3, "inv"), (4, "element_order"), (5, "mul"), (5, "inv"),
+        (6, "validate_orders"),
+    ]
+
+
+def test_fischer_space_does_no_group_arithmetic():
+    assert group_arithmetic((PACKAGE / "fischer.py").read_text(), "FischerSpace") == []
