@@ -18,10 +18,13 @@ orthogonal points the Monster law (``_ambient_law``).  A subalgebra is
 closed by construction, so such an axis passes by restriction, is primitive
 unless it is b + c with b in the subalgebra, and its Miyamoto involution
 composes its points' reflections, each a verified automorphism of the Fischer space.
+On a rational basis its eigenspace dimensions are integer ranks at one
+point eta, and its eigenvectors and ad_x are built only when read
+(``_restricted_decomposition``).
 Every other axis or law is checked pair by pair over the eigenvectors,
-which alone reports violations, its primitivity is the rank of ad_x - 1,
-and its Miyamoto involution is I - 2 * P_odd for the eta part, checked to
-preserve the products.
+which alone reports violations, its primitivity is the rank of ad_x - 1
+(over Z at eta0 in evaluated mode), and its Miyamoto involution is
+I - 2 * P_odd for the eta part, checked to preserve the products.
 """
 
 from __future__ import annotations
@@ -29,13 +32,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
-from .algebra import Vec, vec_add_scaled, vec_product, vec_scale
-from .closure import EchelonBasis, ScalarMode, Subalgebra, vec_combination
+from .algebra import Vec, _IntEchelon, vec_add_scaled, vec_product, vec_scale
+from .closure import (
+    EchelonBasis,
+    ScalarMode,
+    Subalgebra,
+    _eta1_candidates,
+    _int_echelon,
+    vec_combination,
+)
 from .fischer import FischerSpace, verified_reflection
-from .scalars import HALF_ETA, EtaScalar
+from .scalars import HALF_ETA, EtaScalar, as_eta_scalar, primitive_int_vec
 
 
 class AdjointNotDiagonalizableError(ValueError):
@@ -172,17 +183,48 @@ def _images(adjoint: Sequence[Vec], powers: list[Vec], polys: Sequence[list]) ->
 
 @dataclass
 class EigenDecomposition:
-    """Eigenvectors of an adjoint, grouped by the requested spectrum."""
+    """Eigenvectors of an adjoint, grouped by the requested spectrum, and
+    their dimensions.  Given the dimensions, the eigenvectors and the
+    adjoint are built when first read, and checked against them; else they
+    are built at once and the dimensions read off them."""
 
     algebra: Subalgebra
     axis: Vec
     eigenvalues: tuple
-    parts: list[list[list]]  # per eigenvalue: list of coordinate vectors
-    adjoint: list[Vec]  # column c: the coordinates of axis * b_c
+    dims: Optional[tuple[int, ...]] = None
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.parts)
+    def __post_init__(self):
+        if self.dims is None:
+            self.dims = tuple(map(len, self.parts))
+
+    @cached_property
+    def adjoint(self) -> list[Vec]:
+        """Column c: the coordinates of axis * b_c."""
+        return _adjoint(self.algebra, self.axis)
+
+    @cached_property
+    def parts(self) -> list[list[list]]:
+        """Per eigenvalue, its eigenvectors as coordinate vectors, built as
+        ``eigen_decompose`` says."""
+        algebra, spectrum, d = self.algebra, self.eigenvalues, self.algebra.dimension
+        numerators = [_poly(spectrum[:k] + spectrum[k + 1:]) for k in range(len(spectrum))]
+        images = _spans(algebra, self.adjoint, numerators)
+        if sum(map(len, images)) != d:
+            kernels = _spans(algebra, self.adjoint, [_poly((lam,)) for lam in spectrum])
+            dims = tuple(d - len(span) for span in kernels)
+            raise AdjointNotDiagonalizableError(
+                f"eigenspace dimensions {dims} sum to"
+                f" {sum(dims)}, expected {d}; not an axis for this spectrum"
+            )
+        zero = algebra.mode.zero()
+        parts = []
+        for image in images:
+            order = sorted(range(len(image)), key=image.pivot_of_row.__getitem__, reverse=True)
+            parts.append([[image.rows[r].get(d - 1 - c, zero) for c in range(d)] for r in order])
+        if self.dims not in (None, tuple(map(len, parts))):
+            dims = tuple(map(len, parts))
+            raise RuntimeError(f"eigenvectors of dimensions {dims}, not {self.dims}")
+        return parts
 
 
 def _spans(algebra: Subalgebra, adjoint: Sequence[Vec], polys: Sequence[list]) -> list:
@@ -218,23 +260,57 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
     spectrum = tuple(spectrum)
     if len(spectrum) < 2 or len(set(spectrum)) < len(spectrum):
         raise ValueError("the spectrum needs two or more distinct values")
-    d = algebra.dimension
-    adjoint = _adjoint(algebra, x)
-    numerators = [_poly(spectrum[:k] + spectrum[k + 1:]) for k in range(len(spectrum))]
-    images = _spans(algebra, adjoint, numerators)
-    if sum(map(len, images)) != d:
-        kernels = _spans(algebra, adjoint, [_poly((lam,)) for lam in spectrum])
-        dims = tuple(d - len(span) for span in kernels)
-        raise AdjointNotDiagonalizableError(
-            f"eigenspace dimensions {dims} sum to"
-            f" {sum(dims)}, expected {d}; not an axis for this spectrum"
-        )
-    zero = algebra.mode.zero()
-    parts = []
-    for image in images:
-        order = sorted(range(len(image)), key=image.pivot_of_row.__getitem__, reverse=True)
-        parts.append([[image.rows[r].get(d - 1 - c, zero) for c in range(d)] for r in order])
-    return EigenDecomposition(algebra, x, spectrum, parts, adjoint)
+    return EigenDecomposition(algebra, x, spectrum)
+
+
+def _kernel_dims(algebra: Subalgebra, span: _IntEchelon, x: Vec, values, eta1) -> tuple[int, ...]:
+    """dim ker(ad_x - lambda) on the subalgebra at eta = eta1, for each
+    lambda in values, with x and the span's rows rational: d minus the rank
+    over Z of the images of the span's primitive integer rows b, in ambient
+    coordinates, so with no coordinates and no adjoint.  With eta1 = n/m and
+    x = s x_int, x_int a primitive integer vector, 2m (x*b - lambda b) =
+    s (P_b - (p/q) b), with P_b the scaled product of x_int and b
+    (``ScalarMode.product_weights``) and p/q = 2m lambda / s; the image
+    taken is q P_b - p b."""
+    n, two_m = ScalarMode.evaluated(eta1).product_weights()
+    x_int = primitive_int_vec(x)
+    k = min(x_int)
+    s = as_eta_scalar(x[k]).evaluate(eta1) / x_int[k]
+    products = [vec_product(algebra.space, x_int, b, n, two_m) for b in span.rows]
+    dims = []
+    for lam in values:
+        shift = as_eta_scalar(lam).evaluate(eta1) * two_m / s
+        image = _IntEchelon()
+        for b, w in zip(span.rows, products):
+            image.insert(vec_combination((w, b), (shift.denominator, -shift.numerator)))
+        dims.append(algebra.dimension - len(image.rows))
+    return tuple(dims)
+
+
+def _restricted_decomposition(algebra: Subalgebra, x: Vec, values: tuple) -> EigenDecomposition:
+    """The decomposition of an axis x that obeys the law of values in the
+    whole algebra (``_ambient_law``): on a rational basis its dimensions by
+    ``_kernel_dims`` and its eigenvectors when read, else
+    ``eigen_decompose``.
+
+    ad_x is then diagonalizable with these values, so the kernel dimensions
+    sum to d.  Evaluated mode takes them at eta0, exactly.  Symbolically, a
+    kernel at an integer eta1 is at least as large as over Q(eta), since
+    rank only drops at a specialization, so the dimensions at the first
+    candidate eta1 where they sum to d are those over Q(eta).
+    """
+    span = _int_echelon(algebra.basis)
+    if span is None:
+        return eigen_decompose(algebra, x, values)
+    mode = algebra.mode
+    for eta1 in _eta1_candidates() if mode.is_symbolic else [mode.eta0]:
+        dims = _kernel_dims(algebra, span, x, values, eta1)
+        if sum(dims) == algebra.dimension:
+            return EigenDecomposition(algebra, x, values, dims)
+    raise RuntimeError(
+        f"eigenspace dimensions {dims} at eta1 = {eta1} sum to {sum(dims)},"
+        f" not {algebra.dimension}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +344,7 @@ class FusionReport:
         return {
             "axis": _vec_text(dec.algebra.space, dec.axis),
             "law": self.law.name,
-            "eigen_dims": {
-                str(dec.eigenvalues[i]): len(dec.parts[i])
-                for i in range(len(dec.parts))
-            },
+            "eigen_dims": {str(lam): dim for lam, dim in zip(dec.eigenvalues, dec.dims)},
             "violations": [
                 {
                     "lambda": str(dec.eigenvalues[v.lam_index]),
@@ -302,12 +375,14 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
 
     An axis under its ambient law (a point under J, a double axis under M,
     ``_ambient_law``) passes without the pair loop, by restriction from the
-    whole Matsuo algebra to the closed subalgebra.
+    whole Matsuo algebra to the closed subalgebra; on a rational basis its
+    eigenspace dimensions are integer ranks, and its eigenvectors are built
+    only when read (``_restricted_decomposition``).
     """
-    dec = eigen_decompose(algebra, x, law.eigenvalues)
-    if law == _ambient_law(algebra.mode, dec.axis):
-        return FusionReport(law, dec, [])
-    values = law.eigenvalues
+    x, values = _axis(algebra, x), law.eigenvalues
+    if law == _ambient_law(algebra.mode, x):
+        return FusionReport(law, _restricted_decomposition(algebra, x, values), [])
+    dec = eigen_decompose(algebra, x, values)
     projections = []  # the Lagrange projection onto each part
     for k, lam in enumerate(values):
         others = values[:k] + values[k + 1:]
@@ -372,14 +447,17 @@ def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
     {0, 1, 1/2} (Galt, Joshi, Mamontov, Shpectorov and Staroletov, Comm.
     Algebra 2021).  So a point is primitive, and b + c is iff b is not in B
     (else c = x - b is too), as B is closed (``Subalgebra``).  Any other
-    axis is primitive iff ad_x - 1 has rank d - 1 on B, over the mode's
-    scalars.
+    axis is primitive iff ad_x - 1 has rank d - 1 on B: over Z at eta0 in
+    evaluated mode (``_kernel_dims``), and over Q(eta) symbolically, since
+    the rank at one integer eta1 does not bound it from below.
     """
-    x = _axis(algebra, x)
-    if _ambient_law(algebra.mode, x) is None:
-        (image,) = _spans(algebra, _adjoint(algebra, x), [_poly((algebra.mode.one(),))])
+    x, mode = _axis(algebra, x), algebra.mode
+    if _ambient_law(mode, x) is not None:
+        return len(x) == 1 or not algebra.contains({min(x): mode.one()})
+    if mode.is_symbolic:
+        (image,) = _spans(algebra, _adjoint(algebra, x), [_poly((mode.one(),))])
         return algebra.dimension - len(image) == 1
-    return len(x) == 1 or not algebra.contains({min(x): algebra.mode.one()})
+    return _kernel_dims(algebra, _int_echelon(algebra.basis), x, [1], mode.eta0) == (1,)
 
 
 # ---------------------------------------------------------------------------

@@ -560,6 +560,11 @@ _ETA1_START = 3
 _ETA1_ATTEMPTS = 16
 
 
+def _eta1_candidates(skip=None) -> Iterable:
+    """The candidates for eta1, in order, all but skip."""
+    return islice((e for e in count(_ETA1_START) if e != skip), _ETA1_ATTEMPTS)
+
+
 def specialized_dimension(subalgebra: Subalgebra, eta0) -> int:
     """Specialize-last dimension of a symbolic closure at eta = eta0.
 
@@ -581,8 +586,7 @@ def specialized_dimension(subalgebra: Subalgebra, eta0) -> int:
         raise ValueError("specialization needs a symbolic closure")
     mode0 = ScalarMode.evaluated(eta0)
     gens = [_poly_vec(vec) for vec, _ in subalgebra.generators]
-    candidates = (e for e in count(_ETA1_START) if e != mode0.eta0)
-    for eta1 in islice(candidates, _ETA1_ATTEMPTS):
+    for eta1 in _eta1_candidates(mode0.eta0):
         modes = (mode0, ScalarMode.evaluated(eta1))
         rank0, rank1 = _walk_at(subalgebra.space, gens, modes)
         if rank1 >= subalgebra.dimension:

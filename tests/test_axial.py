@@ -40,6 +40,7 @@ from matsuo.fischer import (
     point_orbits,
 )
 from matsuo.flips import (
+    FLIP_FAMILIES,
     classify_orbits,
     fixed_subalgebra_basis,
     flip_subalgebra,
@@ -562,6 +563,157 @@ class TestFusionPointCertificate:
         report = check_fusion(full_algebra(sp, mode), x, jordan_law(mode))
         assert restriction.verdicts == [None]
         assert report.passed and report.decomposition.dims == (3, 1, 2)
+
+
+def spans_dims(alg, x, values):
+    """d minus the rank of ad_x - lambda over the mode's scalars, for each
+    lambda in values: the kernel dimensions from ``_spans``."""
+    adjoint = axial._adjoint(alg, x)
+    kernels = axial._spans(alg, adjoint, [axial._poly((lam,)) for lam in values])
+    return tuple(alg.dimension - len(span) for span in kernels)
+
+
+def ambient_axes(points, pairs, mode):
+    """(axis, law) for each point under J and each pair of orthogonal
+    points under M."""
+    one = mode.one()
+    return [({p: one}, jordan_law(mode)) for p in points] + [
+        ({p: one, q: one}, monster_law(mode)) for p, q in pairs
+    ]
+
+
+def flip_axes(family, mode):
+    """The k = 2 flip algebra of family, with its first single under J and
+    its first double under M."""
+    tau = standard_flip(family, 2)
+    orbits = classify_orbits(tau.space, tau)
+    one = mode.one()
+    axes = [(orbit_vector((orbits.singles[0],), one), jordan_law(mode))]
+    axes.append((orbit_vector(orbits.doubles[0], one), monster_law(mode)))
+    return flip_subalgebra(tau.space, tau, mode), axes
+
+
+class TestIntegerEigenDims:
+    """check_fusion's restricted route reads the eigenspace dimensions of a
+    point under J or a double under M on a rational basis from integer
+    ranks at one or more points eta1 (``axial._restricted_decomposition``);
+    they must be the dimensions over the mode's scalars."""
+
+    @pytest.mark.parametrize("family,n", SMALL_SPACES)
+    def test_every_ambient_axis_matches_spans(self, family, n):
+        # every point and orthogonal double at eta = 7; symbolically one
+        # point per orbit and its pair with its first orthogonal point, as
+        # the Q(eta) spans of every axis take about 12 s over these spaces
+        sp = build_named_space(family, n)
+        everywhere = range(len(sp.points))
+        orthogonal = [(p, q) for p in everywhere for q in range(p) if not sp.collinear(p, q)]
+        cases = [(EV7, ambient_axes(everywhere, orthogonal, EV7))]
+        cases.append((SYM, ambient_axes(*orbit_axes(sp), SYM)))
+        for mode, axes in cases:
+            alg = full_algebra(sp, mode)
+            for x, law in axes:
+                dims = check_fusion(alg, x, law).decomposition.dims
+                assert dims == spans_dims(alg, x, law.eigenvalues)
+
+    @pytest.mark.parametrize("family", FLIP_FAMILIES)
+    def test_flip_axes_match_spans(self, family):
+        for mode in (SYM, EV7):
+            alg, axes = flip_axes(family, mode)
+            for x, law in axes:
+                dims = check_fusion(alg, x, law).decomposition.dims
+                assert dims == spans_dims(alg, x, law.eigenvalues)
+                assert sum(dims) == alg.dimension
+
+    def test_degenerate_first_candidate(self, monkeypatch):
+        # at eta1 = 1/2 the values 1 and 2eta of M coincide, so the kernel
+        # dimensions there sum to more than d: the next candidate, 3/2,
+        # gives the dimensions over Q(eta)
+        monkeypatch.setattr(closure_module, "_ETA1_START", Fraction(1, 2))
+        sp = build_named_space("A", 4)
+        x = {sp.point_of_label("b(1,2)"): ONE, sp.point_of_label("b(3,4)"): ONE}
+        alg, values = full_algebra(sp), monster_law(SYM).eigenvalues
+        span = closure_module._int_echelon(alg.basis)
+        assert axial._kernel_dims(alg, span, x, values, Fraction(1, 2)) == (3, 1, 3, 2)
+        dims = axial._restricted_decomposition(alg, x, values).dims
+        assert dims == spans_dims(alg, x, values) == (2, 1, 1, 2)
+        assert check_fusion(alg, x, monster_law(SYM)).export()["eigen_dims"] == {
+            "1": 2, "0": 1, "2*eta": 1, "eta": 2
+        }
+        monkeypatch.setattr(closure_module, "_ETA1_ATTEMPTS", 1)
+        with pytest.raises(RuntimeError, match=r"\(3, 1, 3, 2\) at eta1 = 1/2 sum to 9, not 6"):
+            axial._restricted_decomposition(alg, x, values)
+
+
+@pytest.fixture
+def inserts(monkeypatch):
+    """The vectors given to EchelonBasis.insert so far."""
+    made, real = [], EchelonBasis.insert
+
+    def spy(self, vec):
+        made.append(vec)
+        return real(self, vec)
+
+    monkeypatch.setattr(EchelonBasis, "insert", spy)
+    return made
+
+
+class TestRestrictedFastPath:
+    def test_no_elimination_over_the_mode_scalars(self, inserts):
+        # the fusion workload's check, and at eta = 7; check_primitive of an
+        # evaluated axis outside the gate, a double at eta = 1/2
+        for mode in (SYM, EV7):
+            alg, axes = flip_axes("Wr3x3", mode)
+            inserts.clear()
+            for x, law in axes:
+                assert check_fusion(alg, x, law).passed
+            assert inserts == []
+        half = ScalarMode.evaluated(Fraction(1, 2))
+        tau = standard_flip("Wr3x3", 2)
+        alg = flip_subalgebra(tau.space, tau, half)
+        x = orbit_vector(classify_orbits(tau.space, tau).doubles[0], half.one())
+        inserts.clear()
+        assert axial._ambient_law(half, x) is None
+        assert check_primitive(alg, x) is False
+        assert inserts == []
+
+    def test_parts_built_once_when_read(self, monkeypatch):
+        alg, axes = flip_axes("Wr3x3", SYM)
+        x, law = axes[1]
+        adjoints = counted_products(monkeypatch, axial, "_adjoint")
+        spans = counted_products(monkeypatch, axial, "_spans")
+        report = check_fusion(alg, x, law)
+        assert adjoints == spans == []
+        dec = report.decomposition
+        parts, adjoint = dec.parts, dec.adjoint
+        assert dec.parts is parts and dec.adjoint is adjoint
+        assert len(adjoints) == len(spans) == 1
+        eager = eigen_decompose(alg, x, law.eigenvalues)
+        assert parts == eager.parts and adjoint == eager.adjoint
+        assert dec.dims == eager.dims
+
+    def test_parts_are_checked_against_dims(self):
+        alg, axes = flip_axes("W3A", SYM)
+        x, law = axes[1]
+        dec = check_fusion(alg, x, law).decomposition
+        dec.dims = dec.dims[::-1]
+        with pytest.raises(RuntimeError, match="eigenvectors of dimensions"):
+            dec.parts
+
+    def test_basis_with_an_eta_entry_keeps_the_qeta_route(self, restriction, calls, inserts):
+        # the point b(4,5) next to the idempotent (a + b - eta c)/(1 + eta)
+        # of a line of A:5, whose closure has a row in eta
+        sp = build_named_space("A", 5)
+        a, b, c, p = (sp.point_of_label(s) for s in ("b(1,2)", "b(1,3)", "b(2,3)", "b(4,5)"))
+        unit = EtaScalar.one() / (ONE + SYM.eta())
+        alg = close_over_qeta(sp, [{a: unit, b: unit, c: -SYM.eta() * unit}, {p: ONE}])
+        x, law = {p: ONE}, jordan_law(SYM)
+        inserts.clear()
+        report = check_fusion(alg, x, law)
+        assert inserts and restriction.verdicts == [law]
+        assert calls["eigen_decompose"] == [report.decomposition]
+        eager = eigen_decompose(alg, x, law.eigenvalues)
+        assert report.decomposition.parts == eager.parts
+        assert report.export() == exact_report(restriction, alg, x, law).export()
 
 
 def shifted_adjoint_rank(alg, x) -> int:

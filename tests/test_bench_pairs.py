@@ -1,0 +1,89 @@
+"""The summary of tools/bench_pairs.py on canned run records; no benchmark
+is started."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+METRICS = [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+    {"name": "rate", "unit": "1/s", "better": "higher", "bound": 1},
+]
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def refuse(*args):
+        raise AssertionError("a benchmark run was started")
+
+    monkeypatch.setattr(module, "run_once", refuse)
+    monkeypatch.setattr(module.subprocess, "run", refuse)
+    return module
+
+
+def record(workload, pair, side, wall, rss, rate, failed=0):
+    metrics = {"wall_s": wall, "peak_rss_mb": rss, "rate": rate}
+    return {
+        "workload": workload,
+        "pair": pair,
+        "side": side,
+        "result": {
+            "correct": not failed,
+            "attempted": 4,
+            "failed": failed,
+            "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()},
+        },
+    }
+
+
+def test_summary_of_canned_runs(bench_pairs):
+    runs = []
+    walls = {"parent": [0.20, 0.22, 0.19, 0.25, 0.21], "change": [0.10, 0.12, 0.20, 0.09, 0.11]}
+    for pair in range(5):
+        sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in sides:
+            rss = 25.0 if side == "parent" else 25.0 + (pair == 3) * 0.1
+            rate = 10 + (side == "change") * (1 if pair else -1)
+            runs.append(record("fusion", pair, side, walls[side][pair], rss, rate))
+    runs.append(record("census", 0, "parent", 0.7, 24.0, 1, failed=1))
+    runs.append(record("census", 0, "change", 0.7, 24.0, 1))
+    summary = bench_pairs.summarize(runs, METRICS)
+    assert list(summary) == ["fusion", "census"]
+    fusion = summary["fusion"]
+    assert fusion["parent"]["runs"] == fusion["change"]["runs"] == 5
+    assert fusion["parent"]["attempted"] == 20 and fusion["parent"]["failed"] == 0
+    assert fusion["parent"]["wall_s"] == {
+        "median": 0.21, "q1": 0.2, "q3": 0.22, "min": 0.19, "max": 0.25
+    }
+    assert fusion["change"]["wall_s"]["median"] == 0.11
+    # the change reads lower in four pairs and higher in one (pair 2)
+    assert fusion["wall_s_change_lower_pairs"] == "4 of 5 (higher in 1)"
+    assert fusion["wall_s_change_won_pairs"] == 4
+    assert fusion["wall_s_median_change_minus_parent"] == -0.1
+    # ties count for neither side
+    assert fusion["peak_rss_mb_change_lower_pairs"] == "0 of 5 (higher in 1)"
+    assert fusion["peak_rss_mb_change_won_pairs"] == 0
+    # a metric where higher is better is won by the higher reading
+    assert fusion["rate_change_lower_pairs"] == "1 of 5 (higher in 4)"
+    assert fusion["rate_change_won_pairs"] == 4
+    census = summary["census"]
+    assert census["parent"]["failed"] == 1 and census["change"]["failed"] == 0
+    assert census["wall_s_change_lower_pairs"] == "0 of 1 (higher in 0)"
+
+
+def test_a_pair_with_one_side_is_not_counted(bench_pairs):
+    runs = [
+        record("spectrum", 0, "parent", 0.2, 27.0, 1),
+        record("spectrum", 0, "change", 0.1, 27.0, 1),
+        record("spectrum", 1, "parent", 0.3, 27.0, 1),
+    ]
+    spectrum = bench_pairs.summarize(runs, METRICS)["spectrum"]
+    assert spectrum["parent"]["runs"] == 2 and spectrum["change"]["runs"] == 1
+    assert spectrum["wall_s_change_lower_pairs"] == "1 of 1 (higher in 0)"
