@@ -36,17 +36,11 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
-from .algebra import Vec, _IntEchelon, vec_add_scaled, vec_product, vec_scale
-from .closure import (
-    EchelonBasis,
-    ScalarMode,
-    Subalgebra,
-    _eta1_candidates,
-    _int_echelon,
-    vec_combination,
-)
+from .algebra import Vec, vec_add_scaled, vec_product, vec_scale
+from .closure import _ETA1_START, EchelonBasis, ScalarMode, Subalgebra, kernel_dims
+from .closure import vec_combination
 from .fischer import FischerSpace, verified_reflection
-from .scalars import HALF_ETA, EtaScalar, as_eta_scalar, primitive_int_vec
+from .scalars import HALF_ETA, EtaScalar
 
 
 class AdjointNotDiagonalizableError(ValueError):
@@ -221,8 +215,8 @@ class EigenDecomposition:
         for image in images:
             order = sorted(range(len(image)), key=image.pivot_of_row.__getitem__, reverse=True)
             parts.append([[image.rows[r].get(d - 1 - c, zero) for c in range(d)] for r in order])
-        if self.dims not in (None, tuple(map(len, parts))):
-            dims = tuple(map(len, parts))
+        dims = tuple(map(len, parts))
+        if self.dims not in (None, dims):
             raise RuntimeError(f"eigenvectors of dimensions {dims}, not {self.dims}")
         return parts
 
@@ -263,54 +257,23 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
     return EigenDecomposition(algebra, x, spectrum)
 
 
-def _kernel_dims(algebra: Subalgebra, span: _IntEchelon, x: Vec, values, eta1) -> tuple[int, ...]:
-    """dim ker(ad_x - lambda) on the subalgebra at eta = eta1, for each
-    lambda in values, with x and the span's rows rational: d minus the rank
-    over Z of the images of the span's primitive integer rows b, in ambient
-    coordinates, so with no coordinates and no adjoint.  With eta1 = n/m and
-    x = s x_int, x_int a primitive integer vector, 2m (x*b - lambda b) =
-    s (P_b - (p/q) b), with P_b the scaled product of x_int and b
-    (``ScalarMode.product_weights``) and p/q = 2m lambda / s; the image
-    taken is q P_b - p b."""
-    n, two_m = ScalarMode.evaluated(eta1).product_weights()
-    x_int = primitive_int_vec(x)
-    k = min(x_int)
-    s = as_eta_scalar(x[k]).evaluate(eta1) / x_int[k]
-    products = [vec_product(algebra.space, x_int, b, n, two_m) for b in span.rows]
-    dims = []
-    for lam in values:
-        shift = as_eta_scalar(lam).evaluate(eta1) * two_m / s
-        image = _IntEchelon()
-        for b, w in zip(span.rows, products):
-            image.insert(vec_combination((w, b), (shift.denominator, -shift.numerator)))
-        dims.append(algebra.dimension - len(image.rows))
-    return tuple(dims)
-
-
 def _restricted_decomposition(algebra: Subalgebra, x: Vec, values: tuple) -> EigenDecomposition:
     """The decomposition of an axis x that obeys the law of values in the
     whole algebra (``_ambient_law``): on a rational basis its dimensions by
-    ``_kernel_dims`` and its eigenvectors when read, else
-    ``eigen_decompose``.
+    ``closure.kernel_dims`` and its eigenvectors when read, else built at once.
 
     ad_x is then diagonalizable with these values, so the kernel dimensions
-    sum to d.  Evaluated mode takes them at eta0, exactly.  Symbolically, a
-    kernel at an integer eta1 is at least as large as over Q(eta), since
-    rank only drops at a specialization, so the dimensions at the first
-    candidate eta1 where they sum to d are those over Q(eta).
+    sum to d.  Evaluated mode takes them at eta0, exactly; symbolic mode at
+    eta1 = ``_ETA1_START``, where the values are distinct.  There each
+    kernel is at least the kernel over Q(eta), as rank only drops at a
+    specialization, and kernels of distinct values sum to at most d, so a
+    sum of d makes each the one over Q(eta); any other sum raises.
     """
-    span = _int_echelon(algebra.basis)
-    if span is None:
-        return eigen_decompose(algebra, x, values)
-    mode = algebra.mode
-    for eta1 in _eta1_candidates() if mode.is_symbolic else [mode.eta0]:
-        dims = _kernel_dims(algebra, span, x, values, eta1)
-        if sum(dims) == algebra.dimension:
-            return EigenDecomposition(algebra, x, values, dims)
-    raise RuntimeError(
-        f"eigenspace dimensions {dims} at eta1 = {eta1} sum to {sum(dims)},"
-        f" not {algebra.dimension}"
-    )
+    eta1 = _ETA1_START if algebra.mode.is_symbolic else algebra.mode.eta0
+    dims = kernel_dims(algebra, x, values, eta1)
+    if dims is not None and sum(dims) != algebra.dimension:
+        raise RuntimeError(f"eigenspace dimensions {dims} at eta1 = {eta1} sum to {sum(dims)}")
+    return EigenDecomposition(algebra, x, values, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +342,9 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
     eigenspace dimensions are integer ranks, and its eigenvectors are built
     only when read (``_restricted_decomposition``).
     """
-    x, values = _axis(algebra, x), law.eigenvalues
-    if law == _ambient_law(algebra.mode, x):
-        return FusionReport(law, _restricted_decomposition(algebra, x, values), [])
+    values = law.eigenvalues
+    if law == _ambient_law(algebra.mode, algebra.mode.vector(x, "axis")):
+        return FusionReport(law, _restricted_decomposition(algebra, _axis(algebra, x), values), [])
     dec = eigen_decompose(algebra, x, values)
     projections = []  # the Lagrange projection onto each part
     for k, lam in enumerate(values):
@@ -423,7 +386,8 @@ def _ambient_law(mode: ScalarMode, x: Vec) -> Optional[FusionLaw]:
     orthogonal points M(2eta, eta) at eta != 1/2 (Galt et al. 2021).  An
     idempotent with one point in its support is the point, and with two the
     points are orthogonal with unit coefficients, so the rule reads the
-    support size and eta only.  B_lambda = B meet A_lambda, as the
+    support size and eta only, and a caller may ask it before ``_axis``
+    checks x, as long as its route then checks x.  B_lambda = B meet A_lambda, as the
     subalgebra B is closed (``Subalgebra``), so each caller's restricted
     route is ``law == _ambient_law(mode, x)`` alone.
     """
@@ -448,7 +412,7 @@ def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
     Algebra 2021).  So a point is primitive, and b + c is iff b is not in B
     (else c = x - b is too), as B is closed (``Subalgebra``).  Any other
     axis is primitive iff ad_x - 1 has rank d - 1 on B: over Z at eta0 in
-    evaluated mode (``_kernel_dims``), and over Q(eta) symbolically, since
+    evaluated mode (``closure.kernel_dims``), and over Q(eta) symbolically, since
     the rank at one integer eta1 does not bound it from below.
     """
     x, mode = _axis(algebra, x), algebra.mode
@@ -457,7 +421,7 @@ def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
     if mode.is_symbolic:
         (image,) = _spans(algebra, _adjoint(algebra, x), [_poly((mode.one(),))])
         return algebra.dimension - len(image) == 1
-    return _kernel_dims(algebra, _int_echelon(algebra.basis), x, [1], mode.eta0) == (1,)
+    return kernel_dims(algebra, x, [1], mode.eta0) == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +504,10 @@ def miyamoto_algebra_map(algebra: Subalgebra, x: Vec, law: FusionLaw) -> Miyamot
     e_c - 2 P_odd(e_c) in coordinates, and the map is checked to be an
     involution that preserves products.
     """
-    x = _axis(algebra, x)
-    restricted = law == _ambient_law(algebra.mode, x)
+    restricted = law == _ambient_law(algebra.mode, algebra.mode.vector(x, "axis"))
     if restricted:
-        matrix = permutation_matrix_on(algebra, _composed_reflections(algebra.space, x))
+        perm = _composed_reflections(algebra.space, _axis(algebra, x))
+        matrix = permutation_matrix_on(algebra, perm)
     elif (report := check_fusion(algebra, x, law)).passed:
         *even, odd = law.eigenvalues  # the eta part, last in both laws
         mirror = _poly(even, -2 / math.prod(odd - mu for mu in even))

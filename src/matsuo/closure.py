@@ -560,11 +560,6 @@ _ETA1_START = 3
 _ETA1_ATTEMPTS = 16
 
 
-def _eta1_candidates(skip=None) -> Iterable:
-    """The candidates for eta1, in order, all but skip."""
-    return islice((e for e in count(_ETA1_START) if e != skip), _ETA1_ATTEMPTS)
-
-
 def specialized_dimension(subalgebra: Subalgebra, eta0) -> int:
     """Specialize-last dimension of a symbolic closure at eta = eta0.
 
@@ -586,7 +581,8 @@ def specialized_dimension(subalgebra: Subalgebra, eta0) -> int:
         raise ValueError("specialization needs a symbolic closure")
     mode0 = ScalarMode.evaluated(eta0)
     gens = [_poly_vec(vec) for vec, _ in subalgebra.generators]
-    for eta1 in _eta1_candidates(mode0.eta0):
+    candidates = (e for e in count(_ETA1_START) if e != mode0.eta0)
+    for eta1 in islice(candidates, _ETA1_ATTEMPTS):
         modes = (mode0, ScalarMode.evaluated(eta1))
         rank0, rank1 = _walk_at(subalgebra.space, gens, modes)
         if rank1 >= subalgebra.dimension:
@@ -629,3 +625,30 @@ def _walk_at(
             ]))
     return [len(basis.rows) for basis in bases]
 
+
+
+def kernel_dims(subalgebra: Subalgebra, x: Vec, values: Iterable, eta1) -> Optional[tuple]:
+    """dim ker(ad_x - lambda) on the subalgebra at eta = eta1, for each
+    lambda in values, x a rational element; None when a basis row involves
+    eta.  It is d minus the rank over Z of the images of the primitive
+    integer rows b (``_int_echelon``), in ambient coordinates, so with no
+    coordinates and no adjoint.  With eta1 = n/m and x = s x_int, x_int a
+    primitive integer vector, 2m (x*b - lambda b) = s (P_b - (p/q) b), with
+    P_b the scaled product of x_int and b (``ScalarMode.product_weights``)
+    and p/q = 2m lambda / s; the image taken is q P_b - p b."""
+    span = _int_echelon(subalgebra.basis)
+    if span is None:
+        return None
+    n, two_m = ScalarMode.evaluated(eta1).product_weights()
+    x_int = primitive_int_vec(x)
+    k = min(x_int)
+    s = as_eta_scalar(x[k]).evaluate(eta1) / x_int[k]
+    products = [vec_product(subalgebra.space, x_int, b, n, two_m) for b in span.rows]
+    dims = []
+    for lam in values:
+        shift = as_eta_scalar(lam).evaluate(eta1) * two_m / s
+        image = _IntEchelon()
+        for b, w in zip(span.rows, products):
+            image.insert(vec_combination((w, b), (shift.denominator, -shift.numerator)))
+        dims.append(subalgebra.dimension - len(image.rows))
+    return tuple(dims)

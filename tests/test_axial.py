@@ -624,24 +624,17 @@ class TestIntegerEigenDims:
                 assert dims == spans_dims(alg, x, law.eigenvalues)
                 assert sum(dims) == alg.dimension
 
-    def test_degenerate_first_candidate(self, monkeypatch):
+    def test_degenerate_point_raises(self, monkeypatch):
         # at eta1 = 1/2 the values 1 and 2eta of M coincide, so the kernel
-        # dimensions there sum to more than d: the next candidate, 3/2,
-        # gives the dimensions over Q(eta)
-        monkeypatch.setattr(closure_module, "_ETA1_START", Fraction(1, 2))
+        # dimensions there sum to more than d and are not the ones over
+        # Q(eta): the route refuses them rather than report them
         sp = build_named_space("A", 4)
         x = {sp.point_of_label("b(1,2)"): ONE, sp.point_of_label("b(3,4)"): ONE}
-        alg, values = full_algebra(sp), monster_law(SYM).eigenvalues
-        span = closure_module._int_echelon(alg.basis)
-        assert axial._kernel_dims(alg, span, x, values, Fraction(1, 2)) == (3, 1, 3, 2)
-        dims = axial._restricted_decomposition(alg, x, values).dims
-        assert dims == spans_dims(alg, x, values) == (2, 1, 1, 2)
-        assert check_fusion(alg, x, monster_law(SYM)).export()["eigen_dims"] == {
-            "1": 2, "0": 1, "2*eta": 1, "eta": 2
-        }
-        monkeypatch.setattr(closure_module, "_ETA1_ATTEMPTS", 1)
-        with pytest.raises(RuntimeError, match=r"\(3, 1, 3, 2\) at eta1 = 1/2 sum to 9, not 6"):
-            axial._restricted_decomposition(alg, x, values)
+        alg, law = full_algebra(sp), monster_law(SYM)
+        assert check_fusion(alg, x, law).decomposition.dims == (2, 1, 1, 2)
+        monkeypatch.setattr(axial, "_ETA1_START", Fraction(1, 2))
+        with pytest.raises(RuntimeError, match=r"\(3, 1, 3, 2\) at eta1 = 1/2 sum to 9"):
+            check_fusion(alg, x, law)
 
 
 @pytest.fixture
@@ -676,6 +669,19 @@ class TestRestrictedFastPath:
         assert check_primitive(alg, x) is False
         assert inserts == []
 
+    def test_axis_checked_once_per_entry_point(self, monkeypatch):
+        # the restricted routes and the pair loop alike, and the Miyamoto
+        # map's I - 2 P_odd route through check_fusion
+        sp = build_named_space("A", 4)
+        alg, m = full_algebra(sp), monster_law(SYM)
+        double = {sp.point_of_label("b(1,2)"): ONE, sp.point_of_label("b(3,4)"): ONE}
+        checked = counted_products(monkeypatch, axial, "_axis")
+        for x in (double, {0: ONE}):
+            check_fusion(alg, x, m)
+            miyamoto_algebra_map(alg, x, m)
+        check_primitive(alg, double)
+        assert len(checked) == 5
+
     def test_parts_built_once_when_read(self, monkeypatch):
         alg, axes = flip_axes("Wr3x3", SYM)
         x, law = axes[1]
@@ -699,7 +705,7 @@ class TestRestrictedFastPath:
         with pytest.raises(RuntimeError, match="eigenvectors of dimensions"):
             dec.parts
 
-    def test_basis_with_an_eta_entry_keeps_the_qeta_route(self, restriction, calls, inserts):
+    def test_basis_with_an_eta_entry_keeps_the_qeta_route(self, restriction, inserts):
         # the point b(4,5) next to the idempotent (a + b - eta c)/(1 + eta)
         # of a line of A:5, whose closure has a row in eta
         sp = build_named_space("A", 5)
@@ -710,7 +716,6 @@ class TestRestrictedFastPath:
         inserts.clear()
         report = check_fusion(alg, x, law)
         assert inserts and restriction.verdicts == [law]
-        assert calls["eigen_decompose"] == [report.decomposition]
         eager = eigen_decompose(alg, x, law.eigenvalues)
         assert report.decomposition.parts == eager.parts
         assert report.export() == exact_report(restriction, alg, x, law).export()

@@ -3,18 +3,19 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_pairs.py --parent REF --tag TAG --workloads fusion census \
-        --pairs 10 --seed 1 [--seconds 10] [--what TEXT]
+        --pairs 10 --seed 1
 
 The parent is exported with ``git archive REF`` into a temporary directory,
 and the working tree is copied there (without .git), so edits made while
 the runs go on change neither side.  For each workload, each pair runs
-``perfbench/run.py --trace 0`` once in each copy, the parent first in even
-pairs and the working tree first in odd ones.  Every run's last line (the
-JSON result) is kept, with the digest of the sources it ran.  The summary gives, per
-workload and side, the median, quartiles, minimum and maximum of each
-end-to-end metric of BENCHMARK.json, and the pairs the change won on each
-metric, ties counting for neither side; it is printed and written, with the
-runs, to BENCH_<TAG>.json in the schema of the earlier BENCH files.
+``perfbench/run.py --trace 0`` for BENCHMARK.json's ``run_seconds`` once
+in each copy, the parent first in even pairs and the working tree first in
+odd ones.  Every run's last line (the JSON result) is kept, with the digest
+of the sources it ran.  The summary gives, per workload and side, the
+median, quartiles, minimum and maximum of each end-to-end metric of
+BENCHMARK.json, and the pairs the change won on each metric, ties counting
+for neither side; it is printed and written, with the runs, to
+BENCH_<TAG>.json in the schema of the earlier BENCH files.
 """
 
 from __future__ import annotations
@@ -35,7 +36,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def git(*args: str) -> str:
+    """The output of a git command run at the root of the checkout."""
+    done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def run_once(root: Path, workload: str, seed: int, seconds) -> dict:
     """One ``perfbench/run.py`` run in root: its JSON result line, with the
     source digest of its run record."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -104,19 +111,16 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--what", default="", help="what the change does")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    parent_sha = subprocess.run(
-        ["git", "rev-parse", "--short", args.parent], cwd=ROOT,
-        capture_output=True, text=True, check=True,
-    ).stdout.strip()
+    parent_sha = git("rev-parse", "--short", args.parent)
+    head_sha = git("rev-parse", "--short", "HEAD")
+    edited = ", with uncommitted edits" if git("status", "--porcelain", "-uno") else ""
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         archive = Path(tmp) / "parent.tar"
-        subprocess.run(["git", "archive", "-o", str(archive), args.parent], cwd=ROOT, check=True)
+        git("archive", "-o", str(archive), args.parent)
         parent = Path(tmp) / "parent"
         with tarfile.open(archive) as tar:
             tar.extractall(parent)
@@ -126,7 +130,7 @@ def main(argv=None) -> int:
         for workload in args.workloads:
             for pair in range(args.pairs):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                    result = run_once(roots[side], workload, args.seed, args.seconds)
+                    result = run_once(roots[side], workload, args.seed, spec["run_seconds"])
                     runs.append({"workload": workload, "pair": pair, "side": side,
                                  "result": result})
                     wall = result["metrics"]["wall_s"]["value"]
@@ -134,10 +138,9 @@ def main(argv=None) -> int:
     summary = summarize(runs, spec["end_to_end"])
     record = {
         "tag": args.tag,
-        "what": args.what,
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed}"
-                   f" --seconds {args.seconds:g} --trace 0, run from the root of each tree",
-        "sides": {"parent": parent_sha, "change": "a copy of the working tree"},
+                   f" --seconds {spec['run_seconds']} --trace 0, run from the root of each tree",
+        "sides": {"parent": parent_sha, "change": f"{head_sha}, copied from the working tree{edited}"},
         "protocol": f"tools/bench_pairs.py: {args.pairs} pairs per workload in the order"
                     f" {', '.join(args.workloads)}; parent first in even pairs, change first"
                     " in odd ones; parent from a git archive, change from a copy of the"
