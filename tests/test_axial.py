@@ -596,7 +596,7 @@ def flip_axes(family, mode):
 class TestIntegerEigenDims:
     """check_fusion's restricted route reads the eigenspace dimensions of a
     point under J or a double under M on a rational basis from integer
-    ranks at one or more points eta1 (``axial._restricted_decomposition``);
+    ranks at one point eta1 (``axial._restricted_decomposition``);
     they must be the dimensions over the mode's scalars."""
 
     @pytest.mark.parametrize("family,n", SMALL_SPACES)
