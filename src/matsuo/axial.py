@@ -386,9 +386,9 @@ def _ambient_law(mode: ScalarMode, x: Vec) -> Optional[FusionLaw]:
     orthogonal points M(2eta, eta) at eta != 1/2 (Galt et al. 2021).  An
     idempotent with one point in its support is the point, and with two the
     points are orthogonal with unit coefficients, so the rule reads the
-    support size and eta only, and a caller may ask it before ``_axis``
-    checks x, as long as its route then checks x.  B_lambda = B meet A_lambda, as the
-    subalgebra B is closed (``Subalgebra``), so each caller's restricted
+    support size and eta only: a caller may ask it before ``_axis`` checks
+    x, if the route it picks then checks x.  B_lambda = B meet A_lambda, as
+    the subalgebra B is closed (``Subalgebra``), so each caller's restricted
     route is ``law == _ambient_law(mode, x)`` alone.
     """
     ambient = {1: jordan_law, 2: monster_law}.get(len(x))
@@ -412,8 +412,8 @@ def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
     Algebra 2021).  So a point is primitive, and b + c is iff b is not in B
     (else c = x - b is too), as B is closed (``Subalgebra``).  Any other
     axis is primitive iff ad_x - 1 has rank d - 1 on B: over Z at eta0 in
-    evaluated mode (``closure.kernel_dims``), and over Q(eta) symbolically, since
-    the rank at one integer eta1 does not bound it from below.
+    evaluated mode (``closure.kernel_dims``), and over Q(eta) symbolically,
+    since the rank at one integer eta1 does not bound it from below.
     """
     x, mode = _axis(algebra, x), algebra.mode
     if _ambient_law(mode, x) is not None:
