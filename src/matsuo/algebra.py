@@ -526,7 +526,7 @@ class CriticalValues:
 
     space: str
     roots: frozenset[Fraction]
-    excluded: frozenset[Fraction]  # members of {0, 1} that are determinant roots
+    excluded: frozenset[Fraction]  # 1 when it is a determinant root (0 never is)
     certificate: EtaPoly
     det_degree: int
 
@@ -556,19 +556,16 @@ def _certificate_from_minpoly(m: EtaPoly) -> EtaPoly:
 def critical_values(sp: FischerSpace) -> CriticalValues:
     """Values of eta where the Gram matrix of the form degenerates.
 
-    eta = 0, 1 are outside the parameter domain and reported separately when
-    they happen to be determinant roots.  Cached on the space.
+    eta = 1 is outside the parameter domain and reported separately when it
+    is a determinant root (a root -2/lambda is never 0).  The determinant's
+    degree is n less the integer corank of A.  Cached on the space.
     """
     m = adjacency_minimal_polynomial(sp)
     cert = _certificate_from_minpoly(m)
     all_roots = {Fraction(-2, 1) / lam for lam in rational_roots(m) if lam != 0}
-    excluded = frozenset(r for r in all_roots if r in (Fraction(0), Fraction(1)))
-    roots = frozenset(r for r in all_roots if r not in excluded)
-    spectrum = adjacency_spectrum(sp)
-    if spectrum is not None:
-        zero_mult = spectrum.get(Fraction(0), 0)
-    else:
-        zero_mult = eigenvalue_multiplicity(sp, Fraction(0)) if m.evaluate(0) == 0 else 0
+    excluded = frozenset(r for r in all_roots if r == 1)
+    roots = frozenset(all_roots - excluded)
+    zero_mult = eigenvalue_multiplicity(sp, Fraction(0)) if m.evaluate(0) == 0 else 0
     det_degree = len(sp.points) - zero_mult
     return CriticalValues(sp.describe(), roots, excluded, cert, det_degree)
 

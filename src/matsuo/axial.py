@@ -5,7 +5,7 @@ two orthogonal axes follow the Monster-type law with eigenvalues
 (1, 0, 2*eta, eta).  The spectrum is known in advance from the law, so no
 root-finding is involved.  ad_x on a subalgebra, closed as every
 ``Subalgebra`` is, is formed once, as sparse columns: column c holds the
-coordinates of x*b_c on the basis.
+coordinates of x*b_c on the basis, read at the pivots as x*b_c lies in B.
 Every polynomial in ad_x is then read off the Krylov vectors w, A w,
 A^2 w, ... of a coordinate vector w: the Lagrange projections P_k = prod
 over mu != lambda_k of (ad_x - mu) / (lambda_k - mu), whose images are the
@@ -19,8 +19,8 @@ closed by construction, so such an axis passes by restriction, is primitive
 unless it is b + c with b in the subalgebra, and its Miyamoto involution
 composes its points' reflections, each a verified automorphism of the Fischer space.
 On a rational basis its eigenspace dimensions are integer ranks at one
-point eta, and its eigenvectors and ad_x are built only when read
-(``_restricted_decomposition``).
+point eta (``closure.kernel_dims``), and its eigenvectors and ad_x are
+built only when read.
 Every other axis or law is checked pair by pair over the eigenvectors,
 which alone reports violations, its primitivity is the rank of ad_x - 1
 (over Z at eta0 in evaluated mode), and its Miyamoto involution is
@@ -37,7 +37,7 @@ from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .algebra import Vec, vec_add_scaled, vec_product, vec_scale
-from .closure import _ETA1_START, EchelonBasis, ScalarMode, Subalgebra, kernel_dims
+from .closure import EchelonBasis, ScalarMode, Subalgebra, _at_pivots, kernel_dims
 from .closure import vec_combination
 from .fischer import FischerSpace, verified_reflection
 from .scalars import HALF_ETA, EtaScalar
@@ -147,13 +147,13 @@ def _axis(algebra: Subalgebra, x: Vec) -> Vec:
 
 def _adjoint(algebra: Subalgebra, x: Vec) -> list[Vec]:
     """ad_x on the subalgebra basis as sparse columns: column c holds the
-    coordinates of x*b_c, one product and one reduction each; x*b_c lies in
-    the closed subalgebra, as x does (``_axis``)."""
+    coordinates of x*b_c, one product each, read at the pivots; x*b_c lies
+    in the closed subalgebra, as x does (``_axis``)."""
     half = algebra.mode.half_eta()
     columns, shared = [], {}  # equal entries share one scalar: few are distinct
     for row in algebra.basis.rows:
-        coords = algebra.coordinates(vec_product(algebra.space, x, row, half))
-        columns.append({i: shared.setdefault(v, v) for i, v in enumerate(coords) if v})
+        coords = _at_pivots(algebra.basis, vec_product(algebra.space, x, row, half))
+        columns.append({i: shared.setdefault(v, v) for i, v in coords.items()})
     return columns
 
 
@@ -257,25 +257,6 @@ def eigen_decompose(algebra: Subalgebra, x: Vec, spectrum: Sequence) -> EigenDec
     return EigenDecomposition(algebra, x, spectrum)
 
 
-def _restricted_decomposition(algebra: Subalgebra, x: Vec, values: tuple) -> EigenDecomposition:
-    """The decomposition of an axis x that obeys the law of values in the
-    whole algebra (``_ambient_law``): on a rational basis its dimensions by
-    ``closure.kernel_dims`` and its eigenvectors when read, else built at once.
-
-    ad_x is then diagonalizable with these values, so the kernel dimensions
-    sum to d.  Evaluated mode takes them at eta0, exactly; symbolic mode at
-    eta1 = ``_ETA1_START``, where the values are distinct.  There each
-    kernel is at least the kernel over Q(eta), as rank only drops at a
-    specialization, and kernels of distinct values sum to at most d, so a
-    sum of d makes each the one over Q(eta); any other sum raises.
-    """
-    eta1 = _ETA1_START if algebra.mode.is_symbolic else algebra.mode.eta0
-    dims = kernel_dims(algebra, x, values, eta1)
-    if dims is not None and sum(dims) != algebra.dimension:
-        raise RuntimeError(f"eigenspace dimensions {dims} at eta1 = {eta1} sum to {sum(dims)}")
-    return EigenDecomposition(algebra, x, values, dims)
-
-
 # ---------------------------------------------------------------------------
 # fusion checking
 # ---------------------------------------------------------------------------
@@ -334,17 +315,26 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
     product of (ad_x - nu) over the allowed eigenvalues nu kills its product
     (an empty cell asks for zero).  A failing pair gives one violation per
     disallowed part on which the product has a nonzero component.  Both are
-    read off the Krylov vectors of the product's coordinates.
+    read off the Krylov vectors of the product's coordinates (at the pivots).
 
     An axis under its ambient law (a point under J, a double axis under M,
     ``_ambient_law``) passes without the pair loop, by restriction from the
-    whole Matsuo algebra to the closed subalgebra; on a rational basis its
-    eigenspace dimensions are integer ranks, and its eigenvectors are built
-    only when read (``_restricted_decomposition``).
+    whole Matsuo algebra to the closed subalgebra, so ad_x is diagonalizable
+    with the law's values and its kernel dimensions sum to d.  On a rational
+    basis they are integer ranks at one point (``closure.kernel_dims``) and
+    the eigenvectors are built only when read, else at once.  Evaluated mode
+    ranks at eta0, exactly; symbolic mode where the values are distinct.
+    There each kernel is at least the one over Q(eta), as rank only drops
+    at a specialization, and kernels of distinct values sum to at most d,
+    so a sum of d makes each the one over Q(eta); any other sum raises.
     """
     values = law.eigenvalues
     if law == _ambient_law(algebra.mode, algebra.mode.vector(x, "axis")):
-        return FusionReport(law, _restricted_decomposition(algebra, _axis(algebra, x), values), [])
+        x = _axis(algebra, x)
+        dims, d = kernel_dims(algebra, x, values), algebra.dimension
+        if dims is not None and sum(dims) != d:
+            raise RuntimeError(f"eigenspace dimensions {dims} sum to {sum(dims)}, not {d}")
+        return FusionReport(law, EigenDecomposition(algebra, x, values, dims), [])
     dec = eigen_decompose(algebra, x, values)
     projections = []  # the Lagrange projection onto each part
     for k, lam in enumerate(values):
@@ -355,9 +345,8 @@ def check_fusion(algebra: Subalgebra, x: Vec, law: FusionLaw) -> FusionReport:
     start = list(accumulate(map(len, parts), initial=0))
     violations: list[FusionViolation] = []
     for li, mi, a, b, w in _pair_products(algebra.space, parts, algebra.mode.half_eta()):
-        dense = algebra.coordinates(w)  # eigenvectors lie in the closed subalgebra
         allowed = law.allowed(li, mi)
-        powers = [{c: v for c, v in enumerate(dense) if v}]
+        powers = [_at_pivots(algebra.basis, w)]
         if not _images(dec.adjoint, powers, [_poly([values[k] for k in sorted(allowed)])])[0]:
             continue
         for k, component in enumerate(_images(dec.adjoint, powers, projections)):
@@ -413,7 +402,7 @@ def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
     (else c = x - b is too), as B is closed (``Subalgebra``).  Any other
     axis is primitive iff ad_x - 1 has rank d - 1 on B: over Z at eta0 in
     evaluated mode (``closure.kernel_dims``), and over Q(eta) symbolically,
-    since the rank at one integer eta1 does not bound it from below.
+    as rank d - 1 at one point would prove it, but a lower one proves nothing.
     """
     x, mode = _axis(algebra, x), algebra.mode
     if _ambient_law(mode, x) is not None:
@@ -421,7 +410,7 @@ def check_primitive(algebra: Subalgebra, x: Vec) -> bool:
     if mode.is_symbolic:
         (image,) = _spans(algebra, _adjoint(algebra, x), [_poly((mode.one(),))])
         return algebra.dimension - len(image) == 1
-    return kernel_dims(algebra, x, [1], mode.eta0) == (1,)
+    return kernel_dims(algebra, x, [1]) == (1,)
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="write the JSON report to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_space = sub.add_parser("space", help="build, inspect, or export a space")
-    p_space.add_argument("action", choices=("build", "stats", "export"))
+    p_space = sub.add_parser("space", help="inspect or export a space")
+    p_space.add_argument("action", choices=("stats", "export"))
     p_space.add_argument("spec", help="FAMILY:n, e.g. W3A:4")
 
     p_gram = sub.add_parser("gram", help="Gram determinant and critical values")

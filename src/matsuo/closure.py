@@ -272,16 +272,21 @@ def _int_echelon(basis: EchelonBasis) -> Optional[_IntEchelon]:
     return span
 
 
+def _at_pivots(span: EchelonBasis | _IntEchelon, vec: Vec) -> Vec:
+    """The coordinates of vec on the span's rows, by row, read at the
+    pivots: unchecked, so vec must lie in the span."""
+    index = span.row_of_pivot
+    return {index[p]: c for p, c in vec.items() if p in index}
+
+
 def _part_walk(span: EchelonBasis | _IntEchelon, parts: Sequence):
     """(i, j, coordinates) for each pair i <= j of the span's rows r, with
-    the coordinates of part(r_i, r_j) for each part, read at the pivots by
-    row: unchecked, so the span must be closed (``_is_closed_under``)."""
-    rows, index = span.rows, span.row_of_pivot
+    the coordinates of part(r_i, r_j) for each part (``_at_pivots``), so
+    the span must be closed (``_is_closed_under``)."""
+    rows = span.rows
     for i, u in enumerate(rows):
         for j in range(i, len(rows)):
-            yield i, j, [
-                {index[p]: c for p, c in part(u, rows[j]).items() if p in index} for part in parts
-            ]
+            yield i, j, [_at_pivots(span, part(u, rows[j])) for part in parts]
 
 
 def _is_closed_under(span: EchelonBasis | _IntEchelon, parts: Sequence) -> bool:
@@ -556,6 +561,7 @@ def _poly_vec(vec: Vec) -> dict[int, EtaPoly]:
 # Candidates for the certifying point eta1: integers from _ETA1_START up,
 # skipping eta0.  Degenerate values are finitely many, so a correct symbolic
 # dimension is reached within a few; _ETA1_ATTEMPTS misses mean it is wrong.
+# kernel_dims ranks at _ETA1_START symbolically: the J and M values differ.
 _ETA1_START = 3
 _ETA1_ATTEMPTS = 16
 
@@ -627,10 +633,11 @@ def _walk_at(
 
 
 
-def kernel_dims(subalgebra: Subalgebra, x: Vec, values: Iterable, eta1) -> Optional[tuple]:
-    """dim ker(ad_x - lambda) on the subalgebra at eta = eta1, for each
+def kernel_dims(subalgebra: Subalgebra, x: Vec, values: Iterable) -> Optional[tuple]:
+    """dim ker(ad_x - lambda) on the subalgebra at one point eta1, for each
     lambda in values, x a rational element; None when a basis row involves
-    eta.  It is d minus the rank over Z of the images of the primitive
+    eta.  eta1 is eta0 in evaluated mode and ``_ETA1_START`` in symbolic
+    mode.  It is d minus the rank over Z of the images of the primitive
     integer rows b (``_int_echelon``), in ambient coordinates, so with no
     coordinates and no adjoint.  With eta1 = n/m and x = s x_int, x_int a
     primitive integer vector, 2m (x*b - lambda b) = s (P_b - (p/q) b), with
@@ -639,6 +646,7 @@ def kernel_dims(subalgebra: Subalgebra, x: Vec, values: Iterable, eta1) -> Optio
     span = _int_echelon(subalgebra.basis)
     if span is None:
         return None
+    eta1 = _ETA1_START if subalgebra.mode.is_symbolic else subalgebra.mode.eta0
     n, two_m = ScalarMode.evaluated(eta1).product_weights()
     x_int = primitive_int_vec(x)
     k = min(x_int)

@@ -403,6 +403,23 @@ class TestCriticalValues:
         assert Fraction(1) in cv.excluded
         assert Fraction(1) not in cv.roots
 
+    def test_det_degree_without_the_spectrum(self, monkeypatch):
+        # det_degree is n less an integer corank of A, so critical_values
+        # never builds the spectrum; gram_det, taken first, still reads it
+        import matsuo.algebra as algebra_mod
+
+        def refuse(sp):
+            raise AssertionError("critical_values read the adjacency spectrum")
+
+        for family in NAMED_FAMILIES:
+            n = 3 if family == "A" else 2
+            while len((sp := build_named_space(family, n)).points) < 200:
+                degree = gram_det(sp).degree
+                with monkeypatch.context() as patched:
+                    patched.setattr(algebra_mod, "adjacency_spectrum", refuse)
+                    assert critical_values(sp).det_degree == degree, (family, n)
+                n += 1
+
     def test_space_is_freed_without_a_collection(self):
         # the cached value names the space instead of holding it, so no
         # reference cycle keeps a space alive after its critical values

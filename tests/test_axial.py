@@ -596,7 +596,7 @@ def flip_axes(family, mode):
 class TestIntegerEigenDims:
     """check_fusion's restricted route reads the eigenspace dimensions of a
     point under J or a double under M on a rational basis from integer
-    ranks at one point eta1 (``axial._restricted_decomposition``);
+    ranks at one point eta1 (``closure.kernel_dims``);
     they must be the dimensions over the mode's scalars."""
 
     @pytest.mark.parametrize("family,n", SMALL_SPACES)
@@ -632,8 +632,8 @@ class TestIntegerEigenDims:
         x = {sp.point_of_label("b(1,2)"): ONE, sp.point_of_label("b(3,4)"): ONE}
         alg, law = full_algebra(sp), monster_law(SYM)
         assert check_fusion(alg, x, law).decomposition.dims == (2, 1, 1, 2)
-        monkeypatch.setattr(axial, "_ETA1_START", Fraction(1, 2))
-        with pytest.raises(RuntimeError, match=r"\(3, 1, 3, 2\) at eta1 = 1/2 sum to 9"):
+        monkeypatch.setattr(closure_module, "_ETA1_START", Fraction(1, 2))
+        with pytest.raises(RuntimeError, match=r"\(3, 1, 3, 2\) sum to 9"):
             check_fusion(alg, x, law)
 
 
@@ -668,6 +668,26 @@ class TestRestrictedFastPath:
         assert axial._ambient_law(half, x) is None
         assert check_primitive(alg, x) is False
         assert inserts == []
+
+    def test_coordinates_read_at_the_pivots(self, monkeypatch):
+        # a point under M is outside the gate: _adjoint and the pair loop
+        # read their products at the pivots, so the one reduction on the
+        # subalgebra basis is _axis's membership check of the axis
+        reduced, real = [], EchelonBasis.reduce
+
+        def spy(self, vec):
+            reduced.append((self, vec))
+            return real(self, vec)
+
+        monkeypatch.setattr(EchelonBasis, "reduce", spy)
+        for mode in (SYM, EV7):
+            alg, axes = flip_axes("Wr3x3", mode)
+            x, law = axes[0][0], monster_law(mode)
+            reduced.clear()
+            axial._adjoint(alg, x)
+            assert reduced == []
+            assert check_fusion(alg, x, law).passed
+            assert [vec for basis, vec in reduced if basis is alg.basis] == [x]
 
     def test_axis_checked_once_per_entry_point(self, monkeypatch):
         # the restricted routes and the pair loop alike, and the Miyamoto

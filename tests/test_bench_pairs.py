@@ -1,5 +1,5 @@
-"""The summary of tools/bench_pairs.py on canned run records; no benchmark
-is started."""
+"""The summary of tools/bench_pairs.py on canned run records, and its import
+size probe on a tiny package; no benchmark is started."""
 
 import importlib.util
 from pathlib import Path
@@ -14,15 +14,20 @@ METRICS = [
 ]
 
 
-@pytest.fixture
-def bench_pairs(monkeypatch):
+def load_tool():
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
 
-    def refuse(*args):
-        raise AssertionError("a benchmark run was started")
 
+def refuse(*args):
+    raise AssertionError("a benchmark run was started")
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    module = load_tool()
     monkeypatch.setattr(module, "run_once", refuse)
     monkeypatch.setattr(module.subprocess, "run", refuse)
     return module
@@ -87,3 +92,19 @@ def test_a_pair_with_one_side_is_not_counted(bench_pairs):
     spectrum = bench_pairs.summarize(runs, METRICS)["spectrum"]
     assert spectrum["parent"]["runs"] == 2 and spectrum["change"]["runs"] == 1
     assert spectrum["wall_s_change_lower_pairs"] == "1 of 1 (higher in 0)"
+
+
+def test_import_size_of_a_tiny_package(tmp_path, monkeypatch):
+    # the package keeps 100 KB and its cli module drops 300 KB more, so the
+    # probe must import both, from the given root, and report the peak
+    module = load_tool()
+    monkeypatch.setattr(module, "run_once", refuse)
+    package = tmp_path / "src" / "matsuo"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("KEPT = bytearray(100 * 1024)\n")
+    (package / "cli.py").write_text("DROPPED = bytearray(300 * 1024)\ndel DROPPED\n")
+    size = module.import_size(tmp_path)
+    assert set(size) == {"retained_kb", "peak_kb"}
+    assert 100 <= size["retained_kb"] < 200
+    assert size["peak_kb"] - size["retained_kb"] >= 300
+    assert not list(tmp_path.rglob("*.pyc"))

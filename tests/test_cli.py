@@ -29,6 +29,15 @@ def test_space_export(capsys):
     assert len(data["points"]) == 6 and len(data["lines"]) == 4
 
 
+def test_space_build_refused(capsys):
+    # "space" takes stats or export, and argparse refuses any other action
+    with pytest.raises(SystemExit) as refused:
+        main(["space", "build", "A:4"])
+    captured = capsys.readouterr()
+    assert refused.value.code == 2 and captured.out == ""
+    assert "invalid choice: 'build'" in captured.err
+
+
 def test_gram_critical(capsys):
     code, data = run_cli(capsys, "gram", "A:3", "--critical")
     assert code == 0

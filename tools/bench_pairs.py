@@ -15,7 +15,10 @@ of the sources it ran.  The summary gives, per workload and side, the
 median, quartiles, minimum and maximum of each end-to-end metric of
 BENCHMARK.json, and the pairs the change won on each metric, ties counting
 for neither side; it is printed and written, with the runs, to
-BENCH_<TAG>.json in the schema of the earlier BENCH files.
+BENCH_<TAG>.json in the schema of the earlier BENCH files.  The record also
+gives each side's import size: the tracemalloc retained size and peak of
+``import matsuo, matsuo.cli`` in a fresh interpreter that writes no
+bytecode, which ``peak_rss_mb`` follows.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+IMPORT_PROBE = (
+    "import tracemalloc; tracemalloc.start(); import matsuo, matsuo.cli;"
+    " print(*tracemalloc.get_traced_memory())"
+)
 
 
 def git(*args: str) -> str:
@@ -53,6 +60,17 @@ def run_once(root: Path, workload: str, seed: int, seconds) -> dict:
         raise RuntimeError(f"{workload} in {root} exited {done.returncode}: {done.stderr}")
     *_, record, result = done.stdout.strip().splitlines()
     return {**json.loads(result), "source_sha256": json.loads(record)["record"]["source_sha256"]}
+
+
+def import_size(root: Path) -> dict:
+    """The tracemalloc retained size and peak, in KB, of importing matsuo
+    and matsuo.cli from root/src in a fresh interpreter that writes no
+    bytecode, so that every module is compiled."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=root, env=env,
+                          capture_output=True, text=True, check=True)
+    retained, peak = map(int, done.stdout.split())
+    return {"retained_kb": round(retained / 1024, 1), "peak_kb": round(peak / 1024, 1)}
 
 
 def spread(values: list[float]) -> dict:
@@ -127,6 +145,7 @@ def main(argv=None) -> int:
         change = Path(tmp) / "change"
         shutil.copytree(ROOT, change, ignore=shutil.ignore_patterns(".git", ".bench_out"))
         roots = {"parent": parent, "change": change}
+        imports = {side: import_size(roots[side]) for side in SIDES}
         for workload in args.workloads:
             for pair in range(args.pairs):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
@@ -146,6 +165,7 @@ def main(argv=None) -> int:
                     " in odd ones; parent from a git archive, change from a copy of the"
                     " working tree without .git; PYTHONDONTWRITEBYTECODE=1.",
         "machine": {"python": platform.python_version(), "cpus": len(os.sched_getaffinity(0))},
+        "import_size": imports,
         "summary": summary,
         "runs": runs,
     }
@@ -155,6 +175,8 @@ def main(argv=None) -> int:
         won = ", ".join(f"{m['name']} {s[m['name'] + '_change_won_pairs']}"
                         for m in spec["end_to_end"])
         print(f"{workload}: pairs won by the change of {args.pairs}: {won}")
+    for side, size in imports.items():
+        print(f"{side} import: retained {size['retained_kb']} KB, peak {size['peak_kb']} KB")
     print(f"wrote {out}")
     return 0
 
