@@ -2,9 +2,10 @@
 
 Configurations are enumerated up to the order-8 relabelling symmetry
 (swap within either orthogonal pair, swap the pairs), bucketed by canonical
-diagram code, and closed to get dimension censuses.  The default search runs
-in evaluated mode at a fixed safe eta; each distinct dimension found is then
-re-certified symbolically on one representative configuration.
+diagram code, and closed to get dimension censuses, one closure per orbit
+on an exhaustive sweep (see classify).  The default search runs in evaluated
+mode at a fixed safe eta; each distinct dimension found is then re-certified
+symbolically on one sample configuration.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .fischer import (
     diagram_code_edges,
     diagram_of,
     point_orbits,
+    verified_reflection,
 )
 
 FULL_ENUMERATION_LIMIT = 40
@@ -163,6 +165,33 @@ def evaluate_config(sp: FischerSpace, cfg: TypeDConfig, mode: ScalarMode) -> dic
     return {"dim": algebra.dimension, "primitive": primitive}
 
 
+def orbit_leaders(
+    sp: FischerSpace, configs: Sequence[TypeDConfig], first_point: Optional[int]
+) -> list[int]:
+    """For each configuration of an exhaustive list, the index of the first
+    one in its orbit under the verified reflections that fix first_point (all
+    of them when it is None), by union-find."""
+    gens = [verified_reflection(sp, c) for c in range(len(sp.points))
+            if first_point is None or not sp.collinear(c, first_point)]
+    index = {cfg: i for i, cfg in enumerate(configs)}
+    leader = list(range(len(configs)))
+
+    def find(i: int) -> int:
+        while leader[i] != i:
+            leader[i] = leader[leader[i]]
+            i = leader[i]
+        return i
+
+    for g in gens:
+        for i, cfg in enumerate(configs):
+            image = TypeDConfig.canonical(
+                g[cfg.a], (g[cfg.bc[0]], g[cfg.bc[1]]), (g[cfg.de[0]], g[cfg.de[1]])
+            )
+            root, other = sorted((find(i), find(index[image])))
+            leader[other] = root
+    return [find(i) for i in range(len(configs))]
+
+
 def worker_count() -> int:
     """MATSUO_WORKERS as an integer >= 1; unset means 1."""
     text = os.environ.get("MATSUO_WORKERS", "1")
@@ -238,6 +267,17 @@ def classify(
     shrinking the sweep without losing dimension values.
     A configuration counts as primitive when all three generators are
     primitive in the closed subalgebra.
+
+    An exhaustive sweep closes only the first configuration of each orbit
+    (orbit_leaders) and gives its dimension and primitivity to the orbit;
+    diagrams, buckets, counts and samples stay per configuration.  For a
+    generator g and the closure B(C) of a configuration C: g passes
+    is_space_automorphism, so its map of the Matsuo algebra preserves the
+    product over Q(eta) and at every eta0; g maps singles to singles and
+    doubles to doubles, so B(gC) = g B(C), of the same dimension, and x is
+    primitive in B(C) iff gx is in B(gC); g fixes the first point, or no
+    point is fixed, so TypeDConfig.canonical(gC) is again in the list.  A
+    sampled sweep closes each draw.  The pool closes the representatives only.
     """
     workers = worker_count()
     if mode is None:
@@ -254,15 +294,26 @@ def classify(
     configs = list(
         enumerate_configs(sp, sampling=sampling, first_point=first_point)
     )
-    buckets: dict[int, dict] = {}
+    if sampling is None:
+        leaders = orbit_leaders(sp, configs, first_point)
+    else:
+        leaders = range(len(configs))
+    reps = [configs[i] for i, leader in enumerate(leaders) if leader == i]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # pickle's memo writes the space once into each chunk's message
+        chunk = max(1, -(-len(reps) // (4 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            evals = list(pool.map(evaluate_config, repeat(sp), configs, repeat(mode)))
+            evals = list(
+                pool.map(evaluate_config, repeat(sp), reps, repeat(mode), chunksize=chunk)
+            )
     else:
-        evals = [evaluate_config(sp, c, mode) for c in configs]
-    for cfg, data in zip(configs, evals):
+        evals = [evaluate_config(sp, cfg, mode) for cfg in reps]
+    closed = dict(zip(reps, evals))
+    buckets: dict[int, dict] = {}
+    for cfg, leader in zip(configs, leaders):
+        data = closed[configs[leader]]
         diagram = cfg.diagram(sp)
         code = canonical_diagram(diagram)
         bucket = buckets.get(code)

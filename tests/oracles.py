@@ -5,9 +5,28 @@ from typing import Optional
 from matsuo import closure
 from matsuo.algebra import Vec, vec_product
 from matsuo.axial import MiyamotoMap, _ad_poly
-from matsuo.classify import TypeDConfig
-from matsuo.closure import EchelonBasis, ScalarMode, Subalgebra, vec_combination
-from matsuo.fischer import FischerSpace, Point, ThreeTranspositionError
+from matsuo.classify import (
+    KNOWN_CONNECTED_DIMS,
+    ClassificationReport,
+    TypeDConfig,
+    enumerate_configs,
+    evaluate_config,
+)
+from matsuo.closure import (
+    DEFAULT_SEARCH_ETA,
+    EchelonBasis,
+    ScalarMode,
+    Subalgebra,
+    close,
+    vec_combination,
+)
+from matsuo.fischer import (
+    FischerSpace,
+    Point,
+    ThreeTranspositionError,
+    canonical_diagram,
+    point_orbits,
+)
 from matsuo.groups import FiniteGroup, GroupAutomorphism
 
 
@@ -160,6 +179,53 @@ def generator_partition(sp: FischerSpace, cfg: TypeDConfig) -> list[list[int]]:
                     stack.append(w)
         parts.append(sorted(comp))
     return parts
+
+
+def census_closing_each(
+    sp: FischerSpace,
+    mode: Optional[ScalarMode] = None,
+    sampling: Optional[tuple[int, int]] = None,
+) -> ClassificationReport:
+    """The census loop that closes every configuration of the sweep, with no
+    orbits and no process pool: the reference for ``classify``."""
+    if mode is None:
+        eta = DEFAULT_SEARCH_ETA
+        mode = ScalarMode.evaluated(eta)
+        while not mode.is_safe_for(sp):
+            eta += 1
+            mode = ScalarMode.evaluated(eta)
+    first_point = 0 if sampling is None and len(point_orbits(sp)) == 1 else None
+    buckets: dict[int, dict] = {}
+    for cfg in enumerate_configs(sp, sampling=sampling, first_point=first_point):
+        data = evaluate_config(sp, cfg, mode)
+        diagram = cfg.diagram(sp)
+        bucket = buckets.setdefault(canonical_diagram(diagram), {
+            "connected": diagram.is_connected(),
+            "examined": 0,
+            "dims": {},
+            "primitive_dims": {},
+            "samples": {},
+            "certified": {},
+        })
+        bucket["examined"] += 1
+        dim = data["dim"]
+        bucket["dims"][dim] = bucket["dims"].get(dim, 0) + 1
+        if data["primitive"]:
+            bucket["primitive_dims"][dim] = bucket["primitive_dims"].get(dim, 0) + 1
+        bucket["samples"].setdefault(dim, cfg)
+    sym_mode = ScalarMode.symbolic()
+    for bucket in buckets.values():
+        for dim, cfg in bucket["samples"].items():
+            sym = close(sp, cfg.generators(sym_mode), sym_mode)
+            bucket["certified"][dim] = sym.dimension == dim
+        if not bucket["connected"]:
+            bucket["classification"] = "disconnected"
+        elif set(bucket["primitive_dims"]) <= KNOWN_CONNECTED_DIMS:
+            bucket["classification"] = "classified"
+        else:
+            bucket["classification"] = "unclassified_d8_d9_candidate"
+    seed = sampling[1] if sampling else None
+    return ClassificationReport(sp, mode, seed, first_point is not None, buckets)
 
 
 def naive_config_count(sp: FischerSpace) -> int:

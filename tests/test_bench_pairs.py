@@ -108,3 +108,30 @@ def test_import_size_of_a_tiny_package(tmp_path, monkeypatch):
     assert 100 <= size["retained_kb"] < 200
     assert size["peak_kb"] - size["retained_kb"] >= 300
     assert not list(tmp_path.rglob("*.pyc"))
+
+
+def test_pass_peak_of_a_toy_workload(tmp_path, monkeypatch):
+    # the import keeps 400 KB before tracing starts, and the pass allocates
+    # 300 KB at its peak; one operation answers wrong and one raises
+    module = load_tool()
+    monkeypatch.setattr(module, "run_once", refuse)
+    package = tmp_path / "src" / "matsuo"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("KEPT = bytearray(400 * 1024)\n")
+    (package / "cli.py").write_text("")
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    (bench / "workloads.py").write_text(
+        "from types import SimpleNamespace\n"
+        "def run(m, seed, op):\n"
+        "    op('imported', lambda: len(m.package.KEPT), lambda r: r == 400 * 1024)\n"
+        "    op('pass', lambda: len(bytearray(seed * 1024)), lambda r: r == seed * 1024)\n"
+        "    op('wrong', lambda: 1, lambda r: r == 2)\n"
+        "    op('raises', lambda: 1 / 0, lambda r: True)\n"
+        "    assert m.cli.__name__ == 'matsuo.cli'\n"
+        "WORKLOADS = {'toy': SimpleNamespace(run=run)}\n"
+    )
+    peak = module.pass_peak(tmp_path, "toy", 300)
+    assert peak["attempted"] == 4 and peak["failed"] == 2
+    assert 300 <= peak["peak_kb"] < 400
+    assert not list(tmp_path.rglob("*.pyc"))

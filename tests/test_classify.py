@@ -14,13 +14,21 @@ from matsuo.classify import (
     disconnected_configs_are_direct_sums,
     enumerate_configs,
     evaluate_config,
+    orbit_leaders,
     orthogonal_pairs,
     worker_count,
 )
 from matsuo.cli import main as cli_main
 from matsuo.closure import ScalarMode
-from matsuo.fischer import build_named_space, canonical_diagram
-from oracles import generator_partition, naive_config_count
+from matsuo.fischer import (
+    FischerSpace,
+    build_named_space,
+    canonical_diagram,
+    parse_space_spec,
+    point_orbits,
+    verified_reflection,
+)
+from oracles import census_closing_each, generator_partition, naive_config_count
 
 EV7 = ScalarMode.evaluated(7)
 
@@ -227,15 +235,117 @@ class TestClassify:
             assert all(b["certified"].values())
 
 
+def spy_on_closures(monkeypatch) -> list:
+    """Record the configurations classify closes, through evaluate_config."""
+    module = importlib.import_module("matsuo.classify")  # the package exports classify()
+    closed = []
+
+    def spy(sp, cfg, mode):
+        closed.append(cfg)
+        return evaluate_config(sp, cfg, mode)
+
+    monkeypatch.setattr(module, "evaluate_config", spy)
+    return closed
+
+
+class TestCensusByOrbits:
+    # W3D:2 has two point orbits, so its sweep fixes no first point and its
+    # orbits come from every verified reflection
+    @pytest.mark.parametrize("spec,orbits", [
+        ("A:5", 6), ("A:6", 19), ("W2A:4", 21), ("W3A:4", 28), ("W3D:3", 28),
+        ("W2D:3", 21), ("WrA4:2", 21), ("W3D:2", 2),
+    ])
+    def test_report_equals_closing_each(self, spec, orbits, monkeypatch):
+        sp = parse_space_spec(spec)
+        expected = census_closing_each(sp, EV7).export()
+        closed = spy_on_closures(monkeypatch)
+        assert classify(sp, EV7).export() == expected
+        # one closure per orbit, of the orbit's first configuration
+        first_point = 0 if expected["first_point_fixed"] else None
+        configs = list(enumerate_configs(sp, first_point=first_point))
+        leaders = orbit_leaders(sp, configs, first_point)
+        assert closed == [configs[i] for i in sorted(set(leaders))]
+        assert len(closed) == orbits
+
+    def test_symbolic_report_equals_closing_each(self):
+        sp = build_named_space("W3A", 4)
+        symbolic = ScalarMode.symbolic()
+        assert classify(sp, symbolic).export() == census_closing_each(sp, symbolic).export()
+
+    def test_sampled_sweep_closes_every_draw(self, monkeypatch):
+        sp = build_named_space("W3A", 4)
+        expected = census_closing_each(sp, sampling=(30, 1)).export()
+        closed = spy_on_closures(monkeypatch)
+        assert classify(sp, sampling=(30, 1)).export() == expected
+        assert closed == list(enumerate_configs(sp, sampling=(30, 1)))
+
+    @pytest.mark.parametrize("family,n,orbits", [("W2D", 4, 364), ("W2A", 5, 41)])
+    def test_orbit_counts(self, family, n, orbits):
+        sp = build_named_space(family, n)
+        configs = list(enumerate_configs(sp, first_point=0))
+        leaders = orbit_leaders(sp, configs, 0)
+        assert len(set(leaders)) == orbits
+        # each leader is the first member of its orbit, and every reflection
+        # fixing the first point keeps each configuration in its orbit
+        assert all(leaders[leader] == leader <= i for i, leader in enumerate(leaders))
+        index = {cfg: i for i, cfg in enumerate(configs)}
+        for c in range(len(sp.points)):
+            if sp.collinear(c, 0):
+                continue
+            g = verified_reflection(sp, c)
+            for cfg, leader in zip(configs, leaders):
+                image = TypeDConfig.canonical(
+                    g[cfg.a], (g[cfg.bc[0]], g[cfg.bc[1]]), (g[cfg.de[0]], g[cfg.de[1]])
+                )
+                assert leaders[index[image]] == leader
+
+    def test_non_automorphism_reflection_raises(self, monkeypatch):
+        import matsuo.fischer as fischer_mod
+
+        def bad_reflection(space, c):
+            # swaps c with one collinear point only, breaking the other
+            # lines through c
+            q = next(x for x, r in enumerate(space.third[c]) if r >= 0)
+            perm = list(range(len(space.points)))
+            perm[c], perm[q] = q, c
+            return tuple(perm)
+
+        sp = build_named_space("W3A", 4)
+        point_orbits(sp)  # cached with the true reflections
+        closed = spy_on_closures(monkeypatch)
+        monkeypatch.setattr(fischer_mod, "reflection_map", bad_reflection)
+        with pytest.raises(ValueError, match="automorphism check"):
+            classify(sp)
+        assert not closed
+
+
 def test_worker_count_does_not_change_the_report(capsys, monkeypatch):
-    # A:5 has 45 configurations in 6 buckets, so two workers share real work
-    reports = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("MATSUO_WORKERS", workers)
-        assert cli_main(["classify", "--ambient", "A:5"]) == 0
-        reports.append(capsys.readouterr().out)
-    assert json.loads(reports[0])["buckets"]
-    assert reports[0] == reports[1]
+    # A:5 closes 6 orbit representatives in 6 buckets and W3A:4 closes 28,
+    # so two workers share real work
+    for ambient in ("A:5", "W3A:4"):
+        reports = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("MATSUO_WORKERS", workers)
+            assert cli_main(["classify", "--ambient", ambient]) == 0
+            reports.append(capsys.readouterr().out)
+        assert json.loads(reports[0])["buckets"]
+        assert reports[0] == reports[1]
+
+
+def test_pool_pickles_the_space_once_per_chunk(monkeypatch):
+    # the 28 representatives of W3A:4 go to two workers in at most 8 chunks
+    pickled = []
+    original = FischerSpace.__reduce_ex__
+
+    def counted(space, protocol):
+        pickled.append(space)
+        return original(space, protocol)
+
+    monkeypatch.setattr(FischerSpace, "__reduce_ex__", counted)
+    monkeypatch.setenv("MATSUO_WORKERS", "2")
+    sp = build_named_space("W3A", 4)
+    assert classify(sp).export() == census_closing_each(sp).export()
+    assert 1 <= len(pickled) <= 8
 
 
 def test_worker_count_reads_the_environment(monkeypatch):

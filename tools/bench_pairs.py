@@ -18,7 +18,10 @@ for neither side; it is printed and written, with the runs, to
 BENCH_<TAG>.json in the schema of the earlier BENCH files.  The record also
 gives each side's import size: the tracemalloc retained size and peak of
 ``import matsuo, matsuo.cli`` in a fresh interpreter that writes no
-bytecode, which ``peak_rss_mb`` follows.
+bytecode, which ``peak_rss_mb`` follows, and the tracemalloc peak of one
+pass of each workload's operations (``run`` in perfbench/workloads.py),
+taken after that import in a fresh interpreter: the memory the engine's
+work needs, without the import's compile peak.
 """
 
 from __future__ import annotations
@@ -41,6 +44,28 @@ IMPORT_PROBE = (
     "import tracemalloc; tracemalloc.start(); import matsuo, matsuo.cli;"
     " print(*tracemalloc.get_traced_memory())"
 )
+
+PASS_PROBE = """
+import sys, tracemalloc, types
+sys.path.insert(0, "perfbench")
+from workloads import WORKLOADS
+import matsuo, matsuo.cli
+m = types.SimpleNamespace(package=matsuo, **{name[len("matsuo."):]: module
+    for name, module in sys.modules.items() if name.startswith("matsuo.")})
+ops, failed = [], []
+def op(label, compute, check):
+    ops.append(label)
+    try:
+        result = compute()
+        if check(result):
+            return result
+    except Exception:
+        pass
+    failed.append(label)
+tracemalloc.start()
+WORKLOADS[sys.argv[1]].run(m, int(sys.argv[2]), op)
+print(tracemalloc.get_traced_memory()[1], len(ops), len(failed))
+"""
 
 
 def git(*args: str) -> str:
@@ -71,6 +96,17 @@ def import_size(root: Path) -> dict:
                           capture_output=True, text=True, check=True)
     retained, peak = map(int, done.stdout.split())
     return {"retained_kb": round(retained / 1024, 1), "peak_kb": round(peak / 1024, 1)}
+
+
+def pass_peak(root: Path, workload: str, seed: int) -> dict:
+    """The tracemalloc peak, in KB, of one pass of a workload's operations,
+    run from root in a fresh interpreter after matsuo is imported, with the
+    pass's operation and failure counts."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", PASS_PROBE, workload, str(seed)], cwd=root,
+                          env=env, capture_output=True, text=True, check=True)
+    peak, attempted, failed = map(int, done.stdout.split())
+    return {"peak_kb": round(peak / 1024, 1), "attempted": attempted, "failed": failed}
 
 
 def spread(values: list[float]) -> dict:
@@ -146,6 +182,8 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT, change, ignore=shutil.ignore_patterns(".git", ".bench_out"))
         roots = {"parent": parent, "change": change}
         imports = {side: import_size(roots[side]) for side in SIDES}
+        passes = {side: {w: pass_peak(roots[side], w, args.seed) for w in args.workloads}
+                  for side in SIDES}
         for workload in args.workloads:
             for pair in range(args.pairs):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
@@ -166,6 +204,7 @@ def main(argv=None) -> int:
                     " working tree without .git; PYTHONDONTWRITEBYTECODE=1.",
         "machine": {"python": platform.python_version(), "cpus": len(os.sched_getaffinity(0))},
         "import_size": imports,
+        "pass_peak": passes,
         "summary": summary,
         "runs": runs,
     }
@@ -177,6 +216,8 @@ def main(argv=None) -> int:
         print(f"{workload}: pairs won by the change of {args.pairs}: {won}")
     for side, size in imports.items():
         print(f"{side} import: retained {size['retained_kb']} KB, peak {size['peak_kb']} KB")
+    for side, peaks in passes.items():
+        print(f"{side} pass peak:", ", ".join(f"{w} {p['peak_kb']} KB" for w, p in peaks.items()))
     print(f"wrote {out}")
     return 0
 
