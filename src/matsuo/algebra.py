@@ -84,17 +84,21 @@ def vec_product(sp: FischerSpace, u: Vec, v: Vec, half_eta, diagonal=1) -> Vec:
     result is 2d times the product at eta = n/d, exactly over Z.
     """
     out: Vec = {}
+    get = out.get
     third = sp.third
+    v_items = list(v.items())
+    # the three line updates are written out, not looped over a tuple, for
+    # speed; their order fixes the key order of the result
     for p, cp in u.items():
         row = third[p]
-        for q, cq in v.items():
+        for q, cq in v_items:
             c = cp * cq
             if not c:
                 continue
             if p == q:
                 if diagonal != 1:
                     c *= diagonal
-                cur = out.get(p)
+                cur = get(p)
                 new = cur + c if cur is not None else c
                 if new:
                     out[p] = new
@@ -105,13 +109,25 @@ def vec_product(sp: FischerSpace, u: Vec, v: Vec, half_eta, diagonal=1) -> Vec:
             if r < 0:
                 continue
             ch = c * half_eta
-            for idx, delta in ((p, ch), (q, ch), (r, -ch)):
-                cur = out.get(idx)
-                new = cur + delta if cur is not None else delta
-                if new:
-                    out[idx] = new
-                elif cur is not None:
-                    del out[idx]
+            cur = get(p)
+            new = cur + ch if cur is not None else ch
+            if new:
+                out[p] = new
+            elif cur is not None:
+                del out[p]
+            cur = get(q)
+            new = cur + ch if cur is not None else ch
+            if new:
+                out[q] = new
+            elif cur is not None:
+                del out[q]
+            ch = -ch
+            cur = get(r)
+            new = cur + ch if cur is not None else ch
+            if new:
+                out[r] = new
+            elif cur is not None:
+                del out[r]
     return out
 
 

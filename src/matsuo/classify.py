@@ -173,7 +173,10 @@ def orbit_leaders(
     of them when it is None), by union-find."""
     gens = [verified_reflection(sp, c) for c in range(len(sp.points))
             if first_point is None or not sp.collinear(c, first_point)]
-    index = {cfg: i for i, cfg in enumerate(configs)}
+    # keyed by plain (a, bc, de) tuples, each image canonicalized inline:
+    # a TypeDConfig built per image cost most of the union-find
+    keys = [(cfg.a, cfg.bc, cfg.de) for cfg in configs]
+    index = {key: i for i, key in enumerate(keys)}
     leader = list(range(len(configs)))
 
     def find(i: int) -> int:
@@ -183,11 +186,13 @@ def orbit_leaders(
         return i
 
     for g in gens:
-        for i, cfg in enumerate(configs):
-            image = TypeDConfig.canonical(
-                g[cfg.a], (g[cfg.bc[0]], g[cfg.bc[1]]), (g[cfg.de[0]], g[cfg.de[1]])
-            )
-            root, other = sorted((find(i), find(index[image])))
+        for i, (a, (b, c), (d, e)) in enumerate(keys):
+            b, c = g[b], g[c]
+            d, e = g[d], g[e]
+            bc = (b, c) if b < c else (c, b)
+            de = (d, e) if d < e else (e, d)
+            j = index[(g[a], bc, de) if bc < de else (g[a], de, bc)]
+            root, other = sorted((find(i), find(j)))
             leader[other] = root
     return [find(i) for i in range(len(configs))]
 

@@ -13,7 +13,8 @@ line terms; scaling changes no span.  Each echelon row is then a positive
 multiple of the unit-pivot row over Q, so pivots, row order and product
 count are those over Q.  ``_unit_pivot_basis`` divides each integer row by
 its pivot entry, once, when the closure is returned.  The specialize-last
-walk runs over Z the same way.
+walk closes the generators over Z the same way at two points, each on its
+own echelon, multiplying each pair of kept rows once.
 
 A symbolic closure of generators with rational coefficients is certified
 instead of run over Q(eta): the integer worklist runs at eta1 = 7, and if
@@ -42,7 +43,6 @@ from typing import Iterable, Optional, Sequence
 from .algebra import (
     Vec,
     _IntEchelon,
-    _make_primitive,
     critical_values,
     vec_add_scaled,
     vec_hadamard,
@@ -569,19 +569,22 @@ _ETA1_ATTEMPTS = 16
 def specialized_dimension(subalgebra: Subalgebra, eta0) -> int:
     """Specialize-last dimension of a symbolic closure at eta = eta0.
 
-    Walks the division-free product tree of the generators (denominators
-    cleared row-wise), carrying each Q[eta] node only as its values at eta0
-    and at a second point eta1; evaluation is a ring homomorphism, so each
-    product is taken in evaluated mode at both points.  A node joins the
-    worklist when it grows either echelon.  On termination the eta0 span
-    contains the evaluated generators and is product-closed, hence is the
-    evaluated closure: its rank is the specialized dimension.
+    The generators are cleared to Q[eta] vectors (``_poly_vec``).  Let M be
+    the Q[eta]-span of their product words; evaluating M at a point t gives
+    C_t, the closure at t of the evaluated generators, since evaluation is
+    a ring homomorphism.  Take x0 in C_eta0 and x1 in C_eta1, with
+    preimages m0 and m1 in M.  Then
+    m = m0 (eta - eta1)/(eta0 - eta1) + m1 (eta - eta0)/(eta1 - eta0)
+    lies in M and takes the values x0 and x1, so the pairs of values of M
+    at the two points are all of C_eta0 x C_eta1: nothing ties the two
+    points together, and ``_walk_at`` closes at each point on its own.
 
-    Values independent at eta1 are independent over Q(eta), so the eta1
-    rank is at most the Q(eta) rank of the nodes, which is at most the
-    symbolic dimension.  Equality certifies that the nodes span the symbolic
-    closure; a smaller rank marks eta1 degenerate, and the walk is repeated
-    at the next candidate.
+    rank0 = dim C_eta0 is the specialized dimension.  rank1 = dim C_eta1 is
+    at most the symbolic dimension d, because values independent at eta1
+    lift to elements of M independent over Q(eta), and M spans the
+    symbolic closure.  Reaching d certifies the symbolic dimension at eta1;
+    a smaller rank marks eta1 degenerate, and the walk is repeated at the
+    next candidate.
     """
     if not subalgebra.mode.is_symbolic:
         raise ValueError("specialization needs a symbolic closure")
@@ -595,7 +598,7 @@ def specialized_dimension(subalgebra: Subalgebra, eta0) -> int:
             break
     if rank1 != subalgebra.dimension:
         raise RuntimeError(
-            f"division-free closure has rank {rank1} at eta1 = {eta1},"
+            f"closure has rank {rank1} at eta1 = {eta1},"
             f" not the symbolic dimension {subalgebra.dimension}"
         )
     return rank0
@@ -604,33 +607,33 @@ def specialized_dimension(subalgebra: Subalgebra, eta0) -> int:
 def _walk_at(
     sp: FischerSpace, gens: Sequence[dict[int, EtaPoly]], modes: Sequence[ScalarMode]
 ) -> list[int]:
-    """Ranks at each evaluated mode of the product tree of the generators.
+    """Closure dimension of the generators' values at each evaluated mode.
 
-    Runs over Z: at each point a node is kept as a primitive integer
-    multiple of its value, and products are scaled products, so whether a
-    node grows an echelon, and hence every rank, is unchanged."""
-    bases = [_IntEchelon() for _ in modes]
-    weights = [m.product_weights() for m in modes]
-    worklist: list[tuple[Vec, ...]] = []
-
-    def offer(node: tuple[Vec, ...]) -> None:
-        grew = [basis.insert(v) for basis, v in zip(bases, node)]
-        if any(grew):
-            worklist.append(node)
-
-    # nodes are built from lists, not generators: see scalars.primitive_int_vec
-    for g in gens:
-        offer(tuple([primitive_int_vec(evaluate_vec(g, m.eta0)) for m in modes]))
-    # the worklist grows while it is walked; the product is commutative, so
-    # each unordered pair is taken once, when its later node is the left one
-    for i, left in enumerate(worklist):
-        for right in worklist[: i + 1]:
-            offer(tuple([
-                _make_primitive(vec_product(sp, a, b, *w))
-                for a, b, w in zip(left, right, weights)
-            ]))
-    return [len(basis.rows) for basis in bases]
-
+    Each point walks its own ``_IntEchelon`` over Z: the generators are
+    evaluated and scaled to primitive integer vectors, and products are
+    scaled products, which change no span.  Each row is kept as it was
+    inserted, a fixed copy, since later inserts eliminate in place; the
+    kept rows span the echelon.  Each unordered pair of kept rows, squares
+    included, is multiplied once and the product inserted, so at the end
+    the span contains the generators and every product of two of its
+    spanning rows: it is the closure at that point."""
+    ranks = []
+    for mode in modes:
+        basis = _IntEchelon()
+        weights = mode.product_weights()
+        kept: list[Vec] = []
+        for g in gens:
+            if basis.insert(primitive_int_vec(evaluate_vec(g, mode.eta0))):
+                kept.append(dict(basis.rows[-1]))
+        # kept grows while it is walked; each pair is taken when its later
+        # row is the left one
+        for i, left in enumerate(kept):
+            for right in kept[: i + 1]:
+                prod = vec_product(sp, left, right, *weights)
+                if prod and basis.insert(prod):
+                    kept.append(dict(basis.rows[-1]))
+        ranks.append(len(basis.rows))
+    return ranks
 
 
 def kernel_dims(subalgebra: Subalgebra, x: Vec, values: Iterable) -> Optional[tuple]:

@@ -195,8 +195,8 @@ def flip_report(
     The symbolic flip dimension is always computed.  Each requested eta is
     entered twice and both entries must agree: the flip closure recomputed
     in evaluated mode, and the symbolic closure specialized last.  The
-    second walks the product tree of the generators at eta and at a second
-    point eta1, whose rank must reach the symbolic dimension; see
+    second closes the cleared generators at eta and, on its own echelon, at
+    a second point eta1, whose rank must reach the symbolic dimension; see
     ``specialized_dimension``.
     """
     tau = standard_flip(family, k)

@@ -404,6 +404,25 @@ class TestSpecializedDimension:
         assert specialized_dimension(wr3x3_flip, 2) == 29
         assert eta1_log == [(3, 30)]
 
+    @pytest.mark.parametrize("family", FLIP_FAMILIES)
+    def test_walk_ranks_are_evaluated_closure_dimensions(self, family):
+        tau = standard_flip(family, 2)
+        sp = tau.space
+        gens = [closure._poly_vec(g) for g, _ in flip_subalgebra(sp, tau, SYM).generators]
+        knife_edges = {"Wr3p2": [89, 90], "Wr3x3": [29, 30]}
+        for eta0 in (2, 7):
+            modes = (ScalarMode.evaluated(eta0), ScalarMode.evaluated(3))
+            ranks = closure._walk_at(sp, gens, modes)
+            assert ranks == [flip_subalgebra(sp, tau, m).dimension for m in modes]
+            if eta0 == 2 and family in knife_edges:
+                assert ranks == knife_edges[family]
+
+    def test_walk_takes_squares(self):
+        # (a + b)^2 = (1 + eta)(a + b) - eta c: one generator, closure of rank 2
+        modes = (ScalarMode.evaluated(5), ScalarMode.evaluated(3))
+        gens = [closure._poly_vec({0: ONE, 1: ONE})]
+        assert closure._walk_at(line_space(), gens, modes) == [2, 2]
+
     def test_rejects_evaluated_closure_and_unsafe_eta(self):
         sp = line_space()
         ev = ScalarMode.evaluated(7)
