@@ -2,16 +2,17 @@
 
 Configurations are enumerated up to the order-8 relabelling symmetry
 (swap within either orthogonal pair, swap the pairs), bucketed by canonical
-diagram code, and closed to get dimension censuses, one closure per orbit
-on an exhaustive sweep (see classify).  The default search runs in evaluated
-mode at a fixed safe eta; each distinct dimension found is then re-certified
-symbolically on one sample configuration.
+diagram code, and closed to get dimension censuses, one representative per
+orbit weighted by its size on an exhaustive sweep (see classify).  The
+default search runs in evaluated mode at a fixed safe eta; each distinct
+dimension found is then re-certified symbolically on one sample configuration.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
@@ -273,16 +274,20 @@ def classify(
     A configuration counts as primitive when all three generators are
     primitive in the closed subalgebra.
 
-    An exhaustive sweep closes only the first configuration of each orbit
-    (orbit_leaders) and gives its dimension and primitivity to the orbit;
-    diagrams, buckets, counts and samples stay per configuration.  For a
+    An exhaustive sweep closes the first configuration of each orbit
+    (orbit_leaders) only, weighted by the orbit's size, and takes its
+    diagram once; a sampled sweep takes each draw with weight 1.  For a
     generator g and the closure B(C) of a configuration C: g passes
     is_space_automorphism, so its map of the Matsuo algebra preserves the
     product over Q(eta) and at every eta0; g maps singles to singles and
     doubles to doubles, so B(gC) = g B(C), of the same dimension, and x is
-    primitive in B(C) iff gx is in B(gC); g fixes the first point, or no
-    point is fixed, so TypeDConfig.canonical(gC) is again in the list.  A
-    sampled sweep closes each draw.  The pool closes the representatives only.
+    primitive in B(C) iff gx is primitive in B(gC); g fixes the first point,
+    or no point is fixed, so TypeDConfig.canonical(gC) is again in the list.
+    g preserves collinearity and canonical applies one of the 8 symmetries
+    that canonical_diagram minimizes over, so the diagram code is an orbit
+    invariant too.  A leader is its orbit's least index, so the first
+    configuration of each bucket, and of each (bucket, dim), the sample
+    re-certified, is a leader.  The pool closes the representatives only.
     """
     workers = worker_count()
     if mode is None:
@@ -303,7 +308,8 @@ def classify(
         leaders = orbit_leaders(sp, configs, first_point)
     else:
         leaders = range(len(configs))
-    reps = [configs[i] for i, leader in enumerate(leaders) if leader == i]
+    weights = Counter(leaders)  # leader index -> orbit size, in list order
+    reps = [configs[i] for i in weights]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -315,10 +321,8 @@ def classify(
             )
     else:
         evals = [evaluate_config(sp, cfg, mode) for cfg in reps]
-    closed = dict(zip(reps, evals))
     buckets: dict[int, dict] = {}
-    for cfg, leader in zip(configs, leaders):
-        data = closed[configs[leader]]
+    for cfg, weight, data in zip(reps, weights.values(), evals):
         diagram = cfg.diagram(sp)
         code = canonical_diagram(diagram)
         bucket = buckets.get(code)
@@ -331,11 +335,11 @@ def classify(
                 "samples": {},
                 "certified": {},
             }
-        bucket["examined"] += 1
+        bucket["examined"] += weight
         dim = data["dim"]
-        bucket["dims"][dim] = bucket["dims"].get(dim, 0) + 1
+        bucket["dims"][dim] = bucket["dims"].get(dim, 0) + weight
         if data["primitive"]:
-            bucket["primitive_dims"][dim] = bucket["primitive_dims"].get(dim, 0) + 1
+            bucket["primitive_dims"][dim] = bucket["primitive_dims"].get(dim, 0) + weight
         bucket["samples"].setdefault(dim, cfg)
     sym_mode = ScalarMode.symbolic()
     for bucket in buckets.values():

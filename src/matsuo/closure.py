@@ -577,7 +577,7 @@ def specialized_dimension(subalgebra: Subalgebra, eta0) -> int:
     m = m0 (eta - eta1)/(eta0 - eta1) + m1 (eta - eta0)/(eta1 - eta0)
     lies in M and takes the values x0 and x1, so the pairs of values of M
     at the two points are all of C_eta0 x C_eta1: nothing ties the two
-    points together, and ``_walk_at`` closes at each point on its own.
+    points together, and ``_walk_at`` closes at each point alone, eta0 once.
 
     rank0 = dim C_eta0 is the specialized dimension.  rank1 = dim C_eta1 is
     at most the symbolic dimension d, because values independent at eta1
@@ -590,10 +590,10 @@ def specialized_dimension(subalgebra: Subalgebra, eta0) -> int:
         raise ValueError("specialization needs a symbolic closure")
     mode0 = ScalarMode.evaluated(eta0)
     gens = [_poly_vec(vec) for vec, _ in subalgebra.generators]
+    rank0 = _walk_at(subalgebra.space, gens, mode0)
     candidates = (e for e in count(_ETA1_START) if e != mode0.eta0)
     for eta1 in islice(candidates, _ETA1_ATTEMPTS):
-        modes = (mode0, ScalarMode.evaluated(eta1))
-        rank0, rank1 = _walk_at(subalgebra.space, gens, modes)
+        rank1 = _walk_at(subalgebra.space, gens, ScalarMode.evaluated(eta1))
         if rank1 >= subalgebra.dimension:
             break
     if rank1 != subalgebra.dimension:
@@ -604,36 +604,31 @@ def specialized_dimension(subalgebra: Subalgebra, eta0) -> int:
     return rank0
 
 
-def _walk_at(
-    sp: FischerSpace, gens: Sequence[dict[int, EtaPoly]], modes: Sequence[ScalarMode]
-) -> list[int]:
-    """Closure dimension of the generators' values at each evaluated mode.
+def _walk_at(sp: FischerSpace, gens: Sequence[dict[int, EtaPoly]], mode: ScalarMode) -> int:
+    """Closure dimension of the generators' values at one evaluated mode.
 
-    Each point walks its own ``_IntEchelon`` over Z: the generators are
-    evaluated and scaled to primitive integer vectors, and products are
-    scaled products, which change no span.  Each row is kept as it was
+    The walk keeps an ``_IntEchelon`` over Z: the generators are evaluated
+    and scaled to primitive integer vectors, and products are scaled
+    products, which change no span.  Each row is kept as it was
     inserted, a fixed copy, since later inserts eliminate in place; the
     kept rows span the echelon.  Each unordered pair of kept rows, squares
     included, is multiplied once and the product inserted, so at the end
     the span contains the generators and every product of two of its
     spanning rows: it is the closure at that point."""
-    ranks = []
-    for mode in modes:
-        basis = _IntEchelon()
-        weights = mode.product_weights()
-        kept: list[Vec] = []
-        for g in gens:
-            if basis.insert(primitive_int_vec(evaluate_vec(g, mode.eta0))):
+    basis = _IntEchelon()
+    weights = mode.product_weights()
+    kept: list[Vec] = []
+    for g in gens:
+        if basis.insert(primitive_int_vec(evaluate_vec(g, mode.eta0))):
+            kept.append(dict(basis.rows[-1]))
+    # kept grows while it is walked; each pair is taken when its later row
+    # is the left one
+    for i, left in enumerate(kept):
+        for right in kept[: i + 1]:
+            prod = vec_product(sp, left, right, *weights)
+            if prod and basis.insert(prod):
                 kept.append(dict(basis.rows[-1]))
-        # kept grows while it is walked; each pair is taken when its later
-        # row is the left one
-        for i, left in enumerate(kept):
-            for right in kept[: i + 1]:
-                prod = vec_product(sp, left, right, *weights)
-                if prod and basis.insert(prod):
-                    kept.append(dict(basis.rows[-1]))
-        ranks.append(len(basis.rows))
-    return ranks
+    return len(basis.rows)
 
 
 def kernel_dims(subalgebra: Subalgebra, x: Vec, values: Iterable) -> Optional[tuple]:

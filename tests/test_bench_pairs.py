@@ -110,6 +110,20 @@ def test_import_size_of_a_tiny_package(tmp_path, monkeypatch):
     assert not list(tmp_path.rglob("*.pyc"))
 
 
+def test_src_lines_of_a_tiny_package(tmp_path, bench_pairs):
+    # only the package's own modules count: not its subpackages, not other
+    # files in it and not the tests beside it
+    package = tmp_path / "src" / "matsuo"
+    (package / "sub").mkdir(parents=True)
+    (package / "__init__.py").write_text("A = 1\nB = 2\n")
+    (package / "cli.py").write_text("\n\nC = 3")
+    (package / "notes.txt").write_text("x\n" * 50)
+    (package / "sub" / "deep.py").write_text("D = 4\n" * 20)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text("E = 5\n" * 30)
+    assert bench_pairs.src_lines(tmp_path) == 5
+
+
 def test_pass_peak_of_a_toy_workload(tmp_path, monkeypatch):
     # the import keeps 400 KB before tracing starts, and the pass allocates
     # 300 KB at its peak; one operation answers wrong and one raises

@@ -279,6 +279,31 @@ class TestCensusByOrbits:
         assert classify(sp, sampling=(30, 1)).export() == expected
         assert closed == list(enumerate_configs(sp, sampling=(30, 1)))
 
+    @pytest.mark.parametrize("spec,orbits", [("W3A:4", 28), ("W2D:4", 364)])
+    def test_one_diagram_per_representative(self, spec, orbits, monkeypatch):
+        # closing each configuration would take 231 and 2485 diagrams
+        sp = parse_space_spec(spec)
+        drawn = []
+        diagram = TypeDConfig.diagram
+
+        def spy(cfg, space):
+            drawn.append(cfg)
+            return diagram(cfg, space)
+
+        monkeypatch.setattr(TypeDConfig, "diagram", spy)
+        closed = spy_on_closures(monkeypatch)
+        classify(sp, EV7)
+        assert drawn == closed and len(drawn) == orbits
+
+    @pytest.mark.parametrize("spec", ["A:5", "W2A:4"])
+    def test_weights_add_up_to_the_sweep(self, spec):
+        # both are point-transitive: the first point is fixed
+        sp = parse_space_spec(spec)
+        report = classify(sp, EV7)
+        assert report.first_point_fixed
+        examined = sum(b["examined"] for b in report.buckets.values())
+        assert examined == naive_config_count(sp) // (8 * len(sp.points))
+
     @pytest.mark.parametrize("family,n,orbits", [("W2D", 4, 364), ("W2A", 5, 41)])
     def test_orbit_counts(self, family, n, orbits):
         sp = build_named_space(family, n)

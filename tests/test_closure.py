@@ -383,26 +383,27 @@ class TestSpecializedDimension:
 
     @pytest.fixture
     def eta1_log(self, monkeypatch):
-        """Start eta1 at the degenerate value 2 and log (eta1, rank) per walk."""
+        """Start eta1 at the degenerate value 2 and log (eta, rank) per walk."""
         seen = []
         walk = closure._walk_at
 
-        def spy(sp, gens, modes):
-            ranks = walk(sp, gens, modes)
-            seen.append((modes[1].eta0, ranks[1]))
-            return ranks
+        def spy(sp, gens, mode):
+            rank = walk(sp, gens, mode)
+            seen.append((mode.eta0, rank))
+            return rank
 
         monkeypatch.setattr(closure, "_ETA1_START", 2)
         monkeypatch.setattr(closure, "_walk_at", spy)
         return seen
 
     def test_degenerate_eta1_moves_on(self, wr3x3_flip, eta1_log):
+        # eta0 is walked once, then each eta1 candidate alone
         assert specialized_dimension(wr3x3_flip, 7) == 30
-        assert eta1_log == [(2, 29), (3, 30)]
+        assert eta1_log == [(7, 30), (2, 29), (3, 30)]
 
     def test_eta1_skips_eta0(self, wr3x3_flip, eta1_log):
         assert specialized_dimension(wr3x3_flip, 2) == 29
-        assert eta1_log == [(3, 30)]
+        assert eta1_log == [(2, 29), (3, 30)]
 
     @pytest.mark.parametrize("family", FLIP_FAMILIES)
     def test_walk_ranks_are_evaluated_closure_dimensions(self, family):
@@ -412,16 +413,16 @@ class TestSpecializedDimension:
         knife_edges = {"Wr3p2": [89, 90], "Wr3x3": [29, 30]}
         for eta0 in (2, 7):
             modes = (ScalarMode.evaluated(eta0), ScalarMode.evaluated(3))
-            ranks = closure._walk_at(sp, gens, modes)
+            ranks = [closure._walk_at(sp, gens, m) for m in modes]
             assert ranks == [flip_subalgebra(sp, tau, m).dimension for m in modes]
             if eta0 == 2 and family in knife_edges:
                 assert ranks == knife_edges[family]
 
     def test_walk_takes_squares(self):
         # (a + b)^2 = (1 + eta)(a + b) - eta c: one generator, closure of rank 2
-        modes = (ScalarMode.evaluated(5), ScalarMode.evaluated(3))
         gens = [closure._poly_vec({0: ONE, 1: ONE})]
-        assert closure._walk_at(line_space(), gens, modes) == [2, 2]
+        for eta in (5, 3):
+            assert closure._walk_at(line_space(), gens, ScalarMode.evaluated(eta)) == 2
 
     def test_rejects_evaluated_closure_and_unsafe_eta(self):
         sp = line_space()

@@ -21,7 +21,8 @@ gives each side's import size: the tracemalloc retained size and peak of
 bytecode, which ``peak_rss_mb`` follows, and the tracemalloc peak of one
 pass of each workload's operations (``run`` in perfbench/workloads.py),
 taken after that import in a fresh interpreter: the memory the engine's
-work needs, without the import's compile peak.
+work needs, without the import's compile peak.  Each side's line count of
+``src/matsuo/*.py`` is kept too, so a change's line delta is on record.
 """
 
 from __future__ import annotations
@@ -96,6 +97,12 @@ def import_size(root: Path) -> dict:
                           capture_output=True, text=True, check=True)
     retained, peak = map(int, done.stdout.split())
     return {"retained_kb": round(retained / 1024, 1), "peak_kb": round(peak / 1024, 1)}
+
+
+def src_lines(root: Path) -> int:
+    """The number of lines of the package's modules, root/src/matsuo/*.py."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in (root / "src" / "matsuo").glob("*.py"))
 
 
 def pass_peak(root: Path, workload: str, seed: int) -> dict:
@@ -182,6 +189,7 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT, change, ignore=shutil.ignore_patterns(".git", ".bench_out"))
         roots = {"parent": parent, "change": change}
         imports = {side: import_size(roots[side]) for side in SIDES}
+        lines = {side: src_lines(roots[side]) for side in SIDES}
         passes = {side: {w: pass_peak(roots[side], w, args.seed) for w in args.workloads}
                   for side in SIDES}
         for workload in args.workloads:
@@ -204,6 +212,7 @@ def main(argv=None) -> int:
                     " working tree without .git; PYTHONDONTWRITEBYTECODE=1.",
         "machine": {"python": platform.python_version(), "cpus": len(os.sched_getaffinity(0))},
         "import_size": imports,
+        "src_lines": lines,
         "pass_peak": passes,
         "summary": summary,
         "runs": runs,
@@ -216,6 +225,7 @@ def main(argv=None) -> int:
         print(f"{workload}: pairs won by the change of {args.pairs}: {won}")
     for side, size in imports.items():
         print(f"{side} import: retained {size['retained_kb']} KB, peak {size['peak_kb']} KB")
+    print(f"src/matsuo lines: parent {lines['parent']}, change {lines['change']}")
     for side, peaks in passes.items():
         print(f"{side} pass peak:", ", ".join(f"{w} {p['peak_kb']} KB" for w, p in peaks.items()))
     print(f"wrote {out}")
