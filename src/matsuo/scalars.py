@@ -2,7 +2,8 @@
 
 Everything here is immutable and exact: rationals are ``fractions.Fraction``,
 polynomials in eta keep Fraction coefficients, and rational functions are kept
-in canonical form (reduced, monic denominator).  No floating point anywhere.
+in canonical form: reduced by ``poly_gcd``, the one polynomial gcd (Euclid over
+Q[eta]), with a monic denominator.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class PoleError(ZeroDivisionError):
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial helpers (coefficient lists, index = degree)
+# integer polynomials for the determinants in algebra.py (index = degree)
 # ---------------------------------------------------------------------------
 
 def _int_trim(c: list[int]) -> list[int]:
@@ -44,86 +45,6 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return _int_trim(out)
-
-
-def _int_content(a: Sequence[int]) -> int:
-    g = 0
-    for c in a:
-        g = _int_gcd(g, abs(c))
-    return g
-
-
-def _int_primitive(a: Sequence[int]) -> list[int]:
-    g = _int_content(a)
-    if g <= 1:
-        return list(a)
-    return [c // g for c in a]
-
-
-def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """lc(b)^(deg a - deg b + 1) * a mod b, all over Z.
-
-    The full power of lc(b) is applied even when the degree drops by more
-    than one per step; the subresultant divisibility argument needs it.
-    """
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    e = len(a) - len(b) + 1
-    while len(r) - 1 >= db and r:
-        dr = len(r) - 1
-        lead = r[-1]
-        r = [c * lb for c in r]
-        shift = dr - db
-        for k in range(len(b)):
-            r[shift + k] -= lead * b[k]
-        _int_trim(r)
-        e -= 1
-    if e > 0 and r:
-        scale = lb**e
-        r = [c * scale for c in r]
-    return r
-
-
-def _int_gcd_poly(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd over Z via the subresultant remainder sequence.
-
-    The subresultant scheme keeps intermediate coefficients polynomially
-    bounded, which matters for the Gram determinants of larger spaces.
-    """
-    a = _int_primitive(_int_trim(list(a)))
-    b = _int_primitive(_int_trim(list(b)))
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) == 1 or len(b) == 1:
-        return [1]
-    if len(a) < len(b):
-        a, b = b, a
-    g = 1
-    h = 1
-    while True:
-        delta = len(a) - len(b)
-        r = _int_pseudo_rem(a, b)
-        if not r:
-            res = _int_primitive(b)
-            if res[-1] < 0:
-                res = [-c for c in res]
-            return res
-        if len(r) == 1:
-            return [1]
-        a = b
-        divisor = g * h**delta
-        b = []
-        for c in r:
-            q, rem = divmod(c, divisor)
-            assert rem == 0, "subresultant division is exact by construction"
-            b.append(q)
-        _int_trim(b)
-        g = a[-1]
-        if delta > 0:
-            h = g**delta // h ** (delta - 1) if delta > 1 else g
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +123,10 @@ class EtaPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(("EtaPoly", self.coeffs))
+        # a constant equals its Fraction, so it must hash as one
+        if len(self.coeffs) > 1:
+            return hash(("EtaPoly", self.coeffs))
+        return hash(self.coeffs[0]) if self.coeffs else 0
 
     # -- ring operations ----------------------------------------------------
 
@@ -356,12 +280,15 @@ def _as_poly(x) -> EtaPoly | None:
 
 
 def poly_gcd(a: EtaPoly, b: EtaPoly) -> EtaPoly:
-    """Primitive gcd with positive leading coefficient."""
-    res = _int_gcd_poly(
-        [int(c) for c in a.primitive_int_coeffs()],
-        [int(c) for c in b.primitive_int_coeffs()],
-    )
-    return EtaPoly(res)
+    """Primitive gcd with positive leading coefficient, by Euclid over Q[eta].
+
+    Over a field the gcd is unique up to a nonzero rational factor, which
+    ``primitive()`` fixes; every caller divides both sides by it (``EtaScalar``)
+    or normalizes its result (``poly_lcm``, ``square_free_part``) anyway.
+    """
+    while b:
+        a, b = b, a % b
+    return a.primitive()
 
 
 def poly_lcm(a: EtaPoly, b: EtaPoly) -> EtaPoly:
@@ -508,6 +435,9 @@ class EtaScalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        # a polynomial (or a constant) equals its EtaPoly, so it hashes as one
+        if self.den.degree == 0:
+            return hash(self.num)
         return hash(("EtaScalar", self.num.coeffs, self.den.coeffs))
 
     # -- field operations ---------------------------------------------------

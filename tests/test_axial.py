@@ -194,6 +194,12 @@ class TestEigenDecompose:
             with pytest.raises(ValueError, match="two or more distinct values"):
                 eigen_decompose(alg, {0: ONE}, spectrum)
 
+    def test_value_repeated_across_scalar_types_refused(self):
+        # EtaScalar.one() and 1 are one value, so the spectrum has two
+        alg = full_algebra(build_named_space("A", 4))
+        with pytest.raises(ValueError, match="two or more distinct values"):
+            eigen_decompose(alg, {0: 1}, [EtaScalar.one(), 1, EtaScalar.eta()])
+
     def test_axis_outside_the_subalgebra(self):
         for mode in (SYM, EV7):
             alg = close(build_named_space("A", 3), [{0: mode.one()}], mode)

@@ -32,6 +32,10 @@ def poly(*coeffs):
     return EtaPoly(coeffs)
 
 
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+POLYS = st.lists(RATIONALS, max_size=4).map(EtaPoly)
+
+
 class TestEtaPoly:
     def test_trailing_zeros_stripped(self):
         assert poly(1, 2, 0, 0).coeffs == (1, 2)
@@ -77,13 +81,43 @@ class TestGcd:
         assert poly_gcd(poly(1, 1), poly(2, 1)) == poly(1)
 
     def test_degree_drop_in_remainder_sequence(self):
-        # the first pseudo-remainder of these drops two degrees at once;
-        # the full lc power must still be applied or the gcd degenerates
+        # the remainders run through degrees 3, 2 and 1 with a non-integer
+        # coefficient (-eta^2/2) before they vanish at eta, the gcd; the
+        # sums below reduce over the shared factor eta of their denominators
         assert poly_gcd(poly(0, 1, 2, 2), poly(0, 0, 0, 1, 1)) == poly(0, 1)
         a = EtaScalar(poly(1), poly(0, 1))
         b = EtaScalar(poly(1), poly(0, 1, 1))
         c = EtaScalar(poly(2))
         assert a * (b + c) == a * b + a * c
+
+    def test_zero_argument_gives_positive_leading_coefficient(self):
+        assert poly_gcd(poly(1, -1), EtaPoly.zero()) == poly(-1, 1)
+        assert poly_gcd(EtaPoly.zero(), poly(2, -4)) == poly(-1, 2)
+        assert poly_gcd(EtaPoly.zero(), EtaPoly.zero()) == EtaPoly.zero()
+
+    @given(
+        st.lists(RATIONALS, unique=True, max_size=6),
+        st.integers(0, 6),
+        POLYS.filter(bool),
+        RATIONALS.filter(bool),
+        RATIONALS.filter(bool),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_common_factor_of_coprime_products(self, roots, split, c, su, sv):
+        # u and v are products of eta - r over disjoint sets of roots r, so
+        # gcd(c u, c v) is c up to a rational factor
+        u, v = poly(su), poly(sv)
+        for r in roots[:split]:
+            u *= poly(-r, 1)
+        for r in roots[split:]:
+            v *= poly(-r, 1)
+        assert poly_gcd(c * u, c * v) == c.primitive()
+
+    @given(POLYS, POLYS.filter(bool), POLYS.filter(bool))
+    @settings(max_examples=60, deadline=None)
+    def test_common_factor_cancels_in_scalars(self, p, q, c):
+        reduced, scaled = EtaScalar(p, q), EtaScalar(p * c, q * c)
+        assert (scaled.num, scaled.den) == (reduced.num, reduced.den)
 
     def test_square_free_part_of_square(self):
         p = poly(-2, 1) ** 2
@@ -185,6 +219,26 @@ def scalars(max_deg=2, lo=-4, hi=4):
         lambda c: any(c)
     )
     return st.builds(lambda n, d: EtaScalar(EtaPoly(n), EtaPoly(d)), num, den)
+
+
+class TestHash:
+    @given(st.one_of(
+        scalars(max_deg=1, lo=-2, hi=2), RATIONALS.map(EtaScalar), POLYS.map(EtaScalar)
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_scalars_hash_equal(self, s):
+        # every way to write the value of s: EtaScalar, EtaPoly, Fraction, int
+        forms = [s, EtaScalar(s.num * 3, s.den * 3)]
+        if s.den == 1:
+            forms.append(s.num)
+        if s.is_rational():
+            forms.append(s.as_fraction())
+            if s.as_fraction().denominator == 1:
+                forms.append(int(s.as_fraction()))
+        for a in forms:
+            for b in forms:
+                assert a == b and hash(a) == hash(b), (a, b)
+                assert a in {b}, (a, b)
 
 
 class TestCoefficientTypes:
