@@ -23,6 +23,7 @@ from .scalars import (
     _int_mul,
     _int_trim,
     as_eta_scalar,
+    poly_gcd,
     poly_lcm,
     rational_roots,
 )
@@ -30,11 +31,6 @@ from .scalars import (
 Vec = dict  # point index -> scalar of the active mode
 
 _ONE = EtaScalar.one()
-
-
-class SpectrumNotRationalError(ValueError):
-    """Exact determinant unavailable: irrational collinearity spectrum on a
-    space too large for direct elimination."""
 
 
 # ---------------------------------------------------------------------------
@@ -355,61 +351,73 @@ def adjacency_minimal_polynomial(sp: FischerSpace) -> EtaPoly:
     return minpoly
 
 
+def _gcd_multiplicities(nbrs: list[list[int]], orbits, m: EtaPoly) -> dict[int, EtaPoly]:
+    """{k: g_k}, g_k the monic product of (x - lam) over the eigenvalues of
+    multiplicity k of the symmetric A with neighbour lists nbrs and minimal
+    polynomial m, given one (seed, size) pair per orbit of automorphisms.
+
+    These permute the diagonal of A^j in each orbit, so tr(A^j) = t_j is a
+    sum over seeds.  The polynomial part R of m(x) sum_{j < deg m} t_j x^-(j+1)
+    is sum_lam mult_lam m(x)/(x - lam), so g_k = gcd(m, R - k m'): the residue
+    step of Rothstein-Trager integration.  Raises RuntimeError unless the
+    multiplicities cover every root and sum to the number of points."""
+    n, d = len(nbrs), m.degree
+    traces = [0] * d
+    for r, size in orbits:
+        seed = [int(q == r) for q in range(n)]
+        for j, vec in enumerate(islice(_powers(nbrs, seed), d)):
+            traces[j] += size * vec[r]
+    c = m.coeffs
+    residues = EtaPoly(
+        [sum(t * c[i + j + 1] for j, t in enumerate(traces[: d - i])) for i in range(d)]
+    )
+    dm = m.derivative()
+    factors: dict[int, EtaPoly] = {}
+    rest, k = m, 0
+    while rest.degree > 1 and k < n:
+        k += 1
+        g = poly_gcd(rest, residues - k * dm)
+        if g.degree > 0:
+            factors[k] = g.monic()
+            rest //= g
+    if rest.degree == 1:
+        # the last root takes the multiplicity left over; one gcd confirms it
+        k = n - sum(j * g.degree for j, g in factors.items())
+        if k > 0 and poly_gcd(rest, residues - k * dm).degree == 1:
+            factors[k], rest = rest.monic(), EtaPoly.one()
+    total = sum(j * g.degree for j, g in factors.items())
+    if rest.degree > 0 or total != n:
+        raise RuntimeError(
+            f"eigenvalue multiplicities {sorted(factors)} cover {total} of {n} points"
+        )
+    return factors
+
+
+@cached_on_space
+def _multiplicity_factors(sp: FischerSpace) -> dict[int, EtaPoly]:
+    """``_gcd_multiplicities`` of the collinearity adjacency matrix.  Cached."""
+    orbits = [(orbit[0], len(orbit)) for orbit in point_orbits(sp)]
+    return _gcd_multiplicities(adjacency_rows(sp), orbits, adjacency_minimal_polynomial(sp))
+
+
 @cached_on_space
 def adjacency_spectrum(sp: FischerSpace) -> Optional[dict[Fraction, int]]:
     """Eigenvalue multiplicities {lam: m} of the collinearity adjacency
-    matrix A, or None when an eigenvalue is irrational.
-
-    A is symmetric, so its distinct eigenvalues are the roots of the minimal
-    polynomial and m_l = tr(L_l(A)) for the Lagrange polynomial L_l of lam_l
-    on those roots.  The power traces are orbit sums,
-    tr(A^j) = sum_r |orbit(r)| (A^j e_r)_r, because verified automorphisms
-    permute the diagonal of A^j within each orbit.  Raises RuntimeError
-    unless every m_l is a positive integer.  Cached on the space.
-    """
-    m = adjacency_minimal_polynomial(sp)
-    roots = sorted(rational_roots(m))
-    spectrum: Optional[dict[Fraction, int]] = None
-    if len(roots) == m.degree:
-        nbrs = adjacency_rows(sp)
-        traces = [0] * m.degree
-        for orbit in point_orbits(sp):
-            r = orbit[0]
-            seed = [int(q == r) for q in range(len(nbrs))]
-            for j, vec in enumerate(islice(_powers(nbrs, seed), m.degree)):
-                traces[j] += len(orbit) * vec[r]
-        spectrum = {}
-        for lam in roots:
-            lagrange = m // EtaPoly((-lam, 1))
-            mult = sum(c * t for c, t in zip(lagrange.coeffs, traces)) / lagrange.evaluate(lam)
-            if mult.denominator != 1 or mult <= 0:
-                raise RuntimeError(
-                    f"eigenvalue {lam} of {sp.describe()} got multiplicity {mult}"
-                )
-            spectrum[lam] = int(mult)
-    return spectrum
-
-
-def _shifted_adjacency_rank(sp: FischerSpace, diagonal: int, off: int) -> int:
-    """Rank over Z of diagonal*I + off*A, for A the collinearity adjacency
-    matrix, by inserting its sparse rows into an integer echelon.  A zero
-    diagonal entry is left out, since a stored zero could become a pivot."""
-    span = _IntEchelon()
-    for i, nbrs in enumerate(adjacency_rows(sp)):
-        row = dict.fromkeys(nbrs, off)
-        if diagonal:
-            row[i] = diagonal
-        span.insert(row)
-    return len(span.rows)
+    matrix, in increasing lam, or None when an eigenvalue is irrational: the
+    rational roots of the gcd factors.  Cached on the space."""
+    spectrum = {lam: k for k, g in _multiplicity_factors(sp).items() for lam in rational_roots(g)}
+    if len(spectrum) < adjacency_minimal_polynomial(sp).degree:
+        return None
+    return dict(sorted(spectrum.items()))
 
 
 def eigenvalue_multiplicity(sp: FischerSpace, lam: Fraction) -> int:
-    """dim ker(A - lam I) for the collinearity adjacency matrix, exactly:
-    the corank of q A - p I at lam = p/q."""
-    return len(sp.points) - _shifted_adjacency_rank(sp, -lam.numerator, lam.denominator)
+    """dim ker(A - lam I) for the collinearity adjacency matrix: the k whose
+    gcd factor vanishes at lam, or 0."""
+    return next((k for k, g in _multiplicity_factors(sp).items() if not g.evaluate(lam)), 0)
 
 
-# -- fraction-free Bareiss determinant over Z[eta] ---------------------------
+# -- fraction-free Bareiss determinant over Z[eta]: the tests' oracle --------
 
 def _ip_sub(a: list[int], b: list[int]) -> list[int]:
     out = list(a)
@@ -443,7 +451,8 @@ def _ip_div_exact(a: list[int], b: list[int]) -> list[int]:
 
 
 def bareiss_det_int_poly(matrix: list[list[list[int]]]) -> list[int]:
-    """Determinant of a matrix of integer polynomials, fraction-free."""
+    """Determinant of a matrix of integer polynomials, fraction-free; the
+    tests check ``gram_det`` against it, and no engine code calls it."""
     n = len(matrix)
     if n == 0:
         return [1]
@@ -467,9 +476,6 @@ def bareiss_det_int_poly(matrix: list[list[list[int]]]) -> list[int]:
     return [sign * c for c in det]
 
 
-BAREISS_MAX_POINTS = 64
-
-
 @dataclass
 class GramData:
     """Gram matrix of the Frobenius form and its cleared determinant."""
@@ -490,44 +496,34 @@ class GramData:
         return out
 
 
-def _det_via_spectrum(sp: FischerSpace) -> EtaPoly:
-    """det(2I + eta*A) from the adjacency spectrum, when it is rational.
+def _gram_factor(g: EtaPoly) -> EtaPoly:
+    """prod (2 + eta*lam) over the roots lam of a monic g of degree e:
+    (-1)^e sum_i g_i (-2)^i eta^(e-i), with the constant term 2^e."""
+    e = g.degree
+    return EtaPoly([(-1) ** e * (-2) ** i * g.coeffs[i] for i in reversed(range(e + 1))])
 
-    Each eigenvalue lam = p/q of multiplicity m contributes (2q + p*eta)^m,
-    expanded by the binomial theorem over Z.
-    """
-    spectrum = adjacency_spectrum(sp)
-    if spectrum is None:
-        raise SpectrumNotRationalError(
-            f"adjacency spectrum of {sp.describe()} has irrational eigenvalues;"
-            f" space too large ({len(sp.points)} points) for direct elimination"
-        )
+
+def _det_of_factors(factors: dict[int, EtaPoly]) -> EtaPoly:
+    """det(2I + eta*A), content-normalized, from the gcd factors {k: g_k} of
+    A: the product of the k-th powers of ``_gram_factor(g_k)`` over Z (by
+    the binomial theorem when g_k is linear)."""
     det = [1]
-    for lam, mult in sorted(spectrum.items()):
-        a, b = 2 * lam.denominator, lam.numerator
-        det = _int_mul(det, [comb(mult, i) * a ** (mult - i) * b**i for i in range(mult + 1)])
-    return EtaPoly(det)
+    for k, g in factors.items():
+        base = _gram_factor(g).primitive_int_coeffs()  # a positive multiple
+        if len(base) == 2:
+            a, b = base
+            power = [comb(k, i) * a ** (k - i) * b**i for i in range(k + 1)]
+        else:
+            power = (EtaPoly(base) ** k).primitive_int_coeffs()
+        det = _int_mul(det, power)
+    det = EtaPoly(det)
+    return det.primitive() if det.leading > 0 else -det.primitive()
 
 
 @cached_on_space
 def gram_det(sp: FischerSpace) -> EtaPoly:
-    """Cleared Gram determinant det(2I + eta*A), content-normalized.
-
-    Spectral route whenever the adjacency spectrum is rational; direct
-    fraction-free elimination otherwise, on spaces of at most
-    BAREISS_MAX_POINTS points.  Cached on the space.
-    """
-    n = len(sp.points)
-    if adjacency_spectrum(sp) is None and n <= BAREISS_MAX_POINTS:
-        matrix = []
-        for p, row in enumerate(sp.third):
-            matrix.append(
-                [[2] if p == q else ([0, 1] if row[q] >= 0 else []) for q in range(n)]
-            )
-        det = EtaPoly(bareiss_det_int_poly(matrix))
-    else:
-        det = _det_via_spectrum(sp)
-    return det.primitive() if det.leading > 0 else -det.primitive()
+    """Cleared Gram determinant det(2I + eta*A), content-normalized.  Cached."""
+    return _det_of_factors(_multiplicity_factors(sp))
 
 
 def gram(sp: FischerSpace) -> GramData:
@@ -556,28 +552,17 @@ class CriticalValues:
         }
 
 
-def _certificate_from_minpoly(m: EtaPoly) -> EtaPoly:
-    """Transform x -> -2/eta: product of (2 + eta*lam) over distinct lam."""
-    d = m.degree
-    coeffs = [Fraction(0)] * (d + 1)
-    sign_d = 1 if d % 2 == 0 else -1
-    for k, a in enumerate(m.coeffs):
-        coeffs[d - k] = a * (-2) ** k * sign_d
-    poly = EtaPoly(coeffs)
-    prim = poly.primitive()
-    return prim
-
-
 @cached_on_space
 def critical_values(sp: FischerSpace) -> CriticalValues:
     """Values of eta where the Gram matrix of the form degenerates.
 
     eta = 1 is outside the parameter domain and reported separately when it
     is a determinant root (a root -2/lambda is never 0).  The determinant's
-    degree is n less the integer corank of A.  Cached on the space.
+    degree is n less the multiplicity of the eigenvalue 0 of A, asked only
+    when 0 is a root of its minimal polynomial.  Cached on the space.
     """
     m = adjacency_minimal_polynomial(sp)
-    cert = _certificate_from_minpoly(m)
+    cert = _gram_factor(m).primitive()
     all_roots = {Fraction(-2, 1) / lam for lam in rational_roots(m) if lam != 0}
     excluded = frozenset(r for r in all_roots if r == 1)
     roots = frozenset(all_roots - excluded)
@@ -587,12 +572,9 @@ def critical_values(sp: FischerSpace) -> CriticalValues:
 
 
 def radical_dim(sp: FischerSpace, eta0) -> int:
-    """Kernel dimension of the Gram matrix at eta = eta0.
-
-    The Gram matrix at p/q is (I + (p/2q) A); clearing denominators gives the
-    integer matrix 2q I + p A, whose rank is computed fraction-free.
-    """
+    """Kernel dimension of the Gram matrix I + (eta0/2) A at eta = eta0: the
+    multiplicity of the eigenvalue -2/eta0 of A."""
     eta0 = Fraction(eta0)
     if eta0 in (Fraction(0), Fraction(1)):
         raise ValueError("eta = 0 and eta = 1 are outside the parameter domain")
-    return len(sp.points) - _shifted_adjacency_rank(sp, 2 * eta0.denominator, eta0.numerator)
+    return eigenvalue_multiplicity(sp, -2 / eta0)

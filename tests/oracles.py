@@ -3,7 +3,7 @@
 from typing import Optional
 
 from matsuo import closure
-from matsuo.algebra import Vec, vec_product
+from matsuo.algebra import Vec, _IntEchelon, adjacency_rows, vec_product
 from matsuo.axial import MiyamotoMap, _ad_poly
 from matsuo.classify import (
     KNOWN_CONNECTED_DIMS,
@@ -61,6 +61,20 @@ def int_matrix_rank(rows: list[list[int]]) -> int:
         if row == nrows:
             break
     return rank
+
+
+def adjacency_corank(sp: FischerSpace, diagonal: int, off: int) -> int:
+    """Corank over Z of diagonal*I + off*A, for A the collinearity adjacency
+    matrix, by inserting its sparse rows into an integer echelon; a zero
+    diagonal entry is left out, since a stored zero could become a pivot.
+    The reference for ``eigenvalue_multiplicity`` at -diagonal/off."""
+    span = _IntEchelon()
+    for i, nbrs in enumerate(adjacency_rows(sp)):
+        row = dict.fromkeys(nbrs, off)
+        if diagonal:
+            row[i] = diagonal
+        span.insert(row)
+    return len(sp.points) - len(span.rows)
 
 
 def reinserted_rows(basis: EchelonBasis) -> tuple:

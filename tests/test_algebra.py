@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from matsuo.algebra import (
     AlgebraVector,
-    SpectrumNotRationalError,
+    _det_of_factors,
+    _gcd_multiplicities,
     _krylov_annihilator,
+    _multiplicity_factors,
     _powers,
     adjacency_minimal_polynomial,
     adjacency_spectrum,
@@ -29,9 +31,9 @@ from matsuo.algebra import (
 )
 from matsuo.closure import ScalarMode
 from matsuo.fischer import NAMED_FAMILIES, build_named_space
-from matsuo.scalars import EtaPoly, EtaScalar, square_free_part
+from matsuo.scalars import EtaPoly, EtaScalar, poly_lcm, square_free_part
 
-from oracles import int_matrix_rank
+from oracles import adjacency_corank, int_matrix_rank
 
 SYM = ScalarMode.symbolic()
 ONE = SYM.one()
@@ -283,7 +285,7 @@ class TestGram:
         sp = build_named_space(family, n)
         spectrum = adjacency_spectrum(sp)
         for lam, mult in spectrum.items():
-            assert eigenvalue_multiplicity(sp, lam) == mult
+            assert adjacency_corank(sp, -lam.numerator, lam.denominator) == mult
         # the ranks leave no room for another eigenvalue
         assert sum(spectrum.values()) == len(sp.points)
 
@@ -301,16 +303,28 @@ class TestGram:
                 n += 1
         assert (len(sizes), max(sizes)) == (68, 180)
 
-    def test_irrational_spectrum_fallbacks(self, monkeypatch):
+    def test_gram_det_never_calls_bareiss(self, monkeypatch):
         import matsuo.algebra as algebra_mod
 
-        spectral = gram_det(build_named_space("W3A", 3))
-        degree = critical_values(build_named_space("WrA4", 2)).det_degree
-        monkeypatch.setattr(algebra_mod, "adjacency_spectrum", lambda sp: None)
-        assert gram_det(build_named_space("W3A", 3)) == spectral  # Bareiss
-        assert critical_values(build_named_space("WrA4", 2)).det_degree == degree
-        with pytest.raises(SpectrumNotRationalError):
-            gram_det(build_named_space("A", 12))  # 66 points, beyond Bareiss
+        def refuse(matrix):
+            raise AssertionError("gram_det called bareiss_det_int_poly")
+
+        monkeypatch.setattr(algebra_mod, "bareiss_det_int_poly", refuse)
+        sizes = []
+        for family in NAMED_FAMILIES:
+            n = 3 if family == "A" else 2
+            while len((sp := build_named_space(family, n)).points) <= 64:
+                assert gram_det(sp).degree <= len(sp.points)
+                sizes.append(len(sp.points))
+                n += 1
+        assert (len(sizes), max(sizes)) == (37, 63)
+
+    def test_det_beyond_64_points(self):
+        # A:12 is the triangular graph T(12), 66 points with eigenvalues
+        # 20, 8 and -2 of multiplicities 1, 11 and 54
+        det = gram_det(build_named_space("A", 12))
+        eta = EtaPoly.eta()
+        assert det == ((1 + 10 * eta) * (1 + 4 * eta) ** 11 * (1 - eta) ** 54).primitive()
 
     @pytest.mark.parametrize("family,n", SMALL_SPACES)
     def test_det_degree_matches_gram_det(self, family, n):
@@ -383,6 +397,86 @@ class TestGram:
                 assert not any(vec), (family, n, i)
 
 
+def _graph(n: int, edges) -> list[list[int]]:
+    nbrs = [[] for _ in range(n)]
+    for a, b in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return nbrs
+
+
+def _random_graph(seed: int) -> list[list[int]]:
+    rng = random.Random(seed)
+    return _graph(12, [(a, b) for a in range(12) for b in range(a) if rng.random() < 0.5])
+
+
+# graphs that are not Fischer spaces (point_orbits refuses their tables), so
+# the gcd route runs on their adjacency rows with every point its own orbit
+HAND_GRAPHS = {
+    "path4": _graph(4, [(0, 1), (1, 2), (2, 3)]),
+    "cycle5": _graph(5, [(i, (i + 1) % 5) for i in range(5)]),
+    "two_lines_through_a_point": _graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
+    **{f"random12_{seed}": _random_graph(seed) for seed in range(4)},
+}
+
+
+def _hand_factors(nbrs: list[list[int]]) -> dict:
+    n = len(nbrs)
+    m = EtaPoly.one()
+    for r in range(n):
+        seed = [int(q == r) for q in range(n)]
+        m = poly_lcm(m, EtaPoly(_krylov_annihilator(nbrs, seed))).monic()
+    return _gcd_multiplicities(nbrs, [(r, 1) for r in range(n)], m)
+
+
+class TestGcdMultiplicities:
+    @pytest.mark.parametrize("name", sorted(HAND_GRAPHS))
+    def test_det_matches_bareiss(self, name):
+        nbrs = HAND_GRAPHS[name]
+        n = len(nbrs)
+        matrix = [
+            [[2] if i == j else ([0, 1] if j in nbrs[i] else []) for j in range(n)]
+            for i in range(n)
+        ]
+        det = EtaPoly(bareiss_det_int_poly(matrix))
+        expected = det.primitive() if det.leading > 0 else -det.primitive()
+        assert _det_of_factors(_hand_factors(nbrs)) == expected
+
+    def test_irrational_factors(self):
+        x = EtaPoly.eta()
+        # cycle5: 2 once and (-1 +- sqrt 5)/2 twice each
+        assert _hand_factors(HAND_GRAPHS["cycle5"]) == {1: x - 2, 2: x**2 + x - 1}
+        # two lines through a point: (1 +- sqrt 17)/2 and 1 once, -1 twice
+        assert _hand_factors(HAND_GRAPHS["two_lines_through_a_point"]) == {
+            1: (x**2 - x - 4) * (x - 1),
+            2: x + 1,
+        }
+
+    @pytest.mark.parametrize("name", ["cycle5", "two_lines_through_a_point"])
+    def test_dropped_factor_fails_the_multiplicity_sum(self, name, monkeypatch):
+        # a gcd that loses one g_k, in the loop or in the last root's check,
+        # leaves points without a multiplicity
+        import matsuo.algebra as algebra_mod
+
+        nbrs = HAND_GRAPHS[name]
+        for g in _hand_factors(nbrs).values():
+            def dropping(a, b, real=algebra_mod.poly_gcd, lost=g.primitive()):
+                found = real(a, b)
+                return EtaPoly.one() if found == lost else found
+
+            with monkeypatch.context() as patched:
+                patched.setattr(algebra_mod, "poly_gcd", dropping)
+                with pytest.raises(RuntimeError, match="cover"):
+                    _hand_factors(nbrs)
+
+    def test_factors_of_a_named_space(self):
+        x = EtaPoly.eta()
+        # A:4, the octahedron: 4 once, -2 twice, 0 three times (the last
+        # root, whose multiplicity is the points left over)
+        factors = _multiplicity_factors(build_named_space("A", 4))
+        assert factors == {1: x - 4, 2: x + 2, 3: x}
+
+
 class TestCriticalValues:
     def test_certificate_is_square_free_part_of_det(self):
         for family, n in [("A", 4), ("W3A", 3), ("W2D", 3), ("WrA4", 2)]:
@@ -404,8 +498,8 @@ class TestCriticalValues:
         assert Fraction(1) not in cv.roots
 
     def test_det_degree_without_the_spectrum(self, monkeypatch):
-        # det_degree is n less an integer corank of A, so critical_values
-        # never builds the spectrum; gram_det, taken first, still reads it
+        # det_degree is n less the multiplicity of the eigenvalue 0, read off
+        # the gcd factors, so critical_values never builds the spectrum
         import matsuo.algebra as algebra_mod
 
         def refuse(sp):
